@@ -2,7 +2,7 @@
 
 Every benchmark regenerates one table or figure from the paper's evaluation
 and prints the rows it produced next to the paper's values. Absolute numbers
-come from the calibrated performance model (see EXPERIMENTS.md); the
+come from the calibrated performance model (``repro.perf.machine``); the
 assertions check the *shape* — orderings, ratios, crossovers.
 
 ``XAAS_BENCH_SCALE`` (default 0.25) controls the GROMACS source-tree scale

@@ -15,7 +15,8 @@ from repro.apps import lulesh_configs, lulesh_model
 from repro.containers import ArtifactCache, BlobStore
 from repro.core import build_ir_container, deploy_ir_container
 from repro.discovery import get_system
-from repro.store import FileBackend, MemoryBackend, RemoteBackend, StoreServer
+from repro.store import (AsyncStoreServer, FileBackend, MemoryBackend,
+                         RemoteBackend)
 from repro.util.hashing import content_digest
 
 OPTIONS = {"WITH_MPI": "OFF", "WITH_OPENMP": "ON"}
@@ -82,7 +83,7 @@ def test_backend_put_get_throughput(benchmark, tmp_path):
         "file": FileBackend(tmp_path / "bench-store"),
     }
     rows = []
-    with StoreServer(MemoryBackend()) as server:
+    with AsyncStoreServer(MemoryBackend()) as server:
         backends["remote"] = RemoteBackend(*server.address)
         for name, backend in backends.items():
             start = time.perf_counter()

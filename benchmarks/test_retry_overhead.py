@@ -15,7 +15,7 @@ Results land in ``benchmarks/BENCH_retry_overhead.json``.
 import threading
 import time
 
-from repro.store import MemoryBackend, RemoteBackend, StoreServer
+from repro.store import AsyncStoreServer, MemoryBackend, RemoteBackend
 from repro.store.remote import DEFAULT_STORE_RETRY
 from repro.telemetry import MetricsRegistry
 from repro.util.hashing import content_digest
@@ -82,7 +82,7 @@ def test_retry_layer_is_free_when_nothing_fails(bench_json):
                         ("retried", DEFAULT_STORE_RETRY)):
         trials = []
         for _ in range(TRIALS):
-            with StoreServer(MemoryBackend()) as server:
+            with AsyncStoreServer(MemoryBackend()) as server:
                 host, port = server.address
                 trials.append(_farm_workload(host, port, retry,
                                              registries[mode]))

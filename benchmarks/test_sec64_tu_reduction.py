@@ -21,8 +21,7 @@ from repro.core import build_ir_container
 
 # Targets derive from the paper's reported TU/IR counts. Note: the paper's
 # prose calls the CUDA experiment a "76% reduction", but its own counts
-# (7052 TUs -> 2694 IRs) give 1 - 2694/7052 = 61.8%; we target the counts
-# (see EXPERIMENTS.md).
+# (7052 TUs -> 2694 IRs) give 1 - 2694/7052 = 61.8%; we target the counts.
 PAPER = {
     "5-ISA": (8710, 2695, 0.69),
     "CUDA+vec": (7052, 2694, 0.618),
@@ -69,7 +68,7 @@ def test_gromacs_mpi_openmp(benchmark, gromacs_bench_model):
 
 
 def test_stage_ablation(benchmark, gromacs_bench_model):
-    """Per-stage contribution (the DESIGN.md ablation): disabling any stage
+    """Per-stage contribution (stage ablation): disabling any stage
     strictly increases the IR count."""
     configs = five_isa_configs()
 

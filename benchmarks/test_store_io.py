@@ -1,23 +1,17 @@
-"""Store hot-path I/O: pooled sessions, sharded refs, server flavors.
+"""Store hot-path I/O: pooled sessions, sharded refs, the wire server.
 
-The PR-5 acceptance benchmark plus the ISSUE-6 concurrency sweep. A
-farm-shaped publish/probe workload (N concurrent builders pushing
-artifacts into one shared StoreServer, then probing and pulling their
-peers' blobs) runs twice — through the historical
-one-connection-per-operation client and through the pooled session
-client — and must show >=5x fewer TCP connections and lower wall-clock
-with pooling. A second workload races two index writers in *different
-namespaces* on one FileBackend: the sharded index must finish with zero
-CAS retries where the monolithic layout shows contention.
+A farm-shaped publish/probe workload (N concurrent builders pushing
+artifacts into one shared AsyncStoreServer, then probing and pulling
+their peers' blobs) must cost one TCP connection per builder. A second
+workload races two index writers in *different namespaces* on one
+FileBackend: the sharded index must finish with zero CAS retries.
 
-The ISSUE-6 sweep then drives {1, 8, 32, 128} concurrent sessions x
-{4 KiB, 256 KiB, 4 MiB} blobs against both server flavors (thread-per-
-connection vs selectors event loop) so the trajectory of the async
-migration is directly comparable run over run, and asserts the async
-server's peak resident body stays O(chunk) for streamed multi-MB blobs.
+The sweep then drives {1, 8, 32, 128} concurrent sessions x
+{4 KiB, 256 KiB, 4 MiB} blobs against the server and asserts every cell
+completes, and that the server's peak resident body stays O(chunk) for
+streamed multi-MB blobs.
 
-Results land in ``benchmarks/BENCH_store_io.json`` via the conftest hook
-so the perf trajectory is tracked from this PR on.
+Results land in ``benchmarks/BENCH_store_io.json`` via the conftest hook.
 """
 
 import os
@@ -30,7 +24,6 @@ from repro.store import (
     FileBackend,
     MemoryBackend,
     RemoteBackend,
-    StoreServer,
 )
 from repro.store.wire import CHUNK_SIZE
 from repro.util.hashing import content_digest
@@ -43,19 +36,16 @@ PROBES = 90        # existence probes per client (scheduler-style)
 GETS = 15          # peer-blob pulls per client
 
 
-def _farm_workload(host: str, port: int, pooled: bool) -> dict:
+def _farm_workload(host: str, port: int) -> dict:
     """CLIENTS concurrent builders publish/probe/pull against one server.
-
-    Returns per-run counters; the per-op shape is identical across modes
-    so the connection counts and wall-clocks are directly comparable.
-    """
+    Returns per-run counters."""
     barrier = threading.Barrier(CLIENTS)
     errors: list[Exception] = []
     ops = {"puts": 0, "probes": 0, "gets": 0}
     ops_lock = threading.Lock()
 
     def builder(idx: int) -> None:
-        backend = RemoteBackend(host, port, pooled=pooled)
+        backend = RemoteBackend(host, port)
         try:
             barrier.wait()
             digests = []
@@ -65,8 +55,7 @@ def _farm_workload(host: str, port: int, pooled: bool) -> dict:
                 backend.put(digest, payload)
                 digests.append(digest)
             # Scheduler-style probing: one batched probe for the whole
-            # warm set, then per-key spot checks (both modes batch the
-            # same way — pooling is the only variable).
+            # warm set, then per-key spot checks.
             backend.has_many(digests)
             for i in range(PROBES):
                 backend.has(digests[i % len(digests)])
@@ -93,50 +82,32 @@ def _farm_workload(host: str, port: int, pooled: bool) -> dict:
     return {"seconds": seconds, **ops}
 
 
-def test_pooled_sessions_beat_one_shot_connections(bench_json):
-    """>=5x fewer TCP connections and lower wall-clock, same workload."""
-    results = {}
-    for mode, pooled in (("one_shot", False), ("pooled", True)):
-        with StoreServer(MemoryBackend()) as server:
-            host, port = server.address
-            run = _farm_workload(host, port, pooled)
-            run["connections"] = server.connections_served
-            run["requests"] = server.requests_served
-            results[mode] = run
-
-    one_shot, pooled = results["one_shot"], results["pooled"]
-    # Identical logical work on both sides.
-    assert one_shot["requests"] == pooled["requests"]
-    connection_ratio = one_shot["connections"] / max(1, pooled["connections"])
-    speedup = one_shot["seconds"] / pooled["seconds"]
+def test_pooled_sessions_cost_one_connection_per_client(bench_json):
+    """The whole farm workload rides one TCP connection per builder."""
+    with AsyncStoreServer(MemoryBackend()) as server:
+        host, port = server.address
+        run = _farm_workload(host, port)
+        run["connections"] = server.connections_served
+        run["requests"] = server.requests_served
 
     print_table(
-        "Store wire I/O: one-shot vs pooled sessions (farm workload, "
-        f"{CLIENTS} clients)",
-        ("mode", "connections", "requests", "seconds"),
-        [(mode, run["connections"], run["requests"],
-          f"{run['seconds']:.3f}") for mode, run in results.items()]
-        + [("ratio", f"{connection_ratio:.1f}x fewer", "-",
-            f"{speedup:.2f}x faster")])
+        f"Store wire I/O: pooled sessions (farm workload, {CLIENTS} clients)",
+        ("connections", "requests", "seconds"),
+        [(run["connections"], run["requests"], f"{run['seconds']:.3f}")])
     bench_json("store_io", {"wire": {
         "clients": CLIENTS,
         "ops_per_client": PUTS + PROBES + 1 + GETS,
-        "one_shot": one_shot,
-        "pooled": pooled,
-        "connection_ratio": connection_ratio,
-        "speedup": speedup,
+        **run,
     }})
 
-    # The acceptance bar: sessions must collapse connection churn and
-    # show up on the clock.
-    assert connection_ratio >= 5.0, results
-    assert pooled["seconds"] < one_shot["seconds"], results
+    assert run["connections"] == CLIENTS, run
+    assert run["requests"] == CLIENTS * (PUTS + PROBES + 1 + GETS), run
 
 
 def test_batched_probe_is_one_round_trip(bench_json):
     """The per-ISA lower-index probe pattern: N has() calls vs one
     has_many() — the wire cost drops from N requests to 1."""
-    with StoreServer(MemoryBackend()) as server:
+    with AsyncStoreServer(MemoryBackend()) as server:
         backend = RemoteBackend(*server.address)
         digests = []
         for i in range(64):
@@ -169,13 +140,12 @@ WRITERS = 2
 PUBLISHES = 80
 
 
-def _index_contention(root, sharded: bool) -> dict:
+def _index_contention(root) -> dict:
     """WRITERS concurrent publishers, each in its own namespace, each
     flushing the index on every put (flush_every=1) — the worst case for
     index-ref contention."""
     FileBackend(root)  # create the layout once
-    caches = [ArtifactCache(BlobStore(FileBackend(root)),
-                            sharded_index=sharded)
+    caches = [ArtifactCache(BlobStore(FileBackend(root)))
               for _ in range(WRITERS)]
     barrier = threading.Barrier(WRITERS)
     errors: list[Exception] = []
@@ -200,40 +170,34 @@ def _index_contention(root, sharded: bool) -> dict:
     seconds = time.perf_counter() - start
     assert not errors, errors
 
-    # Zero lost writes either way — the CAS merge guarantees it; the
-    # shards only change what the guarantee *costs*.
-    fresh = ArtifactCache(BlobStore(FileBackend(root)), sharded_index=sharded)
+    # Zero lost writes — the CAS merge guarantees it; the shards only
+    # change what the guarantee *costs*.
+    fresh = ArtifactCache(BlobStore(FileBackend(root)))
     entries = fresh.entries()
     assert len(entries) == WRITERS * PUBLISHES, len(entries)
     return {"seconds": seconds,
             "cas_retries": sum(c.cas_retries for c in caches)}
 
 
-def test_sharded_index_eliminates_cross_namespace_cas(tmp_path, bench_json):
-    """Cross-namespace publishing: zero CAS retries sharded, >0 on the
-    same workload with the monolithic ref."""
-    mono = _index_contention(tmp_path / "monolithic", sharded=False)
-    sharded = _index_contention(tmp_path / "sharded", sharded=True)
+def test_sharded_index_has_no_cross_namespace_cas(tmp_path, bench_json):
+    """Cross-namespace publishing: zero CAS retries."""
+    sharded = _index_contention(tmp_path / "sharded")
 
     print_table(
-        "Index-ref contention: monolithic vs per-namespace shards "
+        "Index-ref contention: per-namespace shards "
         f"({WRITERS} writers x {PUBLISHES} publishes, flush_every=1)",
-        ("layout", "CAS retries", "seconds"),
-        [("monolithic", mono["cas_retries"], f"{mono['seconds']:.3f}"),
-         ("sharded", sharded["cas_retries"], f"{sharded['seconds']:.3f}")])
+        ("CAS retries", "seconds"),
+        [(sharded["cas_retries"], f"{sharded['seconds']:.3f}")])
     bench_json("store_io", {"index_contention": {
         "writers": WRITERS,
         "publishes_per_writer": PUBLISHES,
-        "monolithic": mono,
-        "sharded": sharded,
+        **sharded,
     }})
 
     assert sharded["cas_retries"] == 0, sharded
-    assert mono["cas_retries"] > 0, \
-        "monolithic baseline showed no contention; workload too small"
 
 
-# -- ISSUE 6: concurrency x blob-size sweep, thread vs async server ------------
+# -- concurrency x blob-size sweep ---------------------------------------------
 
 SWEEP_CLIENTS = (1, 8, 32, 128)
 SWEEP_SIZES = ((4 * 1024, "4KiB"), (256 * 1024, "256KiB"),
@@ -252,18 +216,17 @@ def _pairs_for(clients: int, size: int) -> int:
     return max(1, min(SWEEP_MAX_PAIRS, pairs))
 
 
-#: Per-socket-operation client timeout inside the sweep. A flavor whose
-#: clients starve past this under load scores a DNF for the cell — that
-#: *is* the measurement (the thread server at 128 sessions), not a
-#: harness failure.
+#: Per-socket-operation client timeout inside the sweep. A server whose
+#: clients starve past this under load scores a DNF for the cell, which
+#: fails the test.
 SWEEP_CLIENT_TIMEOUT = 20.0
 
 
-def _sweep_cell(flavor, clients: int, size: int) -> dict:
+def _sweep_cell(clients: int, size: int) -> dict:
     """`clients` concurrent pooled sessions each put+get `pairs` unique
-    blobs of `size` bytes against one server of the given flavor."""
+    blobs of `size` bytes against one server."""
     pairs = _pairs_for(clients, size)
-    with flavor(MemoryBackend()) as server:
+    with AsyncStoreServer(MemoryBackend()) as server:
         host, port = server.address
         barrier = threading.Barrier(clients + 1)
         errors: list[Exception] = []
@@ -311,76 +274,30 @@ def _sweep_cell(flavor, clients: int, size: int) -> dict:
 
 
 def test_concurrency_blob_size_sweep(bench_json):
-    """Thread vs async server across the full concurrency x size grid.
-
-    The acceptance bar is deliberately loose on absolute throughput
-    (one shared CPU, GIL on both sides) but strict on the shape: the
-    async server must *sustain* the whole grid including 128 concurrent
-    sessions, and must not collapse at high concurrency where the
-    thread-per-connection flavor pays a scheduler entry per socket.
-    """
-    flavors = (("thread", StoreServer), ("async", AsyncStoreServer))
-    results: dict[str, dict[str, dict]] = {name: {} for name, _ in flavors}
-    for name, flavor in flavors:
-        for clients in SWEEP_CLIENTS:
-            for size, size_label in SWEEP_SIZES:
-                cell = _sweep_cell(flavor, clients, size)
-                results[name][f"{clients}x{size_label}"] = cell
-
-    def fmt(cell):
-        return f"{cell['seconds']:.3f}" if cell["completed"] else "DNF"
-
-    rows = []
+    """The server must *sustain* the whole concurrency x size grid,
+    including 128 concurrent sessions. Absolute throughput is recorded,
+    not asserted (one shared CPU, GIL on both sides)."""
+    results: dict[str, dict] = {}
     for clients in SWEEP_CLIENTS:
-        for _, size_label in SWEEP_SIZES:
-            key = f"{clients}x{size_label}"
-            thread_cell = results["thread"][key]
-            async_cell = results["async"][key]
-            if thread_cell["completed"] and async_cell["completed"]:
-                ratio = thread_cell["seconds"] / \
-                    max(async_cell["seconds"], 1e-9)
-                verdict = f"{ratio:.2f}x"
-            elif async_cell["completed"]:
-                verdict = "thread DNF"
-            else:  # pragma: no cover - async must complete (asserted)
-                verdict = "async DNF"
-            rows.append((key, thread_cell["pairs_per_client"],
-                         fmt(thread_cell), fmt(async_cell), verdict))
+        for size, size_label in SWEEP_SIZES:
+            results[f"{clients}x{size_label}"] = _sweep_cell(clients, size)
+
     print_table(
-        "Store server sweep: sessions x blob size, thread vs async flavor",
-        ("clients x size", "pairs/client", "thread s", "async s",
-         "async speedup"), rows)
+        "Store server sweep: sessions x blob size",
+        ("clients x size", "pairs/client", "seconds", "MB/s"),
+        [(key, cell["pairs_per_client"],
+          f"{cell['seconds']:.3f}" if cell["completed"] else "DNF",
+          cell.get("mb_per_s", "-")) for key, cell in results.items()])
     bench_json("store_io", {"concurrency_sweep": results})
 
-    # The async server must sustain EVERY cell — 128 sessions included.
-    # (The thread flavor is allowed to starve clients into timeouts at
-    # high concurrency; recording that collapse is the benchmark's job.)
-    incomplete_async = [key for key, cell in results["async"].items()
-                        if not cell["completed"]]
-    assert not incomplete_async, (incomplete_async, results["async"])
-    # Throughput shape: no worse than the thread flavor at low
-    # concurrency, and not collapsing where the thread flavor does.
-    # Margins are generous — both flavors share one GIL and one core in
-    # CI — guarding against regressions of kind, not percentage points.
-    for _, size_label in SWEEP_SIZES:
-        low_thread = results["thread"][f"1x{size_label}"]
-        low_async = results["async"][f"1x{size_label}"]
-        assert low_thread["completed"], low_thread
-        assert low_async["seconds"] <= low_thread["seconds"] * 3.0 + 0.5, \
-            (size_label, results)
-    for clients in (32, 128):
-        for _, size_label in SWEEP_SIZES:
-            key = f"{clients}x{size_label}"
-            thread_cell, async_cell = results["thread"][key], \
-                results["async"][key]
-            if thread_cell["completed"]:
-                assert async_cell["seconds"] <= \
-                    thread_cell["seconds"] * 3.0 + 2.0, (key, results)
+    incomplete = [key for key, cell in results.items()
+                  if not cell["completed"]]
+    assert not incomplete, (incomplete, results)
 
 
 def test_streamed_bodies_keep_server_memory_flat(tmp_path, bench_json):
     """The memory story behind streaming: a 4 MiB blob put+get through
-    the async server against a file store must move the server's
+    the server against a file store must move the server's
     peak-resident-body high-water mark by one chunk, not one blob."""
     blob_bytes = 4 * (1 << 20)
     payload = os.urandom(blob_bytes)
@@ -396,7 +313,7 @@ def test_streamed_bodies_keep_server_memory_flat(tmp_path, bench_json):
     assert got == payload
 
     print_table(
-        "Streamed 4 MiB put+get through the async server (file store)",
+        "Streamed 4 MiB put+get through the store server (file store)",
         ("metric", "value"),
         [("blob bytes", blob_bytes),
          ("chunk bytes", CHUNK_SIZE),

@@ -3,7 +3,7 @@
 The tiered-store acceptance benchmark: the same warm read-mostly
 workload (every worker repeatedly resolving one shared artifact set —
 the shape of a lower/deploy wave replaying a build from the store) runs
-twice against one StoreServer — once with flat `RemoteBackend` clients,
+twice against one AsyncStoreServer — once with flat `RemoteBackend` clients,
 once with each client behind its own `TieredBackend` (FileBackend tier
 over the same remote). Upstream load comes from the server's own
 `stats()["requests_served"]`; the tiered run must cost >=5x fewer
@@ -22,7 +22,7 @@ from repro.store import (
     FileBackend,
     MemoryBackend,
     RemoteBackend,
-    StoreServer,
+    AsyncStoreServer,
     TieredBackend,
 )
 from repro.util.hashing import content_digest
@@ -81,7 +81,7 @@ def test_warm_tiered_workers_offload_the_shared_store(tmp_path, bench_json):
     """>=5x fewer upstream requests with per-worker tiers, same reads."""
     results = {}
     for mode in ("flat", "tiered"):
-        with StoreServer(MemoryBackend()) as server:
+        with AsyncStoreServer(MemoryBackend()) as server:
             host, port = server.address
             digests = _seed(host, port)
             seeded = server.requests_served
@@ -137,7 +137,7 @@ def test_write_back_batches_publishes(bench_json):
     `put_many` batches instead of N wire requests."""
     results = {}
     for mode in ("flat", "tiered"):
-        with StoreServer(MemoryBackend()) as server:
+        with AsyncStoreServer(MemoryBackend()) as server:
             host, port = server.address
             remote = RemoteBackend(host, port)
             backend = remote if mode == "flat" else \

@@ -23,7 +23,7 @@ import time
 
 from repro.cluster import Coordinator, CoordinatorClient, Journal
 from repro.cluster.jobs import Job
-from repro.store import MemoryBackend, RemoteBackend, StoreServer
+from repro.store import AsyncStoreServer, MemoryBackend, RemoteBackend
 from repro.telemetry import MetricsRegistry
 from repro.testing import FlakyProxy
 from repro.util.hashing import content_digest
@@ -56,16 +56,18 @@ def retry_policy_mechanics() -> None:
 def flaky_link() -> None:
     print("\n== flaky link: refuse every 3rd connection ==")
     registry = MetricsRegistry()
-    with StoreServer(MemoryBackend()) as server:
+    with AsyncStoreServer(MemoryBackend()) as server:
         proxy = FlakyProxy(*server.address, refuse_every=3)
         host, port = proxy.start()
         try:
-            backend = RemoteBackend(
-                host, port, pooled=False, registry=registry,
-                retry=RetryPolicy(max_attempts=5, base_delay=0.02))
             for i in range(12):
+                # A fresh client per put: every operation must connect.
+                backend = RemoteBackend(
+                    host, port, registry=registry,
+                    retry=RetryPolicy(max_attempts=5, base_delay=0.02))
                 payload = f"artifact-{i}".encode()
                 backend.put(content_digest(payload), payload)
+                backend.close()
             print(f"12 puts finished; proxy refused "
                   f"{proxy.refused} of {proxy.connections} connections")
             retries = {key: value for key, value in
@@ -107,8 +109,7 @@ def coordinator_crash_and_resume() -> None:
     time.sleep(0.2)  # let the autosaver checkpoint the in-flight state
 
     # Crash: kill the serve loop without any graceful journal flush.
-    coordinator._server.shutdown()
-    coordinator._server.server_close()
+    coordinator.server.stop()
     print("coordinator crashed mid-batch (no graceful shutdown)")
 
     resumed = Coordinator(port=port, resume=True,

@@ -22,7 +22,7 @@ from repro.apps import lulesh_configs, lulesh_model
 from repro.containers import ArtifactCache, BlobStore
 from repro.core import build_ir_container, deploy_ir_container
 from repro.discovery import get_system
-from repro.store import FileBackend, RemoteBackend, StoreServer
+from repro.store import AsyncStoreServer, FileBackend, RemoteBackend
 
 OPTIONS = {"WITH_MPI": "OFF", "WITH_OPENMP": "ON"}
 
@@ -57,7 +57,7 @@ def main() -> None:
           f"(identical image: {result2.image.digest == result.image.digest})")
 
     # -- 2: share the store between processes over a socket ------------------
-    with StoreServer(FileBackend(root)) as server:
+    with AsyncStoreServer(FileBackend(root)) as server:
         host, port = server.address
         print(f"\nserving the store on {host}:{port}")
         _, dep3, _, lowers3 = build_and_deploy(RemoteBackend(host, port),

@@ -27,8 +27,9 @@ Packages
 ``repro.netfabric``
     libfabric provider matrix and MPI bandwidth model.
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for
-paper-vs-measured results of every table and figure.
+See docs/architecture.md for the system inventory; the
+``benchmarks/test_fig*`` / ``test_table*`` runs print paper-vs-reproduced
+values for every table and figure.
 """
 
 __version__ = "1.0.0"

@@ -24,7 +24,7 @@ from repro.buildsys import SourceTree
 from repro.util.rng import DeterministicRNG
 
 # File-population statistics at scale=1.0, reverse-engineered from Sec. 6.4
-# (see DESIGN.md): 5 ISA configs 8710 TUs -> ~2695 IRs; +CUDA 7052 -> ~2694;
+# (checked by benchmarks/test_sec64_tu_reduction.py): 5 ISA configs 8710 TUs -> ~2695 IRs; +CUDA 7052 -> ~2694;
 # MPI x OpenMP 6976 -> ~2333.
 TOTAL_CPU_FILES = 1742
 SIMD_DEP_FILES = 238
@@ -438,7 +438,8 @@ def _md_bindings(n_atoms: int) -> dict[str, float]:
 
     The pairs-per-atom factor covers the cluster pair list including the
     cluster-internal interactions GROMACS evaluates per list entry; it is
-    the single workload-intensity calibration constant (see EXPERIMENTS.md).
+    the single workload-intensity calibration constant (its effect is
+    printed by benchmarks/test_fig10_gromacs_portability.py).
     """
     pairs = n_atoms * 94.0
     return {

@@ -291,7 +291,8 @@ def llamacpp_model() -> AppModel:
 def _llama_bindings(d_model: float, tokens: float) -> dict[str, float]:
     # Work units per token: one unit per synthetic vec_dot lane-element; the
     # 4.02e8 factor maps 13B-parameter matmul MACs onto the synthetic kernel
-    # so the Ault23 CPU baseline lands at the paper's 26.9 s (EXPERIMENTS.md).
+    # so the Ault23 CPU baseline lands at the paper's 26.9 s
+    # (benchmarks/test_fig11_llamacpp_portability.py prints both).
     n_vec = 4.02e8 * tokens
     return {
         "n_vec": n_vec,

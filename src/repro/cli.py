@@ -35,8 +35,9 @@ import sys
 
 from repro.apps import app_model, default_ir_sweep
 from repro.containers import ArtifactCache, BlobStore
-from repro.store import FileBackend, export_store, import_store
-from repro.store.remote import DEFAULT_MAX_BODY_BYTES
+from repro.store import (BackendError, FileBackend, export_store,
+                         import_store)
+from repro.store.wire_server import DEFAULT_MAX_BODY_BYTES
 from repro.core import (
     build_ir_container,
     build_source_image,
@@ -171,17 +172,16 @@ def _finish_trace(args, recorder, stack, extra_spans=None) -> None:
 
 def _collect_store_spans(store) -> list:
     """Drain the store server's buffered spans (wire-form dicts). Only a
-    RemoteBackend has a ``telemetry`` op; file/memory backends — and
-    pre-telemetry servers, which return None — contribute nothing. Never
-    raises: trace collection must not fail a finished build."""
+    RemoteBackend has a ``telemetry`` op; file/memory backends contribute
+    nothing. Never raises: trace collection must not fail a finished
+    build."""
     tel = getattr(store.backend, "telemetry", None)
     if not callable(tel):
         return []
     try:
-        info = tel(drain_spans=True)
+        return list(tel(drain_spans=True)["spans"])
     except Exception:
         return []
-    return list(info.get("spans", ())) if info else []
 
 
 def _cache_delta(before: dict, after: dict) -> dict:
@@ -407,17 +407,15 @@ def cmd_cache_stats(args) -> int:
     Against ``--store-server`` the report also embeds the server's live
     counters (its ``telemetry`` wire op): connection/request totals, wire
     byte counts, and body-residency peaks that a pure index walk cannot
-    see. An old server without the op degrades to index stats only.
+    see.
     """
     cache = _cache_for_store(args)
     stats = cache.stats()
     tel = getattr(cache.store.backend, "telemetry", None)
     if callable(tel):
         info = tel()
-        if info:
-            stats["server"] = {"flavor": info.get("flavor"),
-                               "stats": info.get("stats"),
-                               "metrics": info.get("metrics")}
+        stats["server"] = {"stats": info["stats"],
+                           "metrics": info["metrics"]}
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
@@ -429,10 +427,9 @@ def cmd_cache_stats(args) -> int:
     for name, digest in sorted(stats["pins"].items()):
         print(f"pin {name} -> {digest}")
     server = stats.get("server")
-    if server and server.get("stats"):
+    if server:
         live = server["stats"]
-        print(f"server ({server.get('flavor')}): "
-              f"{live.get('connections_served', 0)} connections, "
+        print(f"server: {live.get('connections_served', 0)} connections, "
               f"{live.get('requests_served', 0)} requests, "
               f"{live.get('bytes_in', 0)} bytes in, "
               f"{live.get('bytes_out', 0)} bytes out")
@@ -491,24 +488,23 @@ def cmd_cache_serve(args) -> int:
     """
     import json as json_mod
     import time
-    from repro.store import AsyncStoreServer, StoreServer
+    from repro.store import AsyncStoreServer
     from repro.telemetry import trace as _trace
     if not args.store:
         raise SystemExit("cache serve needs --store DIR")
     # Label spans this server records for traced requests (the Perfetto
     # track name in an exported farm trace).
     _trace.set_service("store-server")
-    flavor = StoreServer if args.threaded else AsyncStoreServer
-    server = flavor(FileBackend(args.store), host=args.host, port=args.port,
-                    max_body_bytes=args.max_body_bytes)
+    server = AsyncStoreServer(FileBackend(args.store), host=args.host,
+                              port=args.port,
+                              max_body_bytes=args.max_body_bytes)
     # Crash dumps (and on-demand SIGUSR2 dumps) carry this server's span
     # buffer and metric registry, not the process-global defaults.
     from repro.telemetry import flightrec as _flightrec
     _flightrec.install(recorder=server.recorder,
                        registry=server.metrics.registry)
     host, port = server.start()
-    print(f"store server ({server.flavor}) listening on {host}:{port}",
-          flush=True)
+    print(f"store server listening on {host}:{port}", flush=True)
     try:
         while True:
             time.sleep(1)
@@ -518,8 +514,7 @@ def cmd_cache_serve(args) -> int:
         server.stop()
         # Final status line: wire traffic and body-residency high-water
         # marks (peak_body_bytes stays O(chunk) for streamed transfers).
-        print(json_mod.dumps({"flavor": server.flavor, **server.stats()},
-                             sort_keys=True), flush=True)
+        print(json_mod.dumps(server.stats(), sort_keys=True), flush=True)
     return 0
 
 
@@ -542,7 +537,10 @@ def cmd_cache_import(args) -> int:
     """Merge an exported archive into the store (idempotent by digest)."""
     if not args.store:
         raise SystemExit("cache commands need --store DIR")
-    summary = import_store(FileBackend(args.store), args.input)
+    try:
+        summary = import_store(FileBackend(args.store), args.input)
+    except BackendError as exc:
+        raise SystemExit(f"cache import failed: {exc}")
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
@@ -936,9 +934,6 @@ def cmd_telemetry_history(args) -> int:
             raise SystemExit(f"telemetry history failed: {exc}")
         finally:
             backend.close()
-        if info is None:
-            raise SystemExit("telemetry history failed: server predates "
-                             "the telemetry op")
         history = info.get("history") or {}
     if args.json:
         print(json.dumps(history, indent=2, sort_keys=True))
@@ -1066,7 +1061,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--coordinator", required=True, metavar="HOST:PORT")
     c.add_argument("--store", default="", help=store_help)
     c.add_argument("--store-server", default="", metavar="HOST:PORT",
-                   help="shared store served by `repro.store` StoreServer "
+                   help="shared store served by `cache serve` "
                         "(alternative to --store)")
     c.add_argument("--worker-id", default="")
     c.add_argument("--local-tier", default="", metavar="DIR",
@@ -1159,18 +1154,11 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--host", default="127.0.0.1")
     c.add_argument("--port", type=int, default=0,
                    help="0 lets the OS pick; the address is printed")
-    flavor_group = c.add_mutually_exclusive_group()
-    flavor_group.add_argument(
-        "--async", dest="threaded", action="store_false",
-        help="selectors event-loop server with streamed bodies (default)")
-    flavor_group.add_argument(
-        "--threaded", dest="threaded", action="store_true",
-        help="thread-per-connection server (the pre-async flavor)")
     c.add_argument("--max-body-bytes", type=int,
                    default=DEFAULT_MAX_BODY_BYTES, metavar="N",
                    help="reject any single request body larger than N "
                         "with a clean error instead of buffering it")
-    c.set_defaults(func=cmd_cache_serve, threaded=False)
+    c.set_defaults(func=cmd_cache_serve)
 
     c = cache_sub.add_parser("gc",
                              help="bound the store: TTL-expire old entries "

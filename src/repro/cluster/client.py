@@ -19,7 +19,6 @@ file-backed store — real multi-core parallelism).
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -41,7 +40,7 @@ from repro.cluster.jobs import (
 )
 from repro.cluster.worker import ClusterWorker
 from repro.containers.store import ArtifactCache, BlobStore
-from repro.store.wire import WireError, round_trip
+from repro.store.wire import SessionPool, WireError, fold_json_body, json_body
 from repro.telemetry import events as _events
 from repro.telemetry import trace as _trace
 from repro.telemetry.registry import MetricsRegistry
@@ -63,7 +62,11 @@ DEFAULT_COORDINATOR_RETRY = RetryPolicy(max_attempts=6, base_delay=0.1,
 
 
 class CoordinatorClient:
-    """One round-trip per operation against a coordinator server.
+    """One round-trip per operation against a coordinator server, over a
+    pooled session (:class:`~repro.store.wire.SessionPool`): a polling
+    worker or a waiting submitter holds one warm connection instead of
+    connecting per request, and a socket a restarted coordinator dropped
+    is detected and replaced transparently.
 
     Every operation the coordinator applies idempotently retries through
     ``retry`` on wire-level failures: reads trivially, ``renew`` (lease
@@ -86,9 +89,16 @@ class CoordinatorClient:
         self.retry = retry if retry is not None else DEFAULT_COORDINATOR_RETRY
         self.registry = registry if registry is not None else MetricsRegistry()
         self._reconnects = self.registry.counter("cluster.reconnects")
+        # Connect failures are retried by `_call` with every other wire
+        # failure (one policy, one counter), not inside the pool.
+        self._pool = SessionPool(host, port, timeout=timeout)
         #: Lease length reported by the last successful fetch; workers
         #: pace their renewal heartbeat from it.
         self.lease_seconds: float | None = None
+
+    def close(self) -> None:
+        """Release the pooled connection(s); the client stays usable."""
+        self._pool.close()
 
     def bind_registry(self, registry: MetricsRegistry) -> None:
         """Adopt the caller's registry. Workers call this so the
@@ -107,17 +117,14 @@ class CoordinatorClient:
         extra = {key: header[key] for key in self._BODY_FIELDS
                  if header.get(key) is not None}
         if extra:
-            header = {key: value for key, value in header.items()
-                      if key not in extra}
-            body = json.dumps(extra).encode("utf-8")
-            header["size"] = len(body)
-            header["body_json"] = True
+            header, body = json_body(
+                {key: value for key, value in header.items()
+                 if key not in extra}, extra)
         cmd = str(header.get("cmd", ""))
 
         def exchange() -> dict:
             try:
-                resp, payload = round_trip(self.host, self.port, header, body,
-                                           timeout=self.timeout)
+                resp, payload = self._pool.exchange(header, body)
             except (WireError, OSError) as exc:
                 # OSError covers the pre-framing failures (connection
                 # refused, reset, timeout) — they must hit the same
@@ -125,10 +132,9 @@ class CoordinatorClient:
                 # as a broken frame.
                 raise CoordinatorUnreachable(
                     f"coordinator unreachable: {exc}") from exc
-            if resp.pop("body_json", False) and payload:
-                # Bulk response fields (telemetry span drains) arrive as a
-                # JSON body; fold them back into the response dict.
-                resp.update(json.loads(payload.decode("utf-8")))
+            # Bulk response fields (telemetry span drains) arrive as a
+            # JSON body; fold them back into the response dict.
+            fold_json_body(resp, payload)
             if not resp.get("ok"):
                 raise ClusterError(resp.get("error", "coordinator error"))
             return resp
@@ -794,6 +800,8 @@ class LocalCluster:
                 proc.wait(timeout=10)
             except subprocess.TimeoutExpired:  # pragma: no cover
                 proc.kill()
+        if self.client is not None:
+            self.client.close()
         self.coordinator.stop()
 
     def __enter__(self) -> "LocalCluster":

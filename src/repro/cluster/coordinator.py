@@ -21,25 +21,23 @@ The scheduler is a work-stealing queue over artifact-key dependencies:
   so the duplicate's work was a no-op by construction.
 
 The coordinator never touches artifact bytes. Workers publish through the
-shared store backend; the wire protocol (same line-framed JSON as
-:mod:`repro.store.remote`) carries job specs, artifact keys, and small
-JSON results only.
+shared store backend; the wire protocol — a command table on the same
+:class:`~repro.store.wire_server.WireServer` loop the store server runs
+on — carries job specs, artifact keys, and small JSON results only.
 """
 
 from __future__ import annotations
 
 import os
-import socketserver
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-import json
-
 from repro.cluster.jobs import ClusterError, Job
 from repro.cluster.journal import JOURNAL_VERSION, Journal
-from repro.store.wire import read_exact, read_message, write_message
+from repro.store.wire import fold_json_body, json_body
+from repro.store.wire_server import Command, WireServer, size_field
 from repro.telemetry import events as _events
 from repro.telemetry.farm import FarmTelemetry
 from repro.telemetry.trace import Span, new_span_id, service_name
@@ -607,110 +605,98 @@ class JobQueue:
 MAX_REQUEST_BODY_BYTES = 16 * 1024 * 1024
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:  # one request per connection
-        queue: JobQueue = self.server.queue  # type: ignore[attr-defined]
-        try:
-            req = read_message(self.rfile)
-            # Bulk optional fields (worker span batches, metric deltas)
-            # ride a JSON body declared by ``size`` + ``body_json`` so a
-            # chatty traced job can never overflow the one-line header
-            # frame; the decoded object extends the header in place.
-            size = int(req.get("size") or 0)
-            if size > MAX_REQUEST_BODY_BYTES:
-                raise ClusterError(f"request body too large ({size} bytes)")
-            if size > 0:
-                body = read_exact(self.rfile, size)
-                if req.pop("body_json", False):
-                    req.update(json.loads(body.decode("utf-8")))
-            cmd = req.get("cmd")
-            if cmd == "ping":
-                write_message(self.wfile, {"ok": True,
-                                           "server": "cluster-coordinator"})
-            elif cmd == "submit":
-                jobs = [Job.from_json(blob) for blob in req.get("jobs", ())]
-                n = queue.submit(jobs, tuple(req.get("done_keys", ())))
-                write_message(self.wfile, {"ok": True, "submitted": n})
-            elif cmd == "fetch":
-                # Heartbeats double as the telemetry channel: a ``metrics``
-                # field carries the worker's registry delta since its last
-                # successful send (see repro.telemetry.farm).
-                queue.telemetry.absorb_metrics(req.get("worker", ""),
-                                               req.get("metrics"))
-                job = queue.fetch(req["worker"])
-                if job is None:
-                    write_message(self.wfile, {"ok": True, "idle": True})
-                else:
-                    # lease_seconds rides along so the worker can pace its
-                    # renewal heartbeat without a config channel.
-                    write_message(self.wfile, {
-                        "ok": True, "job": job.to_json(),
-                        "lease_seconds": queue.lease_seconds})
-            elif cmd == "renew":
-                queue.telemetry.absorb_metrics(req.get("worker", ""),
-                                               req.get("metrics"))
-                renewed = queue.renew(req["job_id"], req["worker"])
-                write_message(self.wfile, {"ok": True, "renewed": renewed})
-            elif cmd == "complete":
-                queue.telemetry.absorb_metrics(req.get("worker", ""),
-                                               req.get("metrics"))
-                queue.telemetry.absorb_spans(req.get("spans"))
-                applied = queue.complete(req["job_id"], req["worker"],
-                                         req.get("result") or {})
-                write_message(self.wfile, {"ok": True, "applied": applied})
-            elif cmd == "fail":
-                queue.telemetry.absorb_metrics(req.get("worker", ""),
-                                               req.get("metrics"))
-                queue.telemetry.absorb_spans(req.get("spans"))
-                state = queue.fail(req["job_id"], req["worker"],
-                                   req.get("error", ""))
-                write_message(self.wfile, {"ok": True, "state": state})
-            elif cmd == "status":
-                write_message(self.wfile, {
-                    "ok": True, "jobs": queue.status(req.get("job_ids"))})
-            elif cmd == "stats":
-                write_message(self.wfile, {"ok": True, "stats": queue.stats()})
-            elif cmd == "telemetry":
-                out = {"ok": True, "telemetry": queue.telemetry_summary(
-                    include_worker_metrics=bool(req.get("worker_metrics")))}
-                recorder = queue.telemetry.recorder
-                spans = (recorder.drain() if req.get("drain_spans")
-                         else recorder.spans())
-                # Spans and the farm metric history go in the response
-                # body — a farm-wide drain can hold far more than one
-                # header line may carry.
-                payload = json.dumps(
-                    {"spans": [span.to_json() for span in spans],
-                     "history": queue.telemetry.history.to_json()},
-                ).encode("utf-8")
-                out["size"] = len(payload)
-                out["body_json"] = True
-                write_message(self.wfile, out, payload)
-            elif cmd == "goodbye":
-                requeued = queue.goodbye(req["worker"])
-                write_message(self.wfile, {"ok": True, "requeued": requeued})
-            else:
-                write_message(self.wfile, {"ok": False,
-                                           "error": f"unknown command {cmd!r}"})
-        except Exception as exc:  # surface to the client, keep the server up
-            try:
-                write_message(self.wfile, {"ok": False, "error": str(exc)})
-            except OSError:  # pragma: no cover - client already gone
-                pass
+def _json_command(handler) -> Command:
+    """Every coordinator command declares its body the same way: bulk
+    optional fields (worker span batches, metric deltas) ride a JSON body
+    declared by ``size`` + ``body_json`` so a chatty traced job can never
+    overflow the one-line header frame; the decoded object extends the
+    header before ``handler(req) -> (header, payload)`` sees it."""
+    return Command(lambda req, body: handler(fold_json_body(req, body)),
+                   size_field)
 
 
-class _CoordinatorServer(socketserver.ThreadingTCPServer):
-    # A resumed coordinator must rebind the port its crashed predecessor
-    # held — whose server-side sockets linger in TIME_WAIT.
-    allow_reuse_address = True
+def coordinator_commands(queue: JobQueue) -> "dict[str, Command]":
+    """The coordinator's command table over ``queue``."""
+    telemetry = queue.telemetry
+
+    def absorb(req) -> None:
+        # Heartbeats double as the telemetry channel: ``metrics`` carries
+        # the worker's registry delta since its last successful send (see
+        # repro.telemetry.farm), ``spans`` its finished job's trace.
+        telemetry.absorb_metrics(req.get("worker", ""), req.get("metrics"))
+        telemetry.absorb_spans(req.get("spans"))
+
+    def ping(req):
+        return {"ok": True, "server": "cluster-coordinator"}, b""
+
+    def submit(req):
+        jobs = [Job.from_json(blob) for blob in req.get("jobs", ())]
+        return {"ok": True, "submitted": queue.submit(
+            jobs, tuple(req.get("done_keys", ())))}, b""
+
+    def fetch(req):
+        absorb(req)
+        job = queue.fetch(req["worker"])
+        if job is None:
+            return {"ok": True, "idle": True}, b""
+        # lease_seconds rides along so the worker can pace its renewal
+        # heartbeat without a config channel.
+        return {"ok": True, "job": job.to_json(),
+                "lease_seconds": queue.lease_seconds}, b""
+
+    def renew(req):
+        absorb(req)
+        return {"ok": True,
+                "renewed": queue.renew(req["job_id"], req["worker"])}, b""
+
+    def complete(req):
+        absorb(req)
+        return {"ok": True, "applied": queue.complete(
+            req["job_id"], req["worker"], req.get("result") or {})}, b""
+
+    def fail(req):
+        absorb(req)
+        return {"ok": True, "state": queue.fail(
+            req["job_id"], req["worker"], req.get("error", ""))}, b""
+
+    def status(req):
+        return {"ok": True, "jobs": queue.status(req.get("job_ids"))}, b""
+
+    def stats(req):
+        return {"ok": True, "stats": queue.stats()}, b""
+
+    def farm_telemetry(req):
+        spans = (telemetry.recorder.drain() if req.get("drain_spans")
+                 else telemetry.recorder.spans())
+        # Spans and the farm metric history go in the response body — a
+        # farm-wide drain can hold far more than one header line may
+        # carry.
+        return json_body(
+            {"ok": True, "telemetry": queue.telemetry_summary(
+                include_worker_metrics=bool(req.get("worker_metrics")))},
+            {"spans": [span.to_json() for span in spans],
+             "history": telemetry.history.to_json()})
+
+    def goodbye(req):
+        return {"ok": True, "requeued": queue.goodbye(req["worker"])}, b""
+
+    handlers = {"ping": ping, "submit": submit, "fetch": fetch,
+                "renew": renew, "complete": complete, "fail": fail,
+                "status": status, "stats": stats,
+                "telemetry": farm_telemetry, "goodbye": goodbye}
+    return {name: _json_command(handler)
+            for name, handler in handlers.items()}
 
 
 class Coordinator:
     """Serve a :class:`JobQueue` to workers and submitters over TCP.
 
-    Same lifecycle as :class:`repro.store.remote.StoreServer`: ``start()``
-    returns the bound address (port 0 lets the OS pick), ``stop()`` shuts
-    the serve loop down, and the instance doubles as a context manager.
+    Same lifecycle as :class:`~repro.store.async_server.AsyncStoreServer`:
+    ``start()`` returns the bound address (port 0 lets the OS pick),
+    ``stop()`` shuts the serve loop down, and the instance doubles as a
+    context manager. Handlers run on the loop's executor exactly when a
+    journal is attached (a submit then blocks on a store checkpoint);
+    inline otherwise — the scheduler ops are microseconds.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -734,30 +720,23 @@ class Coordinator:
             # must not itself trigger checkpoints.
             self.queue.journal = journal
             journal.start()
-        self._server = _CoordinatorServer(
-            (host, port), _Handler, bind_and_activate=True)
-        self._server.daemon_threads = True
-        self._server.queue = self.queue  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
+        #: The wire loop; its spans land next to the job-lifecycle spans
+        #: the ``telemetry`` command drains.
+        self.server = WireServer(
+            coordinator_commands(self.queue), host=host, port=port,
+            name="cluster.server", max_body_bytes=MAX_REQUEST_BODY_BYTES,
+            executor_workers=4 if journal is not None else 0,
+            recorder=self.queue.telemetry.recorder)
 
     @property
     def address(self) -> tuple[str, int]:
-        host, port = self._server.server_address[:2]
-        return str(host), int(port)
+        return self.server.address
 
     def start(self) -> tuple[str, int]:
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        name="cluster-coordinator",
-                                        daemon=True)
-        self._thread.start()
-        return self.address
+        return self.server.start()
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
+        self.server.stop()
         if self.journal is not None:
             self.journal.stop()  # final zero-lag checkpoint
 

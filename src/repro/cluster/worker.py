@@ -314,7 +314,7 @@ class ClusterWorker:
 
     #: Idle polling backs off geometrically from ``poll_seconds`` up to
     #: this cap, and snaps back on the first job — a long-lived service
-    #: worker costs ~1 connection/second at rest, not 50.
+    #: worker costs ~1 request/second at rest, not 50.
     MAX_POLL_SECONDS = 1.0
 
     def run(self, stop: threading.Event | None = None,
@@ -379,12 +379,14 @@ class ClusterWorker:
             self.client.goodbye(self.worker_id)
         except ClusterError:  # pragma: no cover - coordinator already gone
             pass
-        # Release pooled wire sessions (RemoteBackend-backed stores keep a
-        # warm connection pool); shared backends just drop their idle
-        # sockets — the next user reconnects lazily.
-        close = getattr(self.store.backend, "close", None)
-        if close is not None:
-            close()
+        # Release pooled wire sessions — the coordinator client's, and a
+        # RemoteBackend-backed store's warm connection pool; shared
+        # backends just drop their idle sockets — the next user reconnects
+        # lazily.
+        for owner in (self.client, self.store.backend):
+            close = getattr(owner, "close", None)
+            if close is not None:
+                close()
 
     # -- job execution ---------------------------------------------------------
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.store.backend import (
-    INDEX_REF,
     INDEX_REF_PREFIX,
     PINS_REF,
     Backend,
@@ -36,6 +35,7 @@ from repro.store.backend import (
     get_many as _get_many,
     has_many as _has_many,
     index_ref_name,
+    index_ref_names,
 )
 from repro.telemetry import events as _events
 from repro.telemetry.registry import Counter, MetricsRegistry
@@ -43,8 +43,8 @@ from repro.util.hashing import content_digest, is_digest, stable_hash
 
 __all__ = [
     "ArtifactCache", "BlobNotFound", "BlobStore", "BULK_FLUSH_EVERY",
-    "CacheCounters", "CacheEntry", "IndexEntry", "INDEX_REF",
-    "INDEX_REF_PREFIX", "PINS_REF",
+    "CacheCounters", "CacheEntry", "IndexEntry", "INDEX_REF_PREFIX",
+    "PINS_REF",
 ]
 
 #: ``flush_every`` for bulk publishers (cluster workers, farm-backed CLI
@@ -228,18 +228,15 @@ class ArtifactCache:
     hot ref: a worker publishing ``lower`` artifacts and one publishing
     ``preprocess`` CAS entirely different refs (zero cross-namespace
     retries), and each save rewrites O(one namespace) bytes instead of
-    O(whole index). A store written by an older version (one monolithic
-    :data:`INDEX_REF` blob) is read transparently and migrated to shards
-    at the first save; ``sharded_index=False`` keeps the legacy monolithic
-    layout (the benchmark's contention baseline). Blobs named in the pin
-    set (:data:`PINS_REF`, see :meth:`pin`) are exempt from garbage
-    collection along with everything they transitively reference.
+    O(whole index). Blobs named in the pin set (:data:`PINS_REF`, see
+    :meth:`pin`) are exempt from garbage collection along with everything
+    they transitively reference.
 
     Index and pin persistence are **multi-writer safe**: every rewrite is a
     compare-and-swap retry loop (:meth:`Backend.compare_and_set_ref`) that
     re-reads the current ref, merges the other writer's entries and
     access-order updates into ours, and retries if the swap is beaten.
-    Two builders racing on one ``FileBackend`` or ``StoreServer`` converge
+    Two builders racing on one ``FileBackend`` or store server converge
     on the union of their publishes, recency bumps, and pins — never
     last-writer-wins. Keys this process evicted are tracked as tombstone
     *records* (digest + seq), so a merge can tell the stale entry we
@@ -257,7 +254,6 @@ class ArtifactCache:
     CAS_ATTEMPTS = 100
 
     def __init__(self, store: BlobStore | None = None, flush_every: int = 1,
-                 sharded_index: bool = True,
                  registry: "MetricsRegistry | None" = None):
         self.store = store if store is not None else BlobStore()
         #: Telemetry registry all cache counters live in. Per-cache by
@@ -288,11 +284,6 @@ class ArtifactCache:
         # compatibility properties.
         self._cas_retries = self.registry.counter("cache.index_cas_retries")
         self._pin_cas_retries = self.registry.counter("cache.pin_cas_retries")
-        self._sharded = bool(sharded_index)
-        # True while a legacy monolithic index ref needs migrating: its
-        # entries were adopted at load, and the first save rewrites every
-        # namespace's shard before retiring the legacy ref.
-        self._legacy_pending = False
         self._persistent = bool(getattr(self.store.backend, "persistent", False))
         if self._persistent:
             with self._lock:
@@ -337,35 +328,19 @@ class ArtifactCache:
     # -- index persistence -----------------------------------------------------
 
     def _load_index_locked(self) -> None:
-        """Adopt whatever index state the backend holds.
-
-        Sharded layout: the legacy monolithic ref (if an older writer left
-        one) is merged first, *adopt-only*; then each namespace shard is
-        merged with authority over its own namespace — so an entry the
-        legacy blob still lists but the shard has since evicted stays
-        dead, while a legacy-only store (no shards yet) survives intact
-        and is migrated at the first save.
-        """
+        """Adopt whatever index state the backend holds: each namespace
+        shard is merged with authority over its own namespace. Any other
+        ref — including a bare ``artifact-index`` left by a pre-sharding
+        writer — is not an index and is ignored; the entries it listed
+        are cache misses, which is always correct."""
         backend = self.store.backend
-        if not self._sharded:
-            self._merge_index_locked(backend.get_ref(INDEX_REF),
-                                     drop_scope=None)
-            return
-        legacy = backend.get_ref(INDEX_REF)
-        if legacy is not None:
-            self._legacy_pending = True
-            self._merge_index_locked(legacy, drop_scope=frozenset())
-        for name in sorted(backend.refs()):
-            if not name.startswith(INDEX_REF_PREFIX):
-                continue
-            namespace = name[len(INDEX_REF_PREFIX):]
-            self._merge_index_locked(backend.get_ref(name),
-                                     drop_scope={namespace})
+        for name in index_ref_names(backend):
+            self._merge_index_locked(
+                backend.get_ref(name), name[len(INDEX_REF_PREFIX):])
 
-    def _merge_index_locked(self, raw: bytes | None,
-                            drop_scope: "set[str] | frozenset | None") -> None:
-        """Reconcile our in-memory index with ``raw`` (the ref bytes another
-        writer last persisted).
+    def _merge_index_locked(self, raw: bytes | None, namespace: str) -> None:
+        """Reconcile our in-memory index with ``raw`` (the bytes another
+        writer last persisted to ``namespace``'s shard).
 
         * Unseen keys are adopted — a concurrent publish survives.
         * Keys present on both sides keep whichever record is fresher:
@@ -374,11 +349,9 @@ class ArtifactCache:
           so *both* writers' recency updates survive.
         * Keys we carry but the backend no longer lists were evicted by
           another writer (or its GC); unless we re-dirtied them, we drop
-          them rather than resurrect what someone else collected.
-          ``drop_scope`` bounds this ref's authority: only local entries
-          whose namespace it covers may be dropped (``None`` = every
-          namespace, the monolithic layout; an empty set = adopt-only,
-          how the legacy blob is read next to newer shards).
+          them rather than resurrect what someone else collected. The
+          shard's authority ends at its namespace: local entries of other
+          namespaces are never dropped.
         * Tombstoned keys stay dead when the backend still shows the very
           record we evicted; a record with a new digest or later seq is a
           fresh republish and is adopted (tombstone cleared).
@@ -388,7 +361,7 @@ class ArtifactCache:
         blob = json.loads(raw.decode("utf-8"))
         self._seq = max(self._seq, int(blob.get("seq", 0)))
         backend_keys: set[str] = set()
-        for key, namespace, digest, seq in blob.get("entries", ()):
+        for key, ns, digest, seq in blob.get("entries", ()):
             seq = int(seq)
             tomb = self._evicted.get(key)
             if tomb is not None:
@@ -398,15 +371,14 @@ class ArtifactCache:
             backend_keys.add(key)
             mine = self._entries.get(key)
             if mine is None:
-                self._entries[key] = IndexEntry(namespace, digest, seq)
+                self._entries[key] = IndexEntry(ns, digest, seq)
             elif key in self._dirty_keys:
                 mine.seq = max(mine.seq, seq)
             elif seq >= mine.seq:
-                mine.namespace, mine.digest, mine.seq = namespace, digest, seq
+                mine.namespace, mine.digest, mine.seq = ns, digest, seq
         for key in list(self._entries):
-            record = self._entries[key]
-            if drop_scope is not None and record.namespace not in drop_scope:
-                continue  # this ref has no authority over that namespace
+            if self._entries[key].namespace != namespace:
+                continue  # this shard has no authority over that namespace
             if key not in backend_keys and key not in self._dirty_keys:
                 del self._entries[key]
                 self._objects.pop(key, None)
@@ -425,40 +397,22 @@ class ArtifactCache:
             self._save_index_locked(force=True)
 
     def _save_index_locked(self, force: bool = False) -> None:
-        """Persist the locally-modified index shards.
-
-        Sharded layout: only namespaces with local changes (dirty keys,
-        evictions) are rewritten, each through its own CAS retry-merge
-        loop — writers in different namespaces touch different refs and
-        never conflict, and each payload is O(namespace). When a legacy
-        monolithic ref was adopted at load, the first save migrates it:
-        every namespace's shard is written, then the legacy ref retired.
-        """
+        """Persist the locally-modified index shards: only namespaces
+        with local changes (dirty keys, evictions) are rewritten, each
+        through its own CAS retry-merge loop — writers in different
+        namespaces touch different refs and never conflict, and each
+        payload is O(namespace)."""
         if not self._persistent and not force:
-            return
-        if not self._sharded:
-            self._save_shard_locked(INDEX_REF, scope=None)
             return
         dirty = {self._entries[key].namespace
                  for key in self._dirty_keys if key in self._entries}
         dirty |= self._dirty_namespaces
-        if self._legacy_pending:
-            dirty |= {e.namespace for e in self._entries.values()}
-            dirty |= {e.namespace for e in self._evicted.values()}
         for namespace in sorted(dirty):
-            self._save_shard_locked(index_ref_name(namespace),
-                                    scope={namespace})
+            self._save_shard_locked(namespace)
         self._dirty_namespaces.clear()
-        if self._legacy_pending:
-            # Every namespace now lives in its shard; retire the old ref
-            # so later loads (and GC's index walk) stop seeing stale
-            # monolithic state.
-            self.store.backend.delete_ref(INDEX_REF)
-            self._legacy_pending = False
 
-    def _save_shard_locked(self, ref_name: str,
-                           scope: "set[str] | None") -> None:
-        """CAS retry-merge loop for one index ref (shard or monolithic).
+    def _save_shard_locked(self, namespace: str) -> None:
+        """CAS retry-merge loop for one namespace's index shard.
 
         Read the current ref, merge the other writer's state into ours,
         and compare-and-swap the union back. A lost swap means someone
@@ -467,13 +421,10 @@ class ArtifactCache:
         survive, which a blind ``set_ref`` could never guarantee.
         """
         backend = self.store.backend
-
-        def in_scope(entry: IndexEntry) -> bool:
-            return scope is None or entry.namespace in scope
-
+        ref_name = index_ref_name(namespace)
         for _ in range(self.CAS_ATTEMPTS):
             raw = backend.get_ref(ref_name)
-            self._merge_index_locked(raw, drop_scope=scope)
+            self._merge_index_locked(raw, namespace)
             # Re-stamp the keys we modified *after* the merge raised _seq
             # past everything the index has seen: a publish made by a
             # handle whose local counter lagged would otherwise carry a
@@ -483,7 +434,7 @@ class ArtifactCache:
             # were all just touched, so above-the-index is honest LRU).
             dirty_here = [key for key in self._dirty_keys
                           if key in self._entries
-                          and in_scope(self._entries[key])]
+                          and self._entries[key].namespace == namespace]
             for key in sorted(dirty_here,
                               key=lambda k: self._entries[k].seq):
                 self._entries[key].seq = self._next_seq_locked()
@@ -492,7 +443,7 @@ class ArtifactCache:
                 "seq": self._seq,
                 "entries": [[key, e.namespace, e.digest, e.seq]
                             for key, e in sorted(self._entries.items())
-                            if in_scope(e)],
+                            if e.namespace == namespace],
             }, sort_keys=True).encode("utf-8")
             if raw == payload or backend.compare_and_set_ref(
                     ref_name, raw, payload):
@@ -752,7 +703,6 @@ class ArtifactCache:
                 "bytes_by_namespace": dict(sorted(bytes_by_ns.items())),
                 "pins": self._load_pins(),
                 "persistent": self._persistent,
-                "sharded_index": self._sharded,
                 "index_cas_retries": self.cas_retries,
                 "pin_cas_retries": self.pin_cas_retries,
             }

@@ -3,7 +3,8 @@
 Each testbed node gets a :class:`MachinePerf` record keyed by the
 ``perf_key`` of its :class:`~repro.discovery.system.SystemSpec`. Parameters
 are calibrated so the simulated kernels land near the paper's measured
-runtimes (EXPERIMENTS.md records paper-vs-measured); the *relationships*
+runtimes (the ``benchmarks/test_fig*`` runs print paper-vs-measured); the
+*relationships*
 (which build wins, crossover points) emerge from executing the lowered code,
 not from per-experiment constants.
 """

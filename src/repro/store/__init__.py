@@ -15,11 +15,13 @@ with one process. This package supplies the missing persistence layer:
   sharded ``objects/ab/cdef...`` directory layout with atomic writes, so
   CI runs and fleet builders warm-start from disk.
 * :class:`~repro.store.remote.RemoteBackend` /
-  :class:`~repro.store.remote.StoreServer` — a small push/pull/has wire
-  protocol over a local socket, letting two processes share one store.
-* :class:`~repro.store.async_server.AsyncStoreServer` — the same
-  protocol from a ``selectors`` event loop: hundreds of pooled sessions
-  on one thread, streamed blob bodies, write-side backpressure.
+  :class:`~repro.store.async_server.AsyncStoreServer` — a small
+  push/pull/has wire protocol over a local socket, letting two processes
+  share one store. The server is the store's command table on
+  :class:`~repro.store.wire_server.WireServer`, the one ``selectors``
+  event loop (hundreds of pooled sessions on one thread, streamed blob
+  bodies, write-side backpressure) the build-farm coordinator runs on
+  too; the client rides :class:`~repro.store.wire.SessionPool`.
 * :class:`~repro.store.tiered.TieredBackend` — a fast local tier in
   front of a shared upstream: read-through promotion, single-flight miss
   de-duplication, batched write-back flush, refs always upstream — the
@@ -36,7 +38,6 @@ on top of these backends without changing their call sites.
 """
 
 from repro.store.backend import (
-    INDEX_REF,
     INDEX_REF_PREFIX,
     PINS_REF,
     Backend,
@@ -49,7 +50,7 @@ from repro.store.backend import (
 )
 from repro.store.async_server import AsyncStoreServer
 from repro.store.gc import GCReport, collect
-from repro.store.remote import (RemoteBackend, RemoteStoreError, StoreServer,
+from repro.store.remote import (RemoteBackend, RemoteStoreError,
                                 StoreUnavailable)
 from repro.store.tiered import TierDegraded, TieredBackend
 from repro.store.transfer import export_store, import_store
@@ -57,10 +58,10 @@ from repro.store.wire import SessionPool, WireSession
 
 __all__ = [
     "Backend", "BackendError", "BlobNotFound", "FileBackend", "MemoryBackend",
-    "INDEX_REF", "INDEX_REF_PREFIX", "PINS_REF",
+    "INDEX_REF_PREFIX", "PINS_REF",
     "index_ref_name", "index_ref_names",
     "GCReport", "collect",
-    "AsyncStoreServer", "RemoteBackend", "RemoteStoreError", "StoreServer",
+    "AsyncStoreServer", "RemoteBackend", "RemoteStoreError",
     "StoreUnavailable",
     "TierDegraded", "TieredBackend",
     "SessionPool", "WireSession",

@@ -1,176 +1,264 @@
-"""Event-loop store server: one thread multiplexing every connection.
+"""The artifact-store server: the store command table on the one wire loop.
 
-:class:`AsyncStoreServer` serves the exact wire protocol of
-:class:`~repro.store.remote.StoreServer` — same commands, same framing,
-same error surfaces — but from a ``selectors``-based event loop instead
-of a thread per connection. A build farm's worth of pooled
-:class:`~repro.store.wire.WireSession`\\ s (hundreds of mostly-idle
-sockets, bursts of pipelined requests) costs one file descriptor each
-and zero threads, instead of a stack and a scheduler entry per socket.
+:class:`AsyncStoreServer` wraps any local
+:class:`~repro.store.backend.Backend` — typically a
+:class:`~repro.store.backend.FileBackend`, giving both persistence *and*
+sharing — and serves it to other processes through
+:class:`~repro.store.wire_server.WireServer`; the loop (sessions,
+streaming, backpressure, body guards, counters) is documented there, the
+client half in :mod:`repro.store.remote`. This module is the store's
+command vocabulary::
 
-Design:
+    -> {"cmd": "put", "digest": "sha256:...", "size": 123}\\n<123 body bytes>
+    <- {"ok": true}\\n
 
-* **Non-blocking sockets, incremental parsing.** Each connection owns an
-  input buffer and a small state machine (``header`` -> ``body`` /
-  ``chunks`` -> back), so a request header split across ten TCP segments
-  or a 4 MiB chunked body arriving at line rate both parse without a
-  dedicated thread blocking on ``recv``.
-* **A small executor for blocking backend I/O.** Command dispatch against
-  a persistent backend (``FileBackend`` disk ops) runs on a
-  ``ThreadPoolExecutor`` of a few workers; results come back to the loop
-  through a completion queue and a socketpair waker. Streamed transfers
-  ride the same executor: a chunked put's writer opens, writes (in
-  batches of whatever chunks arrived since the last batch) and commits
-  off-loop, and a chunked get's size probe and disk reads are pulled
-  off-loop an outbuf's worth at a time — one contended disk never stalls
-  the other connections. Against an in-memory backend, everything runs
-  inline — the ops are microseconds and the executor hop would dominate.
-* **Write-side backpressure.** Responses append to a bounded
-  per-connection output buffer. When a slow reader lets it reach
-  ``max_outbuf_bytes``, the loop stops *reading* from that connection
-  (so it cannot pipeline more work) and stops pulling from an in-flight
-  chunked response until the buffer drains below the bound again. The
-  same bound caps a chunked put's not-yet-written backlog when the disk
-  is the slow side. One stalled peer costs one buffer, never the loop.
-* **O(chunk) body residency.** Streamed puts feed each chunk straight
-  into the backend's incremental blob writer; streamed gets pull the
-  blob ``CHUNK_SIZE`` bytes at a time, paced by the output buffer. The
-  ``peak_body_bytes`` high-water mark in :class:`ServerMetrics` is the
-  observable: a 4 MiB streamed transfer moves it by one chunk, not one
-  blob.
-* **max_body_bytes.** An oversized fixed body is consumed and discarded
-  (framing survives), an oversized chunked body aborts its writer and
-  drains to the terminator; both get a clean ``"too_large"`` error frame
-  and the session continues.
-* **Fault isolation.** A header that parses as JSON but is malformed
-  where it counts (``"size": "abc"``) fails that session with an error
-  frame; a bug anywhere in a per-connection handler closes that
-  connection. Neither reaches the event loop — a single poisoned packet
-  must never take down the daemon.
+    -> {"cmd": "get", "digest": "sha256:..."}\\n
+    <- {"ok": true, "size": 123}\\n<123 body bytes>
 
-Ordering: responses must leave in request order, so while a chunked
-response is being pumped (or a request is executing) the loop parses no
-further requests from that connection — pipelined input simply waits in
-the buffer. A half-close from a one-shot client is honored the same way
-the thread server honors it: everything already buffered is parsed and
-answered, the output flushed, then the connection closed.
+Batched commands amortize round-trips: ``put_many``/``get_many``/
+``has_many``/``blob_size_many`` move N blobs (or N probes) in one
+exchange — one header listing digests, bodies concatenated in digest
+order.
 
-Connection identity: the loop never tests liveness by fd membership —
-fds are reused, so a completion for a connection that died mid-request
-could otherwise act on the unrelated connection that inherited its fd.
-Every check is ``_conns.get(conn.fd) is conn``, and :meth:`_close` only
-evicts the table entry that still maps to the closing object.
+**Streaming bodies** keep multi-MB lowered modules from being staged
+whole in RAM. A ``put`` header declaring ``"chunked": true`` is followed
+by length-prefixed chunks ended by a zero-length terminator; the loop
+feeds each chunk into the backend's incremental blob writer (temp file +
+running hash for :class:`FileBackend`). A ``get`` header declaring
+``"chunked": true`` asks the server to *answer* chunked, reading the blob
+``CHUNK_SIZE`` bytes at a time.
+
+Ref compare-and-swap rides the fixed-body shape — the body carries the
+expected bytes (``expected_size >= 0``; ``-1`` means "ref must not
+exist") followed by the new bytes, and the server executes the swap
+atomically against its local backend, so N clients hammering one index
+ref serialize correctly::
+
+    -> {"cmd": "cas_ref", "name": "artifact-index/lower",
+        "expected_size": 2, "size": 4}\\n<2 expected bytes><4 new bytes>
+    <- {"ok": true, "swapped": true}\\n
+
+Digests are verified on the server side (the backend re-hashes every
+write, incrementally for streamed ones), so a corrupted transfer is
+rejected rather than stored.
+
+The ``telemetry`` command exposes the full metric-registry snapshot plus
+any trace spans the server buffered. A request header may carry a
+``trace`` field (``{"trace_id": ..., "parent_span_id": ...}``); the loop
+then records a span for that request parented to the client's, which is
+how one ``cluster build --trace`` correlates store traffic across
+processes. Untraced requests skip span handling entirely.
 """
 
 from __future__ import annotations
 
-import collections
-import json
-import selectors
-import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.store.backend import (
     Backend,
     BlobNotFound,
+    backend_stat,
+    blob_size_many as _backend_blob_size_many,
+    has_many as _backend_has_many,
     iter_blob,
     open_blob_writer,
+    put_many as _backend_put_many,
 )
-from repro.store.remote import (
+from repro.store.wire import CHUNK_SIZE, json_body
+from repro.store.wire_server import (
     DEFAULT_MAX_BODY_BYTES,
-    ServerMetrics,
-    _too_large_response,
-    body_declared,
-    dispatch_command,
+    DEFAULT_MAX_OUTBUF_BYTES,
+    Command,
+    WireServer,
+    size_field,
 )
-from repro.store.wire import (
-    CHUNK_PREFIX_BYTES,
-    CHUNK_SIZE,
-    CHUNK_TERMINATOR,
-    MAX_CHUNK_BYTES,
-    MAX_HEADER_BYTES,
-    chunk_prefix,
-    encode_message,
-    parse_chunk_prefix,
-)
-from repro.telemetry import events as _events
 from repro.telemetry.history import HistorySampler, MetricsHistory
-from repro.telemetry.trace import TraceRecorder, begin_wire_span, end_wire_span
+from repro.telemetry.registry import sample_process_gauges, sync_dropped_counter
 
 __all__ = ["AsyncStoreServer", "DEFAULT_MAX_OUTBUF_BYTES"]
 
-#: Per-connection output-buffer bound: the backpressure high-water mark.
-#: Reaching it pauses both reads from that peer and chunk production for
-#: it. Large enough to keep a healthy reader's pipe full, small enough
-#: that a thousand stalled peers still cost well under a gigabyte. The
-#: same bound caps a chunked put's parsed-but-unwritten backlog.
-DEFAULT_MAX_OUTBUF_BYTES = 1 << 20
 
-# Sized for bulk transfer: reading 64 KiB at a time would cost a full
-# select round per chunk frame and cap large-blob throughput well below
-# loopback speed; a 256 KiB recv and a send that can flush a whole
-# high-water output buffer keep the loop syscall-bound, not round-bound.
-_RECV_BYTES = 1 << 18
-_SEND_BYTES = 1 << 20
-
-_ACCEPT = "accept"
-_WAKER = "waker"
+def _cas_body_size(req: dict) -> int:
+    expected = int(req.get("expected_size", -1))
+    return max(expected, 0) + int(req.get("size", 0))
 
 
-class _Connection:
-    """Per-connection parse/write state for the event loop."""
-
-    __slots__ = ("sock", "fd", "inbuf", "pos", "outbuf", "state", "need",
-                 "req", "discard", "declared", "writer", "stream",
-                 "stream_total", "failure", "busy", "eof", "closing",
-                 "events", "registered", "io_busy", "pending",
-                 "pending_bytes", "put_done", "put_over", "opened",
-                 "put_digest", "trace_tok", "paused")
-
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-        self.fd = sock.fileno()
-        self.inbuf = bytearray()
-        self.pos = 0            # parse offset into inbuf (compacted lazily)
-        self.outbuf = bytearray()
-        self.state = "header"
-        self.need = 0           # fixed-body bytes still owed
-        self.req = None         # header awaiting its fixed body
-        self.discard = False    # fixed body being drained (too large)
-        self.declared = 0       # size of the body being drained
-        self.writer = None      # incremental blob writer (chunked put)
-        self.stream = None      # chunk iterator (chunked response)
-        self.stream_total = 0   # chunked-put payload bytes so far
-        self.failure = None     # deferred chunked-put error (bad digest...)
-        self.busy = False       # a request is executing; don't parse more
-        self.eof = False        # peer half-closed its write side
-        self.closing = False    # flush outbuf, then close
-        self.events = 0
-        self.registered = False
-        # Executor-routed streamed I/O (persistent backends only):
-        self.io_busy = False    # a disk op for this conn is in flight
-        self.pending = []       # parsed put chunks awaiting their write op
-        self.pending_bytes = 0
-        self.put_done = False   # terminator seen; commit once writes drain
-        self.put_over = False   # body exceeded max_body_bytes; draining
-        self.opened = False     # blob writer open was attempted
-        self.put_digest = None
-        self.trace_tok = None   # (wire-span token, cmd) of a traced request
-        self.paused = False     # reads suspended by write-side backpressure
+def _put_many_body_size(req: dict) -> int:
+    return sum(int(size) for _, size in req.get("blobs", ()))
 
 
-class AsyncStoreServer:
-    """Drop-in :class:`~repro.store.remote.StoreServer` replacement on a
-    ``selectors`` event loop.
+def store_commands(server: "AsyncStoreServer") -> "dict[str, Command]":
+    """The store's command table over ``server.backend``. Handlers raise
+    for command-level failures (missing blob, integrity rejection); the
+    loop answers those without ending the session."""
+    backend = server.backend
 
-    Usage is identical (``start()``/``stop()``/context manager,
-    ``address``, ``stats()``); only the concurrency model differs. The
-    default for ``cache serve`` — pass ``--threaded`` there for the old
-    flavor.
+    def size_of(digest):
+        probe = getattr(backend, "blob_size", None)
+        return probe(digest) if probe is not None else None
+
+    def put(req, body):
+        backend.put(req["digest"], body)
+        return {"ok": True}, b""
+
+    def get(req, body):
+        data = backend.get(req["digest"])
+        return {"ok": True, "size": len(data)}, data
+
+    def get_chunked(req):
+        """Answer a ``get`` chunk by chunk — O(chunk) resident however
+        large the blob."""
+        digest = req["digest"]
+        size = size_of(digest)
+        if size is None:
+            if not backend.has(digest):
+                raise BlobNotFound(digest)
+            size = -1  # unknown; the chunk terminator delimits the body
+        return ({"ok": True, "chunked": True, "size": size},
+                iter_blob(backend, digest, CHUNK_SIZE))
+
+    def has(req, body):
+        return {"ok": True, "has": backend.has(req["digest"])}, b""
+
+    def delete(req, body):
+        return {"ok": True, "deleted": backend.delete(req["digest"])}, b""
+
+    def digests(req, body):
+        return {"ok": True, "digests": backend.digests()}, b""
+
+    def blob_age(req, body):
+        age_of = getattr(backend, "blob_age_seconds", None)
+        age = age_of(req["digest"]) if age_of is not None else None
+        return {"ok": True, "age": age}, b""
+
+    def blob_size(req, body):
+        return {"ok": True, "blob_size": size_of(req["digest"])}, b""
+
+    def stat(req, body):
+        count, total = backend_stat(backend)
+        return {"ok": True, "count": count, "total_bytes": total}, b""
+
+    def put_many(req, body):
+        blobs = {}
+        offset = 0
+        view = memoryview(body)
+        for digest, size in req.get("blobs", ()):
+            blobs[str(digest)] = bytes(view[offset:offset + int(size)])
+            offset += int(size)
+        _backend_put_many(backend, blobs)
+        return {"ok": True, "stored": len(blobs)}, b""
+
+    def get_many(req, body):
+        sizes: list[int] = []
+        parts: list[bytes] = []
+        for digest in req.get("digests", ()):
+            try:
+                data = backend.get(digest)
+            except KeyError:  # BlobNotFound included
+                sizes.append(-1)
+                continue
+            sizes.append(len(data))
+            parts.append(data)
+        payload = b"".join(parts)
+        return {"ok": True, "sizes": sizes, "size": len(payload)}, payload
+
+    def has_many(req, body):
+        wanted = list(req.get("digests", ()))
+        present = _backend_has_many(backend, wanted)
+        return {"ok": True, "has": [present[d] for d in wanted]}, b""
+
+    def blob_size_many(req, body):
+        wanted = list(req.get("digests", ()))
+        sized = _backend_blob_size_many(backend, wanted)
+        return {"ok": True, "blob_sizes": [sized[d] for d in wanted]}, b""
+
+    def set_ref(req, body):
+        backend.set_ref(req["name"], body)
+        return {"ok": True}, b""
+
+    def get_ref(req, body):
+        data = backend.get_ref(req["name"])
+        if data is None:
+            return {"ok": True, "size": -1}, b""
+        return {"ok": True, "size": len(data)}, data
+
+    def cas_ref(req, body):
+        expected_size = int(req.get("expected_size", -1))
+        if expected_size >= 0:
+            expected: bytes | None = body[:expected_size]
+            data = body[expected_size:]
+        else:
+            expected = None
+            data = body
+        return {"ok": True,
+                "swapped": server.cas_ref(req["name"], expected, data)}, b""
+
+    def delete_ref(req, body):
+        return {"ok": True, "deleted": backend.delete_ref(req["name"])}, b""
+
+    def refs(req, body):
+        return {"ok": True, "refs": backend.refs()}, b""
+
+    def telemetry(req, body):
+        """Live observability in one round-trip: the documented stats
+        schema, the full metric-registry snapshot, and (optionally
+        draining) whatever trace spans the loop buffered for traced
+        requests. `cache stats --store-server` and the cluster client's
+        trace collection both ride this."""
+        registry = server.metrics.registry
+        sample_process_gauges(registry)
+        sync_dropped_counter(registry, "telemetry.spans_dropped",
+                             server.recorder.dropped)
+        spans = server.recorder.drain() if req.get("drain_spans") \
+            else server.recorder.spans()
+        # Spans and metric history ride the response *body*, not the
+        # header: a long traced build buffers thousands of spans, a day
+        # of history holds hundreds of samples per series, and a single
+        # JSON header line is capped at MAX_HEADER_BYTES.
+        return json_body(
+            {"ok": True, "stats": server.stats(),
+             "metrics": registry.snapshot()},
+            {"spans": [span.to_json() for span in spans],
+             "history": server.history.to_json()})
+
+    return {
+        "put": Command(put, size_field,
+                       sink=lambda req: open_blob_writer(backend,
+                                                         req["digest"])),
+        "get": Command(get, source=get_chunked),
+        "has": Command(has),
+        "delete": Command(delete),
+        "digests": Command(digests),
+        "blob_age": Command(blob_age),
+        "blob_size": Command(blob_size),
+        "stat": Command(stat),
+        "put_many": Command(put_many, _put_many_body_size),
+        "get_many": Command(get_many),
+        "has_many": Command(has_many),
+        "blob_size_many": Command(blob_size_many),
+        "set_ref": Command(set_ref, size_field),
+        "get_ref": Command(get_ref),
+        "cas_ref": Command(cas_ref, _cas_body_size),
+        "delete_ref": Command(delete_ref),
+        "refs": Command(refs),
+        "telemetry": Command(telemetry),
+    }
+
+
+class AsyncStoreServer(WireServer):
+    """Serve a local backend to other processes over ``127.0.0.1``.
+
+    Usage::
+
+        server = AsyncStoreServer(FileBackend("/var/cache/xaas"))
+        host, port = server.start()
+        ...  # hand host/port to builders
+        server.stop()
+
+    Handlers run on a small executor exactly when the backend is
+    ``persistent`` (disk ops block); against an in-memory backend
+    everything runs inline on the loop.
     """
-
-    flavor = "async"
 
     def __init__(self, backend: Backend, host: str = "127.0.0.1",
                  port: int = 0,
@@ -179,67 +267,27 @@ class AsyncStoreServer:
                  executor_workers: "int | None" = None,
                  history_interval: float = 1.0):
         self.backend = backend
-        self.max_body_bytes = max_body_bytes
-        self.max_outbuf_bytes = max_outbuf_bytes
-        self.metrics = ServerMetrics()
-        self._backpressure_pauses = self.metrics.registry.counter(
-            "store.server.backpressure_pauses")
-        #: Spans recorded for traced requests, drained by the `telemetry`
-        #: wire op (bounded; untraced traffic records nothing).
-        self.recorder = TraceRecorder()
+        if executor_workers is None:
+            executor_workers = 4 if getattr(backend, "persistent", False) \
+                else 0
+        super().__init__(store_commands(self), host=host, port=port,
+                         name="store.server", max_body_bytes=max_body_bytes,
+                         max_outbuf_bytes=max_outbuf_bytes,
+                         executor_workers=executor_workers)
         #: Fixed-memory metrics history fed by a local sampler thread
         #: while the server runs; surfaced by the `telemetry` wire op.
         self.history = MetricsHistory()
         self._history_sampler = HistorySampler(
             self.metrics.registry, self.history, interval=history_interval)
-        if executor_workers is None:
-            # Persistent backends block on disk; memory ones would pay
-            # more for the executor hop than for the op itself.
-            executor_workers = 4 if getattr(backend, "persistent", False) \
-                else 0
-        self._executor = ThreadPoolExecutor(
-            max_workers=executor_workers,
-            thread_name_prefix="store-io") if executor_workers else None
-        self._done: collections.deque = collections.deque()
-        self._conns: dict[int, _Connection] = {}
-        self._selector = selectors.DefaultSelector()
-        self._listen = socket.create_server((host, port), backlog=256,
-                                            reuse_port=False)
-        self._listen.setblocking(False)
-        self._selector.register(self._listen, selectors.EVENT_READ, _ACCEPT)
-        self._wake_recv, self._wake_send = socket.socketpair()
-        self._wake_recv.setblocking(False)
-        self._wake_send.setblocking(False)
-        self._selector.register(self._wake_recv, selectors.EVENT_READ,
-                                _WAKER)
         self._cas_lock = threading.Lock()
-        self._stopping = False
-        self._thread: "threading.Thread | None" = None
-
-    # -- public surface (parity with StoreServer) ------------------------------
-
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self._listen.getsockname()[:2]
-        return str(host), int(port)
-
-    @property
-    def connections_served(self) -> int:
-        return self.metrics.connections_served
-
-    @property
-    def requests_served(self) -> int:
-        return self.metrics.requests_served
-
-    def stats(self) -> dict:
-        """Traffic counters — exactly
-        :data:`~repro.store.remote.SERVER_STATS_FIELDS`, the schema
-        shared with the thread flavor."""
-        return self.metrics.snapshot()
 
     def cas_ref(self, name: str, expected: bytes | None, data: bytes) -> bool:
-        """Atomic server-side ref compare-and-swap (same contract as the
-        thread server's)."""
+        """Execute one ref compare-and-swap atomically on the server side.
+
+        Delegates to the wrapped backend's own CAS when it has one;
+        otherwise emulates it under a server-global lock, so any foreign
+        backend gains correct multi-client semantics for free.
+        """
         cas = getattr(self.backend, "compare_and_set_ref", None)
         if cas is not None:
             return bool(cas(name, expected, data))
@@ -250,734 +298,10 @@ class AsyncStoreServer:
             return True
 
     def start(self) -> tuple[str, int]:
-        self._thread = threading.Thread(target=self._run,
-                                        name="store-server-async",
-                                        daemon=True)
-        self._thread.start()
+        address = super().start()
         self._history_sampler.start()
-        return self.address
+        return address
 
     def stop(self) -> None:
         self._history_sampler.stop()
-        self._stopping = True
-        self._wakeup()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
-        for sock in (self._listen, self._wake_recv, self._wake_send):
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
-        self._selector.close()
-
-    def __enter__(self) -> "AsyncStoreServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # -- event loop ------------------------------------------------------------
-
-    def _wakeup(self) -> None:
-        try:
-            self._wake_send.send(b"\x01")
-        except OSError:  # pragma: no cover - full pipe already wakes us
-            pass
-
-    def _live(self, conn: _Connection) -> bool:
-        """Whether ``conn`` is still THE connection on its fd. Identity,
-        not membership: a reused fd must never vouch for a dead object."""
-        return self._conns.get(conn.fd) is conn
-
-    def _run(self) -> None:
-        while not self._stopping:
-            for key, mask in self._selector.select():
-                if key.data is _ACCEPT:
-                    self._accept()
-                elif key.data is _WAKER:
-                    try:
-                        while self._wake_recv.recv(1024):
-                            pass
-                    except BlockingIOError:
-                        pass
-                else:
-                    conn = key.data
-                    if not self._live(conn):
-                        continue  # closed earlier this sweep
-                    try:
-                        if mask & selectors.EVENT_READ:
-                            self._on_readable(conn)
-                        if self._live(conn) and \
-                                mask & selectors.EVENT_WRITE:
-                            self._on_writable(conn)
-                    except Exception:  # a handler bug costs one connection,
-                        self._close(conn)  # never the loop
-            self._drain_done()
-        for conn in list(self._conns.values()):
-            self._close(conn)
-
-    def _accept(self) -> None:
-        while True:
-            try:
-                sock, _ = self._listen.accept()
-            except (BlockingIOError, OSError):
-                return
-            sock.setblocking(False)
-            try:
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            except OSError:  # pragma: no cover
-                pass
-            conn = _Connection(sock)
-            self._conns[conn.fd] = conn
-            self._selector.register(sock, selectors.EVENT_READ, conn)
-            conn.events = selectors.EVENT_READ
-            conn.registered = True
-            self.metrics.connection()
-
-    def _close(self, conn: _Connection) -> None:
-        if self._conns.get(conn.fd) is conn:
-            del self._conns[conn.fd]
-        if conn.registered:
-            try:
-                self._selector.unregister(conn.sock)
-            except (KeyError, ValueError):  # pragma: no cover
-                pass
-            conn.registered = False
-        conn.pending.clear()
-        conn.pending_bytes = 0
-        if conn.io_busy:
-            # An executor op owns the writer/stream right now; its
-            # completion callback sees the dead connection and cleans up.
-            conn.writer = None
-            conn.stream = None
-        if conn.writer is not None:
-            try:
-                conn.writer.abort()
-            except Exception:  # pragma: no cover
-                pass
-            conn.writer = None
-        if conn.stream is not None:
-            self._close_stream(conn.stream)
-            conn.stream = None
-        try:
-            conn.sock.close()
-        except OSError:  # pragma: no cover
-            pass
-
-    @staticmethod
-    def _close_stream(stream) -> None:
-        close = getattr(stream, "close", None)
-        if close is not None:
-            try:
-                close()
-            except Exception:  # pragma: no cover
-                pass
-
-    def _update(self, conn: _Connection) -> None:
-        """Recompute selector interest; close if the session is over."""
-        if not self._live(conn):
-            return
-        if (not conn.outbuf and conn.stream is None and not conn.busy
-                and not conn.io_busy):
-            if conn.closing or (conn.eof and not conn.inbuf):
-                self._close(conn)
-                return
-        events = 0
-        want_read = (not conn.eof and not conn.closing and not conn.busy
-                     and conn.stream is None)
-        buffer_full = (len(conn.outbuf) >= self.max_outbuf_bytes
-                       or conn.pending_bytes >= self.max_outbuf_bytes)
-        if want_read and not buffer_full:
-            events |= selectors.EVENT_READ
-        if want_read and buffer_full:
-            if not conn.paused:  # edge, not level: one event per pause
-                conn.paused = True
-                self._backpressure_pauses.inc()
-                _events.emit("warn", "backpressure pause: reads suspended",
-                             fd=conn.fd, outbuf_bytes=len(conn.outbuf),
-                             pending_bytes=conn.pending_bytes,
-                             max_outbuf_bytes=self.max_outbuf_bytes)
-        elif conn.paused:
-            conn.paused = False
-        if conn.outbuf:
-            events |= selectors.EVENT_WRITE
-        if events == conn.events:
-            return
-        if not events:
-            if conn.registered:
-                self._selector.unregister(conn.sock)
-                conn.registered = False
-        elif conn.registered:
-            self._selector.modify(conn.sock, events, conn)
-        else:
-            self._selector.register(conn.sock, events, conn)
-            conn.registered = True
-        conn.events = events if events else 0
-
-    # -- reading / parsing -----------------------------------------------------
-
-    def _on_readable(self, conn: _Connection) -> None:
-        try:
-            data = conn.sock.recv(_RECV_BYTES)
-        except BlockingIOError:
-            return
-        except OSError:
-            self._close(conn)
-            return
-        if not data:
-            conn.eof = True
-        else:
-            self.metrics.add_in(len(data))
-            conn.inbuf += data
-        self._process(conn)
-        self._update(conn)
-
-    def _process(self, conn: _Connection) -> None:
-        """Advance the parse state machine over buffered input.
-
-        Stops while a request executes or a chunked response streams —
-        responses leave in request order, so pipelined input waits.
-        Parsing moves ``conn.pos`` through ``inbuf`` and compacts once on
-        the way out, so consuming a frame never memmoves the buffer tail
-        (a 4 MiB chunked body is ~64 frames, not 64 buffer rewrites).
-        """
-        try:
-            while (not conn.busy and not conn.closing
-                    and conn.stream is None and self._live(conn)):
-                if conn.state == "header":
-                    if not self._parse_header(conn):
-                        return
-                elif conn.state == "body":
-                    if not self._parse_body(conn):
-                        return
-                elif conn.state == "chunks":
-                    if not self._parse_chunk(conn):
-                        return
-        finally:
-            if conn.pos:
-                del conn.inbuf[:conn.pos]
-                conn.pos = 0
-
-    def _fail(self, conn: _Connection, error: str) -> None:
-        """Framing failure: answer once, then end the session (the frame
-        stream cannot be resynchronized)."""
-        self._respond(conn, {"ok": False, "error": error})
-        conn.closing = True
-
-    def _parse_header(self, conn: _Connection) -> bool:
-        idx = conn.inbuf.find(b"\n", conn.pos)
-        if idx < 0:
-            if len(conn.inbuf) - conn.pos > MAX_HEADER_BYTES:
-                self._fail(conn, "header too large")
-            elif conn.eof and len(conn.inbuf) > conn.pos:
-                self._fail(conn, "malformed header: truncated")
-            return False
-        line = bytes(conn.inbuf[conn.pos:idx])
-        conn.pos = idx + 1
-        if len(line) > MAX_HEADER_BYTES:
-            self._fail(conn, "header too large")
-            return False
-        try:
-            req = json.loads(line.decode("utf-8"))
-        except ValueError as exc:
-            self._fail(conn, f"malformed header: {exc}")
-            return False
-        if not isinstance(req, dict):
-            self._fail(conn, "malformed header: not an object")
-            return False
-        if req.get("cmd") == "bye":
-            conn.closing = True
-            return False
-        self.metrics.request()
-        # Traced request: remember a wire-span token; the span closes in
-        # `_respond` when this request's response header is buffered
-        # (responses leave in request order, so the pairing is exact).
-        token = begin_wire_span(req.get("trace"))
-        conn.trace_tok = (token, req.get("cmd")) if token is not None else None
-        try:
-            self._begin_request(conn, req)
-        except Exception as exc:
-            # Valid JSON, malformed where it counts ("size": "abc",
-            # "blobs": 123): the body length is unknowable, so the
-            # session ends — and the failure must never reach the loop.
-            self._fail(conn, f"malformed header: {exc}")
-            return False
-        return True
-
-    def _begin_request(self, conn: _Connection, req: dict) -> None:
-        cmd = req.get("cmd")
-        if req.get("chunked"):
-            if cmd == "put":
-                conn.state = "chunks"
-                conn.stream_total = 0
-                conn.failure = None
-                conn.writer = None
-                conn.put_done = False
-                conn.put_over = False
-                del conn.pending[:]
-                conn.pending_bytes = 0
-                conn.put_digest = req.get("digest")
-                if self._executor is None:
-                    try:
-                        conn.writer = open_blob_writer(self.backend,
-                                                       req["digest"])
-                    except Exception as exc:
-                        # Malformed digest or failed open (ENOSPC,
-                        # EACCES): drain the chunk stream, then report.
-                        conn.failure = exc
-                    conn.opened = True
-                else:
-                    # The writer opens lazily inside the first I/O batch,
-                    # off the loop thread.
-                    conn.opened = False
-                return
-            if cmd == "get":
-                self._begin_chunked_get(conn, req)
-                return
-            self._fail(conn, f"command {cmd!r} does not stream")
-            return
-        declared = body_declared(req)
-        if declared > self.max_body_bytes:
-            conn.state = "body"
-            conn.need = declared
-            conn.declared = declared
-            conn.discard = True
-            return
-        if declared:
-            conn.state = "body"
-            conn.need = declared
-            conn.discard = False
-            conn.req = req
-            return
-        self._dispatch(conn, req, b"")
-
-    def _parse_body(self, conn: _Connection) -> bool:
-        avail = len(conn.inbuf) - conn.pos
-        if conn.discard:
-            take = min(avail, conn.need)
-            conn.pos += take
-            conn.need -= take
-            if conn.need:
-                if conn.eof:
-                    self._fail(conn, f"short body: expected {conn.need} "
-                                     f"more bytes")
-                return False
-            conn.discard = False
-            conn.state = "header"
-            self._respond(conn, _too_large_response(conn.declared,
-                                                    self.max_body_bytes))
-            return True
-        if avail < conn.need:
-            if conn.eof:
-                self._fail(conn, f"short body: expected "
-                                 f"{conn.need - avail} more bytes")
-            return False
-        body = bytes(conn.inbuf[conn.pos:conn.pos + conn.need])
-        conn.pos += conn.need
-        req, conn.req = conn.req, None
-        conn.need = 0
-        conn.state = "header"
-        self.metrics.note_body(len(body))
-        self._dispatch(conn, req, body)
-        return True
-
-    def _parse_chunk(self, conn: _Connection) -> bool:
-        avail = len(conn.inbuf) - conn.pos
-        if avail < CHUNK_PREFIX_BYTES:
-            if conn.eof:
-                self._fail(conn, "short body: chunk stream truncated")
-            return False
-        size = parse_chunk_prefix(conn.inbuf, conn.pos)
-        if size == 0:
-            conn.pos += CHUNK_PREFIX_BYTES
-            conn.state = "header"
-            if self._executor is None:
-                self._finish_chunked_put(conn)
-            else:
-                # Writes may still be in flight; hold response ordering
-                # (busy) and commit once the write queue drains.
-                conn.busy = True
-                conn.put_done = True
-                self._drive_put(conn)
-            return True
-        if size > MAX_CHUNK_BYTES:
-            self._fail(conn, f"chunk frame of {size} bytes exceeds "
-                             f"{MAX_CHUNK_BYTES}")
-            return False
-        frame = CHUNK_PREFIX_BYTES + size
-        if avail < frame:
-            if conn.eof:
-                self._fail(conn, "short body: chunk stream truncated")
-            return False
-        start = conn.pos + CHUNK_PREFIX_BYTES
-        chunk = bytes(conn.inbuf[start:start + size])
-        conn.pos += frame
-        conn.stream_total += size
-        if conn.stream_total > self.max_body_bytes:
-            conn.put_over = True  # keep draining; answer at terminator
-        if self._executor is None:
-            self._put_chunk_inline(conn, chunk)
-        elif not conn.put_over and conn.failure is None:
-            self.metrics.note_body(len(chunk))
-            conn.pending.append(chunk)
-            conn.pending_bytes += size
-            self._drive_put(conn)
-        elif conn.put_over:
-            self._drive_put(conn)  # abort the writer promptly
-        return True
-
-    def _put_chunk_inline(self, conn: _Connection, chunk: bytes) -> None:
-        if conn.writer is None:
-            return  # draining: failed open, overflow, or write failure
-        self.metrics.note_body(conn.stream_total if conn.writer.buffered
-                               else len(chunk))
-        if conn.put_over:
-            conn.writer.abort()
-            conn.writer = None
-            return
-        try:
-            conn.writer.write(chunk)
-        except Exception as exc:  # disk full mid-stream, etc.
-            conn.failure = exc
-            conn.writer.abort()
-            conn.writer = None
-
-    # -- executing -------------------------------------------------------------
-
-    def _dispatch(self, conn: _Connection, req: dict, body: bytes) -> None:
-        self._submit(conn, lambda: self._run_command(req, body))
-
-    def _run_command(self, req: dict, body: bytes) -> tuple[dict, bytes]:
-        try:
-            return dispatch_command(self.backend, self.cas_ref, req, body,
-                                    server=self)
-        except BlobNotFound as exc:
-            return {"ok": False, "not_found": True, "error": str(exc)}, b""
-        except Exception as exc:
-            return {"ok": False, "error": str(exc)}, b""
-
-    def _finish_chunked_put(self, conn: _Connection) -> None:
-        writer, conn.writer = conn.writer, None
-        failure, conn.failure = conn.failure, None
-        total = conn.stream_total
-        max_body = self.max_body_bytes
-
-        def commit() -> tuple[dict, bytes]:
-            if total > max_body:
-                return _too_large_response(total, max_body), b""
-            if failure is not None:
-                return {"ok": False, "error": str(failure)}, b""
-            try:
-                writer.commit()
-            except Exception as exc:  # integrity rejection and kin
-                return {"ok": False, "error": str(exc)}, b""
-            # NOT "size": that would declare a response body.
-            return {"ok": True, "received": total}, b""
-
-        self._submit(conn, commit)
-
-    def _submit(self, conn: _Connection, fn) -> None:
-        conn.busy = True
-        if self._executor is None:
-            self._finish(conn, fn())
-            return
-        future = self._executor.submit(fn)
-        future.add_done_callback(
-            lambda f, conn=conn: self._enqueue(
-                conn, lambda c: self._finish_future(c, f)))
-
-    def _enqueue(self, conn: _Connection, fn) -> None:
-        """Executor thread: queue a loop-side completion, poke the loop."""
-        self._done.append((conn, fn))
-        self._wakeup()
-
-    def _finish_future(self, conn: _Connection, future) -> None:
-        try:
-            result = future.result()
-        except Exception as exc:  # pragma: no cover - _run_command catches
-            result = ({"ok": False, "error": str(exc)}, b"")
-        self._finish(conn, result)
-
-    def _drain_done(self) -> None:
-        while self._done:
-            conn, fn = self._done.popleft()
-            try:
-                fn(conn)
-                if self._live(conn):
-                    self._process(conn)
-                    self._update(conn)
-            except Exception:  # pragma: no cover - completions clean up
-                self._close(conn)
-
-    def _finish(self, conn: _Connection, result: tuple[dict, bytes]) -> None:
-        conn.busy = False
-        if not self._live(conn):
-            return
-        header, payload = result
-        self._respond(conn, header, payload)
-
-    # -- executor-routed streamed I/O ------------------------------------------
-
-    def _drive_put(self, conn: _Connection) -> None:
-        """Advance a chunked put's disk I/O off the loop thread.
-
-        At most one executor op per connection; chunks parsed meanwhile
-        queue in ``conn.pending`` (bounded by the read-side backpressure
-        in ``_update``). The writer opens lazily inside the first op,
-        and the terminator's commit waits for the queue to drain — every
-        disk touch happens on the executor.
-        """
-        if conn.io_busy or conn.closing:
-            return
-        discard = conn.put_over or conn.failure is not None
-        if discard:
-            conn.pending.clear()
-            conn.pending_bytes = 0
-        need_abort = discard and conn.writer is not None
-        need_open = not conn.opened and not discard
-        batch = None
-        if conn.pending:
-            batch, conn.pending = conn.pending, []
-            conn.pending_bytes = 0
-        if not (need_open or need_abort or batch):
-            if conn.put_done:
-                conn.put_done = False
-                self._finish_chunked_put(conn)
-            return
-        conn.io_busy = True
-        writer = conn.writer
-        conn.writer = None  # the executor owns it until the op completes
-        digest = conn.put_digest
-        backend = self.backend
-        metrics = self.metrics
-
-        def io() -> "tuple[object, Exception | None]":
-            w = writer
-            try:
-                if need_abort:
-                    w.abort()
-                    return None, None
-                if need_open:
-                    w = open_blob_writer(backend, digest)
-                for chunk in batch or ():
-                    w.write(chunk)
-                    if w.buffered:
-                        metrics.note_body(w.bytes_written)
-                return w, None
-            except Exception as exc:
-                if w is not None:
-                    try:
-                        w.abort()
-                    except Exception:  # pragma: no cover
-                        pass
-                return None, exc
-
-        future = self._executor.submit(io)
-        future.add_done_callback(
-            lambda f, conn=conn: self._enqueue(
-                conn, lambda c: self._put_io_done(c, f)))
-
-    def _put_io_done(self, conn: _Connection, future) -> None:
-        writer, exc = future.result()  # io() never raises
-        conn.io_busy = False
-        conn.opened = True
-        if not self._live(conn):
-            # The connection died mid-op; its writer is ours to clean up.
-            if writer is not None:
-                try:
-                    writer.abort()
-                except Exception:  # pragma: no cover
-                    pass
-            return
-        conn.writer = writer
-        if exc is not None and conn.failure is None:
-            conn.failure = exc
-        self._drive_put(conn)
-
-    # -- writing ---------------------------------------------------------------
-
-    def _respond(self, conn: _Connection, header: dict,
-                 payload: bytes = b"") -> None:
-        if conn.trace_tok is not None:
-            token, cmd = conn.trace_tok
-            conn.trace_tok = None
-            end_wire_span(self.recorder, token, f"store.server.{cmd}")
-        if payload:
-            self.metrics.note_body(len(payload))
-        conn.outbuf += encode_message(header, payload)
-        self.metrics.note_outbuf(len(conn.outbuf))
-
-    def _begin_chunked_get(self, conn: _Connection, req: dict) -> None:
-        backend = self.backend
-        if self._executor is not None:
-            # The size probe hits disk: resolve it off-loop, holding the
-            # connection busy so response order is preserved.
-            conn.busy = True
-
-            def resolve() -> "tuple[dict, str | None]":
-                try:
-                    digest = req["digest"]
-                    size_of = getattr(backend, "blob_size", None)
-                    size = size_of(digest) if size_of is not None else None
-                    if size is None:
-                        if not backend.has(digest):
-                            raise BlobNotFound(digest)
-                        size = -1  # unknown; the terminator delimits
-                    return ({"ok": True, "chunked": True, "size": size},
-                            digest)
-                except BlobNotFound as exc:
-                    return {"ok": False, "not_found": True,
-                            "error": str(exc)}, None
-                except Exception as exc:
-                    return {"ok": False, "error": str(exc)}, None
-
-            future = self._executor.submit(resolve)
-            future.add_done_callback(
-                lambda f, conn=conn: self._enqueue(
-                    conn, lambda c: self._get_ready(c, f)))
-            return
-        try:
-            digest = req["digest"]
-            size_of = getattr(backend, "blob_size", None)
-            size = size_of(digest) if size_of is not None else None
-            if size is None:
-                if not backend.has(digest):
-                    raise BlobNotFound(digest)
-                size = -1  # unknown; the terminator delimits the body
-        except BlobNotFound as exc:
-            self._respond(conn, {"ok": False, "not_found": True,
-                                 "error": str(exc)})
-            return
-        except Exception as exc:
-            self._respond(conn, {"ok": False, "error": str(exc)})
-            return
-        self._respond(conn, {"ok": True, "chunked": True, "size": size})
-        conn.stream = iter_chunked(backend, digest)
-        self._pump(conn)
-
-    def _get_ready(self, conn: _Connection, future) -> None:
-        header, digest = future.result()
-        conn.busy = False
-        if not self._live(conn):
-            return
-        self._respond(conn, header)
-        if digest is None:
-            return
-        conn.stream = iter_chunked(self.backend, digest)
-        self._drive_get(conn)
-
-    def _pump(self, conn: _Connection) -> None:
-        """Pull response chunks while the output buffer has headroom —
-        the backpressure valve for slow readers. With an executor the
-        reads happen off-loop (:meth:`_drive_get`); inline otherwise."""
-        if self._executor is not None:
-            self._drive_get(conn)
-            return
-        while conn.stream is not None and \
-                len(conn.outbuf) < self.max_outbuf_bytes:
-            try:
-                chunk = next(conn.stream)
-            except StopIteration:
-                conn.stream = None
-                conn.outbuf += CHUNK_TERMINATOR
-                break
-            except Exception:
-                # Blob vanished mid-stream: the frame cannot be finished
-                # honestly, so the connection dies rather than lies.
-                conn.stream = None
-                self._close(conn)
-                return
-            n = len(chunk)
-            if not n:  # pragma: no cover - iter_blob never yields empty
-                continue
-            self.metrics.note_body(n)
-            conn.outbuf += chunk_prefix(n)
-            conn.outbuf += chunk
-        self.metrics.note_outbuf(len(conn.outbuf))
-
-    def _drive_get(self, conn: _Connection) -> None:
-        """Pull one output buffer's worth of response chunks on the
-        executor — the backpressure valve doubles as loop isolation."""
-        if conn.io_busy or conn.stream is None or conn.closing:
-            return
-        budget = self.max_outbuf_bytes - len(conn.outbuf)
-        if budget <= 0:
-            return  # _on_writable re-drives once the peer drains
-        conn.io_busy = True
-        stream = conn.stream
-        metrics = self.metrics
-
-        def pull() -> "tuple[bytes, bool, Exception | None]":
-            frames = bytearray()
-            try:
-                while len(frames) < budget:
-                    try:
-                        chunk = next(stream)
-                    except StopIteration:
-                        frames += CHUNK_TERMINATOR
-                        return bytes(frames), True, None
-                    n = len(chunk)
-                    if not n:  # pragma: no cover - never yields empty
-                        continue
-                    metrics.note_body(n)
-                    frames += chunk_prefix(n)
-                    frames += chunk
-                return bytes(frames), False, None
-            except Exception as exc:
-                return b"", False, exc
-
-        future = self._executor.submit(pull)
-        future.add_done_callback(
-            lambda f, conn=conn: self._enqueue(
-                conn, lambda c: self._get_io_done(c, f, stream)))
-
-    def _get_io_done(self, conn: _Connection, future, stream) -> None:
-        frames, done, exc = future.result()  # pull() never raises
-        conn.io_busy = False
-        if not self._live(conn):
-            self._close_stream(stream)
-            return
-        if exc is not None:
-            # Blob vanished mid-stream: the frame cannot be finished
-            # honestly, so the connection dies rather than lies.
-            conn.stream = None
-            self._close_stream(stream)
-            self._close(conn)
-            return
-        if frames:
-            conn.outbuf += frames
-            self.metrics.note_outbuf(len(conn.outbuf))
-        if done:
-            conn.stream = None
-            self._close_stream(stream)
-        else:
-            self._drive_get(conn)
-
-    def _on_writable(self, conn: _Connection) -> None:
-        if conn.outbuf:
-            try:
-                sent = conn.sock.send(memoryview(conn.outbuf)[:_SEND_BYTES])
-            except BlockingIOError:  # pragma: no cover
-                sent = 0
-            except OSError:
-                self._close(conn)
-                return
-            if sent:
-                self.metrics.add_out(sent)
-                del conn.outbuf[:sent]
-        if conn.stream is not None:
-            self._pump(conn)
-            if not self._live(conn):
-                return
-        self._process(conn)
-        self._update(conn)
-
-
-def iter_chunked(backend, digest: str):
-    """Chunk iterator for a streamed response (module-level so tests can
-    monkeypatch pacing)."""
-    return iter_blob(backend, digest, CHUNK_SIZE)
+        super().stop()

@@ -44,16 +44,11 @@ except ImportError:  # pragma: no cover - non-POSIX fallback below
     fcntl = None  # type: ignore[assignment]
 
 
-#: Legacy ref name: one monolithic access-ordered index for *all*
-#: namespaces. Still read (and transparently migrated) by
-#: :class:`~repro.containers.store.ArtifactCache`; new indexes are
-#: persisted per namespace under :data:`INDEX_REF_PREFIX`.
-INDEX_REF = "artifact-index"
-#: Per-namespace index shards live at ``artifact-index/<namespace>``.
-#: Sharding means a writer publishing ``lower`` artifacts never CAS-races
-#: a writer publishing ``preprocess``, and each ref payload is O(one
-#: namespace) instead of O(the whole index).
-INDEX_REF_PREFIX = INDEX_REF + "/"
+#: The cache index is persisted per namespace, one access-ordered ref
+#: each at ``artifact-index/<namespace>``: a writer publishing ``lower``
+#: artifacts never CAS-races a writer publishing ``preprocess``, and each
+#: ref payload is O(one namespace) instead of O(the whole index).
+INDEX_REF_PREFIX = "artifact-index/"
 #: Ref holding the pin set: pinned blobs survive any garbage collection.
 PINS_REF = "pins"
 
@@ -64,15 +59,11 @@ def index_ref_name(namespace: str) -> str:
 
 
 def index_ref_names(backend: "Backend") -> list[str]:
-    """Every index ref present on ``backend``: the legacy monolithic ref
-    (when it still exists) followed by the per-namespace shards, sorted.
-    Readers that must see the whole index (GC's fresh-publish protection,
-    stats) iterate exactly this list."""
-    refs = backend.refs()
-    names = sorted(name for name in refs if name.startswith(INDEX_REF_PREFIX))
-    if INDEX_REF in refs:
-        names.insert(0, INDEX_REF)
-    return names
+    """Every index shard ref present on ``backend``, sorted. Readers that
+    must see the whole index (GC's fresh-publish protection, stats)
+    iterate exactly this list."""
+    return sorted(name for name in backend.refs()
+                  if name.startswith(INDEX_REF_PREFIX))
 
 
 def iter_index_payloads(backend: "Backend", names: "list[str] | None" = None):

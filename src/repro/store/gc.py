@@ -148,9 +148,8 @@ def pin_closure(store, roots: set[str]) -> set[str]:
 
 
 def _index_entry_stream(backend, names=None):
-    """Every ``(key, namespace, digest, seq)`` row across all index refs —
-    the per-namespace shards plus the legacy monolithic blob when an
-    unmigrated writer still maintains one."""
+    """Every ``(key, namespace, digest, seq)`` row across all index
+    shards."""
     for _name, blob in iter_index_payloads(backend, names):
         yield from blob.get("entries", ())
 
@@ -249,8 +248,7 @@ def collect(cache, max_bytes: int, grace_seconds: float = 0.0,
         """Digests reachable from index entries that appeared *after* our
         snapshot — a concurrent publisher's work, which the sweep must
         spare even though the snapshot never heard of it. Walks every
-        index ref: the per-namespace shards and, on an unmigrated store,
-        the legacy monolithic blob."""
+        index shard."""
         fresh: set[str] = set()
         for _key, _ns, digest, _seq in _index_entry_stream(store.backend,
                                                            index_names):

@@ -1,160 +1,52 @@
-"""A shared artifact store over a local socket: server + client backend.
+"""The client half of the shared artifact store: :class:`RemoteBackend`.
 
 Two processes (a CI builder and a fleet deployer, say) share one store by
-pointing :class:`RemoteBackend` at a store server that wraps any local
-:class:`~repro.store.backend.Backend` — typically a
-:class:`~repro.store.backend.FileBackend`, giving both persistence *and*
-sharing. Two server flavors speak the identical protocol:
+pointing :class:`RemoteBackend` at an
+:class:`~repro.store.async_server.AsyncStoreServer` that wraps any local
+:class:`~repro.store.backend.Backend`. The command vocabulary is
+documented with the server's command table; the framing and the session
+transport in :mod:`repro.store.wire`.
 
-* :class:`StoreServer` (this module) — thread-per-connection
-  (``socketserver.ThreadingTCPServer``), the historical baseline.
-* :class:`~repro.store.async_server.AsyncStoreServer` — a
-  ``selectors``-based event loop multiplexing thousands of connections
-  over one thread, with write-side backpressure and O(chunk) body
-  residency. The default for ``cache serve``.
+Every operation flows through one lazily-connected
+:class:`~repro.store.wire.SessionPool`: hot-path operations cost one
+round-trip on a warm socket, and a socket the server dropped in between
+(a restart) is detected and transparently replaced. Batched operations
+(``put_many``/``get_many``/``has_many``/``blob_size_many``) move
+:data:`BATCH_DIGESTS` blobs or probes per round-trip. Blobs of at least
+``stream_threshold`` bytes are pushed as chunked streams and ``get``
+always asks for a chunked response, so the server never stages a
+multi-MB body whole.
 
-The wire protocol is deliberately tiny — a newline-terminated JSON header
-followed by an optional raw-bytes body::
-
-    -> {"cmd": "put", "digest": "sha256:...", "size": 123}\n<123 body bytes>
-    <- {"ok": true}\n
-
-    -> {"cmd": "get", "digest": "sha256:..."}\n
-    <- {"ok": true, "size": 123}\n<123 body bytes>
-
-The server answers requests until the connection ends, so one connection
-can carry a whole **session** of exchanges; ``{"cmd": "bye"}`` closes it
-explicitly. A one-shot client (connect, request, half-close, read, close)
-is simply a session of length one — the server sees EOF where the next
-header would start and ends the session, which is exactly how pre-session
-clients behaved, so old and new peers interoperate in both directions.
-:class:`RemoteBackend` keeps a lazily-connected session pool
-(:class:`~repro.store.wire.SessionPool`) by default: hot-path operations
-cost one round-trip on a warm socket instead of a TCP connect/close each.
-
-Batched commands amortize round-trips further: ``put_many``/``get_many``/
-``has_many``/``blob_size_many`` move N blobs (or N probes) in one
-exchange — one header listing digests, bodies concatenated in digest
-order. Against an old server that lacks them, the client detects the
-``unknown command`` reply once and falls back to per-item loops.
-
-**Streaming bodies** keep multi-MB lowered modules from being staged
-whole in RAM on either end. A ``put`` header declaring ``"chunked":
-true`` is followed by length-prefixed chunks ended by a zero-length
-terminator; the server feeds each chunk into the backend's incremental
-blob writer (temp file + running hash for :class:`FileBackend`). A
-``get`` header declaring ``"chunked": true`` asks the server to *answer*
-chunked, reading the blob ``CHUNK_SIZE`` bytes at a time. The client
-streams ``put`` bodies above ``stream_threshold`` and requests chunked
-``get`` responses whenever the server advertises the capability — probed
-once via ``{"cmd": "capabilities"}``, with transparent whole-body
-fallback against a legacy server (the same pattern ``put_many`` uses).
-Oversized bodies are rejected with a clean error frame (the server
-drains the declared bytes to keep framing, answers ``"too_large"``, and
-the session continues) instead of OOMing the daemon.
-
-Ref compare-and-swap rides the same shape — the body carries the expected
-bytes (``expected_size >= 0``; ``-1`` means "ref must not exist") followed
-by the new bytes, and the server executes the swap atomically against its
-local backend, so N clients hammering one index ref serialize correctly::
-
-    -> {"cmd": "cas_ref", "name": "artifact-index",
-        "expected_size": 2, "size": 4}\n<2 expected bytes><4 new bytes>
-    <- {"ok": true, "swapped": true}\n
-
-Digests are verified on the server side (the backend re-hashes every
-write, incrementally for streamed ones), so a corrupted transfer is
-rejected rather than stored.
-
-Both servers account traffic through one :class:`ServerMetrics`:
-``connections_served``/``requests_served`` (the session-pool benchmark's
-observable), ``bytes_in``/``bytes_out`` (wire volume), and
-``peak_body_bytes`` — the high-water mark of any single body buffer the
-server staged in memory, the first-class hook for asserting that
-streamed transfers stay O(chunk) rather than O(blob). The counters are
-views over a :class:`~repro.telemetry.registry.MetricsRegistry`, and the
-``telemetry`` command exposes the full registry snapshot plus any trace
-spans the server buffered. A request header may carry a ``trace`` field
-(``{"trace_id": ..., "parent_span_id": ...}``); the server then records
-a span for that request parented to the client's, which is how one
-``cluster build --trace`` correlates store traffic across processes.
-Untraced requests skip span handling entirely.
+Failures come in two kinds the retry layer keys on:
+:class:`StoreUnavailable` (the wire broke — worth a backed-off resend for
+idempotent operations, a read-verify for ``cas_ref``) and plain
+:class:`RemoteStoreError` (a healthy server said no — never retried).
 """
 
 from __future__ import annotations
 
-import json
-import socketserver
-import threading
 import time
 from typing import Iterable
 
-from repro.store.backend import (
-    Backend,
-    BlobNotFound,
-    backend_stat,
-    blob_size_many as _backend_blob_size_many,
-    has_many as _backend_has_many,
-    iter_blob,
-    open_blob_writer,
-    put_many as _backend_put_many,
-)
-from repro.store.wire import (
-    CHUNK_SIZE,
-    MAX_HEADER_BYTES,
-    ConnectionClosed,
-    CountingFile,
-    SessionPool,
-    WireError,
-    read_chunk as _read_chunk,
-    read_exact as _read_exact,
-    read_message as _read_header,
-    round_trip,
-    write_chunks as _write_chunks,
-    write_message as _write_response,
-)
+from repro.store.backend import BlobNotFound
+from repro.store.wire import SessionPool, WireError, fold_json_body
 from repro.telemetry import events as _events
 from repro.telemetry import trace as _trace
+from repro.telemetry.registry import MetricsRegistry
 from repro.util.retry import RetryPolicy
-from repro.telemetry.history import HistorySampler, MetricsHistory
-from repro.telemetry.registry import (
-    MetricsRegistry,
-    sample_process_gauges,
-    sync_dropped_counter,
-)
-from repro.telemetry.trace import TraceRecorder, begin_wire_span, end_wire_span
 
 __all__ = [
-    "MAX_HEADER_BYTES", "DEFAULT_MAX_BODY_BYTES", "STREAM_THRESHOLD",
-    "SERVER_STATS_FIELDS", "RemoteBackend", "RemoteStoreError",
-    "ServerMetrics", "StoreServer", "StoreUnavailable", "body_declared",
-    "dispatch_command",
+    "BATCH_DIGESTS", "STREAM_THRESHOLD", "DEFAULT_STORE_RETRY",
+    "RemoteBackend", "RemoteStoreError", "StoreUnavailable",
 ]
 
 #: Digests per batched wire request — keeps every header comfortably under
-#: :data:`MAX_HEADER_BYTES` (a digest is ~75 header bytes).
+#: :data:`~repro.store.wire.MAX_HEADER_BYTES` (a digest is ~75 header bytes).
 BATCH_DIGESTS = 256
 
-#: Reject any single request/response body larger than this instead of
-#: staging (or even draining into a blob writer) without bound. Generous:
-#: lowered-module blobs are tens of MB at most.
-DEFAULT_MAX_BODY_BYTES = 1 << 30
-
-#: Client-side default: blobs at least this large stream as chunked
-#: bodies (when the server is capable); smaller ones ride classic
-#: whole-body frames whose fixed cost is lower.
+#: Blobs at least this large stream as chunked bodies; smaller ones ride
+#: classic whole-body frames whose fixed cost is lower.
 STREAM_THRESHOLD = 256 * 1024
-
-#: What current servers advertise to the ``capabilities`` probe.
-SERVER_CAPS = {"sessions": True, "batched": True, "put_many": True,
-               "streams": True, "telemetry": True}
-
-#: The documented ``stats()`` schema. Both server flavors emit exactly
-#: these keys (asserted in tests/telemetry), and the ``server_stats``
-#: wire op returns them alongside ``flavor``. ``peak_outbuf_bytes`` is 0
-#: on the thread flavor (it writes synchronously) but always present.
-SERVER_STATS_FIELDS = ("connections_served", "requests_served", "bytes_in",
-                       "bytes_out", "peak_body_bytes", "peak_outbuf_bytes")
 
 
 class RemoteStoreError(WireError):
@@ -176,558 +68,23 @@ DEFAULT_STORE_RETRY = RetryPolicy(max_attempts=6, base_delay=0.1,
                                   max_delay=2.0, deadline=30.0)
 
 
-class ServerMetrics:
-    """Thread-safe traffic counters shared by both server flavors.
-
-    ``peak_body_bytes`` is the largest single body buffer the server ever
-    held resident — a streamed transfer should keep it at the chunk
-    size, a whole-body one pins it at the blob size. ``peak_outbuf_bytes``
-    is the async server's write-buffer high-water mark (the backpressure
-    bound); the thread server writes synchronously and leaves it 0.
-
-    The counters live in a :class:`~repro.telemetry.registry
-    .MetricsRegistry` (one per server by default) under
-    ``store.server.*`` names; the historical attribute reads and
-    :meth:`snapshot` shape are preserved as views over it.
-    """
-
-    def __init__(self, registry: "MetricsRegistry | None" = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._connections = self.registry.counter("store.server.connections")
-        self._requests = self.registry.counter("store.server.requests")
-        self._bytes_in = self.registry.counter("store.server.bytes_in")
-        self._bytes_out = self.registry.counter("store.server.bytes_out")
-        self._peak_body = self.registry.gauge("store.server.peak_body_bytes")
-        self._peak_outbuf = self.registry.gauge(
-            "store.server.peak_outbuf_bytes")
-
-    def connection(self) -> None:
-        self._connections.inc()
-
-    def request(self) -> None:
-        self._requests.inc()
-
-    def add_in(self, n: int) -> None:
-        self._bytes_in.inc(n)
-
-    def add_out(self, n: int) -> None:
-        self._bytes_out.inc(n)
-
-    def note_body(self, n: int) -> None:
-        self._peak_body.max_of(n)
-
-    def note_outbuf(self, n: int) -> None:
-        self._peak_outbuf.max_of(n)
-
-    @property
-    def connections_served(self) -> int:
-        return self._connections.value
-
-    @property
-    def requests_served(self) -> int:
-        return self._requests.value
-
-    @property
-    def bytes_in(self) -> int:
-        return self._bytes_in.value
-
-    @property
-    def bytes_out(self) -> int:
-        return self._bytes_out.value
-
-    @property
-    def peak_body_bytes(self) -> int:
-        return int(self._peak_body.value)
-
-    @property
-    def peak_outbuf_bytes(self) -> int:
-        return int(self._peak_outbuf.value)
-
-    def snapshot(self) -> dict:
-        return {
-            "connections_served": self.connections_served,
-            "requests_served": self.requests_served,
-            "bytes_in": self.bytes_in,
-            "bytes_out": self.bytes_out,
-            "peak_body_bytes": self.peak_body_bytes,
-            "peak_outbuf_bytes": self.peak_outbuf_bytes,
-        }
-
-
-def body_declared(req: dict) -> int:
-    """Fixed body bytes a request header declares (0 for chunked bodies,
-    which frame their own length chunk by chunk)."""
-    if req.get("chunked"):
-        return 0
-    cmd = req.get("cmd")
-    if cmd in ("put", "set_ref"):
-        return int(req.get("size", 0))
-    if cmd == "cas_ref":
-        expected = int(req.get("expected_size", -1))
-        return max(expected, 0) + int(req.get("size", 0))
-    if cmd == "put_many":
-        return sum(int(size) for _, size in req.get("blobs", ()))
-    return 0
-
-
-def dispatch_command(backend: Backend, cas_ref, req: dict, body: bytes,
-                     server=None) -> tuple[dict, bytes]:
-    """Execute one non-streaming store command against ``backend``.
-
-    ``body`` is the request's fully-read fixed body (both server flavors
-    assemble it before dispatching, so this function never touches the
-    socket and is safe to run on an executor thread). Raises
-    :class:`BlobNotFound`/``Exception`` for command-level failures the
-    caller answers without ending the session. ``server`` (when given)
-    supplies ``flavor`` and ``stats()`` for the introspection commands.
-    """
-    cmd = req.get("cmd")
-    if cmd == "put":
-        backend.put(req["digest"], body)
-        return {"ok": True}, b""
-    if cmd == "get":
-        data = backend.get(req["digest"])
-        return {"ok": True, "size": len(data)}, data
-    if cmd == "has":
-        return {"ok": True, "has": backend.has(req["digest"])}, b""
-    if cmd == "delete":
-        return {"ok": True, "deleted": backend.delete(req["digest"])}, b""
-    if cmd == "digests":
-        return {"ok": True, "digests": backend.digests()}, b""
-    if cmd == "blob_age":
-        age_of = getattr(backend, "blob_age_seconds", None)
-        age = age_of(req["digest"]) if age_of is not None else None
-        return {"ok": True, "age": age}, b""
-    if cmd == "blob_size":
-        size_of = getattr(backend, "blob_size", None)
-        size = size_of(req["digest"]) if size_of is not None else None
-        return {"ok": True, "blob_size": size}, b""
-    if cmd == "stat":
-        count, total = backend_stat(backend)
-        return {"ok": True, "count": count, "total_bytes": total}, b""
-    if cmd == "put_many":
-        sizes = [(str(digest), int(size))
-                 for digest, size in req.get("blobs", ())]
-        blobs = {}
-        offset = 0
-        view = memoryview(body)
-        for digest, size in sizes:
-            blobs[digest] = bytes(view[offset:offset + size])
-            offset += size
-        _backend_put_many(backend, blobs)
-        return {"ok": True, "stored": len(blobs)}, b""
-    if cmd == "get_many":
-        sizes: list[int] = []
-        parts: list[bytes] = []
-        for digest in req.get("digests", ()):
-            try:
-                data = backend.get(digest)
-            except KeyError:  # BlobNotFound included
-                sizes.append(-1)
-                continue
-            sizes.append(len(data))
-            parts.append(data)
-        payload = b"".join(parts)
-        return {"ok": True, "sizes": sizes, "size": len(payload)}, payload
-    if cmd == "has_many":
-        present = _backend_has_many(backend, list(req.get("digests", ())))
-        return {"ok": True,
-                "has": [present[d] for d in req.get("digests", ())]}, b""
-    if cmd == "blob_size_many":
-        sized = _backend_blob_size_many(backend, list(req.get("digests", ())))
-        return {"ok": True,
-                "blob_sizes": [sized[d]
-                               for d in req.get("digests", ())]}, b""
-    if cmd == "set_ref":
-        backend.set_ref(req["name"], body)
-        return {"ok": True}, b""
-    if cmd == "get_ref":
-        data = backend.get_ref(req["name"])
-        if data is None:
-            return {"ok": True, "size": -1}, b""
-        return {"ok": True, "size": len(data)}, data
-    if cmd == "cas_ref":
-        expected_size = int(req.get("expected_size", -1))
-        if expected_size >= 0:
-            expected: bytes | None = body[:expected_size]
-            data = body[expected_size:]
-        else:
-            expected = None
-            data = body
-        swapped = cas_ref(req["name"], expected, data)
-        return {"ok": True, "swapped": swapped}, b""
-    if cmd == "delete_ref":
-        return {"ok": True, "deleted": backend.delete_ref(req["name"])}, b""
-    if cmd == "refs":
-        return {"ok": True, "refs": backend.refs()}, b""
-    if cmd == "capabilities":
-        return {"ok": True, "caps": dict(SERVER_CAPS),
-                "flavor": getattr(server, "flavor", "unknown")}, b""
-    if cmd == "server_stats":
-        if server is None:
-            return {"ok": False, "error": "server stats unavailable"}, b""
-        return {"ok": True, "flavor": server.flavor, **server.stats()}, b""
-    if cmd == "telemetry":
-        # Live observability in one round-trip: the documented stats
-        # schema, the full metric-registry snapshot, and (optionally
-        # draining) whatever trace spans the server buffered for traced
-        # requests. `cache stats --store-server` and the cluster client's
-        # trace collection both ride this.
-        if server is None:
-            return {"ok": False, "error": "telemetry unavailable"}, b""
-        registry = server.metrics.registry
-        sample_process_gauges(registry)
-        recorder = getattr(server, "recorder", None)
-        if recorder is not None:
-            sync_dropped_counter(registry, "telemetry.spans_dropped",
-                                 recorder.dropped)
-        out = {"ok": True, "flavor": server.flavor, "stats": server.stats(),
-               "metrics": registry.snapshot()}
-        if recorder is None:
-            return out, b""
-        # Spans and metric history ride the response *body*, not the
-        # header: a long traced build buffers thousands of spans, a day
-        # of history holds hundreds of samples per series, and a single
-        # JSON header line is capped at MAX_HEADER_BYTES.
-        spans = recorder.drain() if req.get("drain_spans") \
-            else recorder.spans()
-        history = getattr(server, "history", None)
-        body = {"spans": [span.to_json() for span in spans]}
-        if history is not None:
-            body["history"] = history.to_json()
-        payload = json.dumps(body).encode("utf-8")
-        out["size"] = len(payload)
-        out["body_json"] = True
-        return out, payload
-    return {"ok": False, "error": f"unknown command {cmd!r}"}, b""
-
-
-def _discard_exact(rfile, size: int, chunk: int = CHUNK_SIZE) -> None:
-    """Read and drop ``size`` declared body bytes — keeps the frame
-    stream synchronized after rejecting an oversized body."""
-    remaining = size
-    while remaining:
-        data = rfile.read(min(remaining, chunk))
-        if not data:
-            raise WireError(f"short body: expected {remaining} more bytes")
-        remaining -= len(data)
-
-
-def _too_large_response(total: int, max_body: int) -> dict:
-    return {"ok": False, "too_large": True,
-            "error": f"body of {total} bytes exceeds "
-                     f"max_body_bytes={max_body}"}
-
-
-class _Handler(socketserver.StreamRequestHandler):
-    """Serve one connection: a session of framed requests until EOF/bye.
-
-    Command-level failures (missing blob, integrity rejection, oversized
-    body) are answered and the session continues; *framing* failures
-    (malformed header, a declared body that never arrives) cannot be
-    resynchronized, so they are answered once and the connection closed.
-    """
-
-    # A buffered write side coalesces header+body into one segment, and
-    # TCP_NODELAY keeps a pipelined session from ever stalling on the
-    # Nagle / delayed-ACK interaction (two small writes back-to-back on a
-    # warm connection otherwise wait out the peer's delayed ACK — ~40ms
-    # per response, which would erase the entire point of sessions).
-    wbufsize = -1
-    disable_nagle_algorithm = True
-
-    def handle(self) -> None:
-        store: "StoreServer" = self.server.store_server  # type: ignore[attr-defined]
-        metrics = store.metrics
-        metrics.connection()
-        rfile = CountingFile(self.rfile, metrics.add_in)
-        wfile = CountingFile(self.wfile, metrics.add_out)
-        while True:
-            try:
-                req = _read_header(rfile)
-            except ConnectionClosed:
-                return  # clean end of session (one-shot client half-close)
-            except WireError as exc:
-                self._respond(wfile, {"ok": False, "error": str(exc)})
-                return
-            if req.get("cmd") == "bye":
-                return
-            metrics.request()
-            # Traced requests (header carries a `trace` field) get a span
-            # parented to the client's request span; the token is None —
-            # and the finally costs nothing — for everything else.
-            token = begin_wire_span(req.get("trace"))
-            try:
-                try:
-                    header, body, stream = self._serve_request(store, req,
-                                                               rfile)
-                except WireError as exc:
-                    # The request's own body never arrived in full — the
-                    # stream is desynchronized and the session must end.
-                    self._respond(wfile, {"ok": False, "error": str(exc)})
-                    return
-                except BlobNotFound as exc:
-                    if not self._respond(wfile,
-                                         {"ok": False, "not_found": True,
-                                          "error": str(exc)}):
-                        return
-                    continue
-                except Exception as exc:  # surface to client, keep serving
-                    if not self._respond(wfile,
-                                         {"ok": False, "error": str(exc)}):
-                        return
-                    continue
-                if stream is not None:
-                    if not self._respond_stream(wfile, header, stream,
-                                                metrics):
-                        return
-                elif not self._respond(wfile, header, body):
-                    return
-            finally:
-                end_wire_span(store.recorder, token,
-                              f"store.server.{req.get('cmd')}")
-
-    def _respond(self, wfile, header: dict, body: bytes = b"") -> bool:
-        try:
-            _write_response(wfile, header, body)
-            return True
-        except OSError:  # pragma: no cover - client already gone
-            return False
-
-    def _respond_stream(self, wfile, header: dict, stream,
-                        metrics: ServerMetrics) -> bool:
-        """Write a chunked response, pulling the body chunk by chunk —
-        the blob is never whole in memory on the way out."""
-        def counted():
-            for chunk in stream:
-                metrics.note_body(len(chunk))
-                yield chunk
-        try:
-            _write_response(wfile, header)
-            _write_chunks(wfile, counted())
-            return True
-        except OSError:  # pragma: no cover - client already gone
-            return False
-        except Exception:  # mid-stream backend failure: cannot resync
-            return False
-
-    def _serve_request(self, store: "StoreServer", req: dict, rfile):
-        """Read the request's body (fixed or chunked) and execute it.
-        Returns ``(header, body, stream)`` — ``stream`` is a chunk
-        iterator for chunked responses, else None."""
-        backend = store.backend
-        metrics = store.metrics
-        max_body = store.max_body_bytes
-        cmd = req.get("cmd")
-        if req.get("chunked"):
-            if cmd == "put":
-                return self._chunked_put(store, req, rfile)
-            if cmd == "get":
-                return self._chunked_get(backend, req, metrics)
-            raise WireError(f"command {cmd!r} does not stream")
-        try:
-            declared = body_declared(req)
-        except (TypeError, ValueError) as exc:
-            # Valid JSON, malformed where it counts ("size": "abc"): the
-            # body length is unknowable, so the frame stream cannot be
-            # resynchronized and the session must end.
-            raise WireError(f"malformed header: {exc}") from exc
-        if declared > max_body:
-            _discard_exact(rfile, declared)
-            return _too_large_response(declared, max_body), b"", None
-        body = b""
-        if declared:
-            metrics.note_body(declared)
-            body = _read_exact(rfile, declared)
-        header, payload = dispatch_command(backend, store.cas_ref, req, body,
-                                           server=store)
-        if payload:
-            metrics.note_body(len(payload))
-        return header, payload, None
-
-    def _chunked_put(self, store: "StoreServer", req: dict, rfile):
-        """Feed a chunked request body into the backend's incremental
-        blob writer; oversized streams are drained (framing survives)
-        and answered with a clean error."""
-        metrics = store.metrics
-        writer = None
-        failure: Exception | None = None
-        try:
-            writer = open_blob_writer(store.backend, req["digest"])
-        except Exception as exc:
-            # Malformed digest or failed open (ENOSPC, EACCES): the
-            # chunk stream must still drain to its terminator before the
-            # error goes out, or the session desynchronizes.
-            failure = exc
-        total = 0
-        while True:
-            chunk = _read_chunk(rfile)  # WireError on truncation ends session
-            if not chunk:
-                break
-            total += len(chunk)
-            if writer is not None:
-                metrics.note_body(total if writer.buffered else len(chunk))
-            if total > store.max_body_bytes and writer is not None:
-                writer.abort()
-                writer = None
-            if writer is not None:
-                writer.write(chunk)
-        if total > store.max_body_bytes:
-            return _too_large_response(total, store.max_body_bytes), b"", None
-        if failure is not None:
-            return {"ok": False, "error": str(failure)}, b"", None
-        writer.commit()  # integrity failures surface, session continues
-        # NOT "size": a positive size in a response header declares a
-        # response body; this is just an echo of what was received.
-        return {"ok": True, "received": total}, b"", None
-
-    def _chunked_get(self, backend: Backend, req: dict,
-                     metrics: ServerMetrics):
-        """Answer a ``get`` with a chunked body read ``CHUNK_SIZE`` bytes
-        at a time — O(chunk) resident however large the blob."""
-        digest = req["digest"]
-        size_of = getattr(backend, "blob_size", None)
-        size = size_of(digest) if size_of is not None else None
-        if size is None:
-            if not backend.has(digest):
-                raise BlobNotFound(digest)
-            size = -1  # size unknown; chunk terminator delimits the body
-        return ({"ok": True, "chunked": True, "size": size}, b"",
-                iter_blob(backend, digest, CHUNK_SIZE))
-
-
-class _ReusableTCPServer(socketserver.ThreadingTCPServer):
-    # A restarted server must rebind the port its predecessor held while
-    # that instance's sockets drain through TIME_WAIT (the async flavor
-    # gets this from socket.create_server).
-    allow_reuse_address = True
-
-
-class StoreServer:
-    """Serve a local backend to other processes over ``127.0.0.1``.
-
-    Usage::
-
-        server = StoreServer(FileBackend("/var/cache/xaas"))
-        host, port = server.start()
-        ...  # hand host/port to builders
-        server.stop()
-
-    Also usable as a context manager. Port 0 (the default) lets the OS
-    pick a free port — the chosen one is returned by :meth:`start`.
-
-    This is the thread-per-connection flavor: simple, and fine for a
-    handful of builders. A farm of hundreds of pooled sessions wants
-    :class:`~repro.store.async_server.AsyncStoreServer`, which serves the
-    same protocol from one event-loop thread. Traffic counters live in
-    :attr:`metrics` (see :class:`ServerMetrics`); ``connections_served``
-    / ``requests_served`` remain as properties for existing callers.
-    """
-
-    flavor = "thread"
-
-    def __init__(self, backend: Backend, host: str = "127.0.0.1",
-                 port: int = 0,
-                 max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-                 history_interval: float = 1.0):
-        self.backend = backend
-        self.max_body_bytes = max_body_bytes
-        self.metrics = ServerMetrics()
-        #: Spans recorded for traced requests, drained by the `telemetry`
-        #: wire op (bounded; untraced traffic records nothing).
-        self.recorder = TraceRecorder()
-        #: Fixed-memory metric time series fed by a background sampler
-        #: while the server runs; the `telemetry` wire op ships it.
-        self.history = MetricsHistory()
-        self._history_sampler = HistorySampler(self.metrics.registry,
-                                               self.history,
-                                               interval=history_interval)
-        self._server = _ReusableTCPServer(
-            (host, port), _Handler, bind_and_activate=True)
-        self._server.daemon_threads = True
-        self._server.store_server = self  # type: ignore[attr-defined]
-        self._cas_lock = threading.Lock()
-        self._thread: threading.Thread | None = None
-
-    @property
-    def connections_served(self) -> int:
-        return self.metrics.connections_served
-
-    @property
-    def requests_served(self) -> int:
-        return self.metrics.requests_served
-
-    def stats(self) -> dict:
-        """Traffic counters — exactly :data:`SERVER_STATS_FIELDS`, the
-        schema shared with :class:`AsyncStoreServer`."""
-        return self.metrics.snapshot()
-
-    def cas_ref(self, name: str, expected: bytes | None, data: bytes) -> bool:
-        """Execute one ref compare-and-swap atomically on the server side.
-
-        Delegates to the wrapped backend's own CAS when it has one;
-        otherwise emulates it under a server-global lock, so any foreign
-        backend gains correct multi-client semantics for free.
-        """
-        cas = getattr(self.backend, "compare_and_set_ref", None)
-        if cas is not None:
-            return bool(cas(name, expected, data))
-        with self._cas_lock:  # pragma: no cover - all bundled backends CAS
-            if self.backend.get_ref(name) != expected:
-                return False
-            self.backend.set_ref(name, data)
-            return True
-
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self._server.server_address[:2]
-        return str(host), int(port)
-
-    def start(self) -> tuple[str, int]:
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        name="store-server", daemon=True)
-        self._thread.start()
-        self._history_sampler.start()
-        return self.address
-
-    def stop(self) -> None:
-        self._history_sampler.stop()
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def __enter__(self) -> "StoreServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
 class RemoteBackend:
     """Client half of the wire protocol.
 
-    By default operations flow through a lazily-connected, thread-safe
-    session pool: the first operation opens a connection, subsequent ones
-    reuse it, and a socket the server dropped in between (restart, an old
-    one-shot server) is detected and transparently replaced. Pass
-    ``pooled=False`` for the historical connect-per-operation discipline
-    (and the benchmark's baseline).
+    Operations flow through a lazily-connected, thread-safe session pool:
+    the first operation opens a connection, subsequent ones reuse it, and
+    a socket the server dropped in between (a restart) is detected and
+    transparently replaced.
 
     Blobs at least ``stream_threshold`` bytes are pushed as chunked
-    streams, and ``get`` asks for chunked responses, whenever the server
-    advertises the ``streams`` capability — probed once, with whole-body
-    fallback against legacy servers. ``stream_threshold=None`` disables
-    streaming entirely (the historical wire shape).
+    streams, and ``get`` always asks for a chunked response.
     """
 
     persistent = True
 
     def __init__(self, host: str, port: int, timeout: float = 10.0,
-                 pooled: bool = True, max_sessions: int = 4,
-                 stream_threshold: "int | None" = STREAM_THRESHOLD,
+                 max_sessions: int = 4,
+                 stream_threshold: int = STREAM_THRESHOLD,
                  max_idle_seconds: float = 60.0,
                  registry: "MetricsRegistry | None" = None,
                  read_timeout: "float | None" = None,
@@ -736,12 +93,11 @@ class RemoteBackend:
         self.port = port
         self.timeout = timeout
         self.read_timeout = read_timeout
-        self.pooled = pooled
         self.stream_threshold = stream_threshold
         #: Retry discipline for idempotent operations and connect
         #: failures (see the per-op matrix in docs/architecture.md).
-        #: Pass :data:`repro.util.retry.NO_RETRY` for the historical
-        #: fail-on-first-error behavior.
+        #: Pass :data:`repro.util.retry.NO_RETRY` to fail on the first
+        #: error.
         self.retry = retry if retry is not None else DEFAULT_STORE_RETRY
         #: Client-side wire metrics (request counts and per-command
         #: latency histograms) plus the session pool's churn counters.
@@ -755,13 +111,7 @@ class RemoteBackend:
                                  registry=self.registry,
                                  read_timeout=read_timeout,
                                  connect_retry=(self.retry if self.retry.enabled
-                                                else None)) \
-            if pooled else None
-        # Batched commands an old server rejected once — fall back to
-        # per-item loops immediately instead of re-asking every call —
-        # and ones a probe confirmed, so the probe runs at most once.
-        self._unsupported: set[str] = set()
-        self._supported: set[str] = set()
+                                                else None))
 
     def close(self) -> None:
         """Release pooled connections (each with a polite ``bye``).
@@ -769,21 +119,18 @@ class RemoteBackend:
         Idempotent and safe to race with in-flight requests: the pool
         refuses to re-grow after its drain, so whichever of the tier
         flush thread and the worker exit path closes last still leaves
-        zero parked sockets. The backend stays usable afterwards —
-        later operations run on one-shot sessions."""
-        if self._pool is not None:
-            self._pool.close()
+        zero parked sockets. The backend stays usable afterwards — each
+        later operation connects, and closes its session when done."""
+        self._pool.close()
 
     @property
     def connections_opened(self) -> int:
-        """TCP connections this backend has opened (pooled mode only
-        tracks precisely; one-shot mode opens one per operation)."""
-        return self._pool.connections_opened if self._pool is not None else -1
+        """TCP connections this backend has opened."""
+        return self._pool.connections_opened
 
-    def pool_stats(self) -> "dict | None":
-        """Session-pool shape (idle sockets, churn, reaping), or None
-        when running one-shot."""
-        return self._pool.stats() if self._pool is not None else None
+    def pool_stats(self) -> dict:
+        """Session-pool shape (idle sockets, churn, reaping)."""
+        return self._pool.stats()
 
     def _note_retry(self, cmd: str, attempt: int, delay: float, exc) -> None:
         self.registry.counter("store.retries", op=cmd).inc()
@@ -804,14 +151,6 @@ class RemoteBackend:
             if ctx is not None:
                 header = {**header, "trace": ctx}
             started = time.perf_counter()
-
-            def exchange():
-                if self._pool is not None:
-                    return self._pool.exchange(header, body)
-                return round_trip(self.host, self.port, header, body,
-                                  timeout=self.timeout,
-                                  read_timeout=self.read_timeout)
-
             try:
                 if retryable and self.retry.enabled:
                     # Idempotent operation: a mid-exchange wire failure is
@@ -819,15 +158,15 @@ class RemoteBackend:
                     # (Connect-phase failures retry inside the pool for
                     # every op — the request was provably never sent.)
                     resp, payload = self.retry.call(
-                        exchange, retry_on=(WireError, OSError),
+                        lambda: self._pool.exchange(header, body),
+                        retry_on=(WireError, OSError),
                         on_retry=lambda attempt, delay, exc:
                             self._note_retry(cmd, attempt, delay, exc))
                 else:
-                    resp, payload = exchange()
+                    resp, payload = self._pool.exchange(header, body)
             except WireError as exc:
                 # Framing failures (truncated response, dropped
-                # connection) surface under this module's historical
-                # exception type.
+                # connection) surface as the retryable kind.
                 raise StoreUnavailable(str(exc)) from exc
             self._requests.inc()
             self.registry.histogram(
@@ -839,73 +178,26 @@ class RemoteBackend:
             raise RemoteStoreError(resp.get("error", "remote store error"))
         return resp, payload
 
-    def _batched(self, cmd: str, header: dict,
-                 body: bytes = b"", retryable: bool = False,
-                 ) -> "tuple[dict, bytes] | None":
-        """One batched exchange, or None when the server lacks ``cmd``
-        (old server) — the caller then runs its per-item fallback."""
-        if cmd in self._unsupported:
-            return None
-        try:
-            return self._round_trip(header, body, retryable=retryable)
-        except RemoteStoreError as exc:
-            if "unknown command" in str(exc):
-                self._unsupported.add(cmd)
-                return None
-            raise
+    # -- blobs -----------------------------------------------------------------
 
-    def _server_streams(self) -> bool:
-        """Probe (once) whether the server speaks chunked bodies.
-
-        The ``capabilities`` command is header-only, so an old server's
-        ``unknown command`` reply always arrives cleanly and streaming
-        silently downgrades to whole-body frames — no blob bytes are
-        ever at risk mid-probe.
-        """
-        if "streams" in self._supported:
-            return True
-        if "streams" in self._unsupported:
-            return False
-        got = self._batched("capabilities", {"cmd": "capabilities"},
-                            retryable=True)
-        caps = got[0].get("caps", {}) if got is not None else {}
-        if caps.get("streams"):
-            self._supported.add("streams")
-            return True
-        self._unsupported.add("streams")
-        return False
-
-    def _streaming(self, size: "int | None" = None) -> bool:
-        if self.stream_threshold is None:
-            return False
+    def _streams(self, data: bytes) -> bool:
         # An empty body sends no chunk frames, so never "stream" one
         # (matters only for stream_threshold=0, i.e. stream-everything).
-        if size is not None and (not size or size < self.stream_threshold):
-            return False
-        return self._server_streams()
-
-    # -- blobs -----------------------------------------------------------------
+        return bool(data) and len(data) >= self.stream_threshold
 
     def put(self, digest: str, data: bytes) -> None:
         # Content-addressed: resending a put is harmless, the server
         # simply re-verifies the digest — so puts retry like reads.
-        if self._streaming(len(data)):
-            self._round_trip({"cmd": "put", "digest": digest,
-                              "size": len(data), "chunked": True}, data,
-                             retryable=True)
-            return
-        self._round_trip({"cmd": "put", "digest": digest, "size": len(data)},
-                         data, retryable=True)
+        header = {"cmd": "put", "digest": digest, "size": len(data)}
+        if self._streams(data):
+            header["chunked"] = True
+        self._round_trip(header, data, retryable=True)
 
     def get(self, digest: str) -> bytes:
         # Chunked responses cost ~8 framing bytes per 64 KiB — noise for
         # small blobs, and the server never stages big ones whole.
-        if self._streaming():
-            _, payload = self._round_trip({"cmd": "get", "digest": digest,
-                                           "chunked": True}, retryable=True)
-            return payload
-        _, payload = self._round_trip({"cmd": "get", "digest": digest},
-                                      retryable=True)
+        _, payload = self._round_trip({"cmd": "get", "digest": digest,
+                                       "chunked": True}, retryable=True)
         return payload
 
     def has(self, digest: str) -> bool:
@@ -938,45 +230,19 @@ class RemoteBackend:
 
     # -- batched blob operations -----------------------------------------------
 
-    def _server_does_put_many(self) -> bool:
-        """Probe ``put_many`` with an empty batch before the first real one.
-
-        The other batched commands are header-only requests, so an old
-        server's ``unknown command`` reply always arrives and the client
-        falls back cleanly. A real ``put_many`` however ships its body up
-        front; an old server closes without draining it, and a body
-        larger than the socket buffers would turn the graceful downgrade
-        into a connection reset mid-send. The body-less probe settles the
-        capability question once, safely.
-        """
-        if "put_many" in self._supported:
-            return True
-        if self._batched("put_many", {"cmd": "put_many", "blobs": []}) is None:
-            return False
-        self._supported.add("put_many")
-        return True
-
     def put_many(self, blobs: dict[str, bytes]) -> None:
         """Push many blobs, ~:data:`BATCH_DIGESTS` per round-trip.
 
         Blobs above the streaming threshold go individually as chunked
         streams (the server never stages them whole); the remainder ride
-        the classic concatenated-body batches.
+        the concatenated-body batches.
         """
-        small = blobs
-        if blobs and self.stream_threshold is not None:
-            large = {digest: data for digest, data in blobs.items()
-                     if len(data) >= self.stream_threshold}
-            if large and self._streaming():
-                small = {digest: data for digest, data in blobs.items()
-                         if digest not in large}
-                for digest, data in large.items():
-                    self.put(digest, data)
-        if small and not self._server_does_put_many():
-            for digest, data in small.items():  # old server: one-by-one
+        items = []
+        for digest, data in blobs.items():
+            if self._streams(data):
                 self.put(digest, data)
-            return
-        items = list(small.items())
+            else:
+                items.append((digest, data))
         for start in range(0, len(items), BATCH_DIGESTS):
             chunk = items[start:start + BATCH_DIGESTS]
             header = {"cmd": "put_many",
@@ -984,23 +250,20 @@ class RemoteBackend:
             body = b"".join(data for _, data in chunk)
             self._round_trip(header, body, retryable=True)
 
-    def get_many(self, digests: Iterable[str]) -> dict[str, bytes]:
-        """Fetch many blobs; missing digests are omitted from the result."""
+    def _batches(self, cmd: str, digests: Iterable[str]):
+        """``(chunk, response, payload)`` per :data:`BATCH_DIGESTS`
+        digests of one batched read command."""
         wanted = list(digests)
-        out: dict[str, bytes] = {}
         for start in range(0, len(wanted), BATCH_DIGESTS):
             chunk = wanted[start:start + BATCH_DIGESTS]
-            got = self._batched("get_many",
-                                {"cmd": "get_many", "digests": chunk},
-                                retryable=True)
-            if got is None:
-                for digest in chunk:
-                    try:
-                        out[digest] = self.get(digest)
-                    except BlobNotFound:
-                        continue
-                continue
-            resp, payload = got
+            resp, payload = self._round_trip({"cmd": cmd, "digests": chunk},
+                                             retryable=True)
+            yield chunk, resp, payload
+
+    def get_many(self, digests: Iterable[str]) -> dict[str, bytes]:
+        """Fetch many blobs; missing digests are omitted from the result."""
+        out: dict[str, bytes] = {}
+        for chunk, resp, payload in self._batches("get_many", digests):
             offset = 0
             for digest, size in zip(chunk, resp["sizes"]):
                 if size < 0:
@@ -1010,33 +273,16 @@ class RemoteBackend:
         return out
 
     def has_many(self, digests: Iterable[str]) -> dict[str, bool]:
-        wanted = list(digests)
         out: dict[str, bool] = {}
-        for start in range(0, len(wanted), BATCH_DIGESTS):
-            chunk = wanted[start:start + BATCH_DIGESTS]
-            got = self._batched("has_many",
-                                {"cmd": "has_many", "digests": chunk},
-                                retryable=True)
-            if got is None:
-                out.update((digest, self.has(digest)) for digest in chunk)
-                continue
-            out.update(zip(chunk, (bool(h) for h in got[0]["has"])))
+        for chunk, resp, _ in self._batches("has_many", digests):
+            out.update(zip(chunk, (bool(h) for h in resp["has"])))
         return out
 
     def blob_size_many(self, digests: Iterable[str]) -> dict[str, int | None]:
-        wanted = list(digests)
         out: dict[str, int | None] = {}
-        for start in range(0, len(wanted), BATCH_DIGESTS):
-            chunk = wanted[start:start + BATCH_DIGESTS]
-            got = self._batched("blob_size_many",
-                                {"cmd": "blob_size_many", "digests": chunk},
-                                retryable=True)
-            if got is None:
-                out.update((digest, self.blob_size(digest))
-                           for digest in chunk)
-                continue
+        for chunk, resp, _ in self._batches("blob_size_many", digests):
             out.update(zip(chunk, (None if s is None else int(s)
-                                   for s in got[0]["blob_sizes"])))
+                                   for s in resp["blob_sizes"])))
         return out
 
     # -- size accounting -------------------------------------------------------
@@ -1061,34 +307,20 @@ class RemoteBackend:
         resp, _ = self._round_trip({"cmd": "server_stats"}, retryable=True)
         return {key: value for key, value in resp.items() if key != "ok"}
 
-    def telemetry(self, drain_spans: bool = False) -> "dict | None":
-        """The server's full telemetry in one round-trip: ``flavor``, the
-        documented ``stats`` schema, the metric-registry ``metrics``
-        snapshot, buffered trace ``spans`` (``drain_spans=True`` removes
-        them server-side — trace collection does; live status surfaces
-        must not), and the sampler-fed metric ``history``. None against
-        a pre-telemetry server."""
+    def telemetry(self, drain_spans: bool = False) -> dict:
+        """The server's full telemetry in one round-trip: the documented
+        ``stats`` schema, the metric-registry ``metrics`` snapshot,
+        buffered trace ``spans`` (``drain_spans=True`` removes them
+        server-side — trace collection does; live status surfaces must
+        not), and the sampler-fed metric ``history``."""
         header: dict = {"cmd": "telemetry"}
         if drain_spans:
             header["drain_spans"] = True
         # drain_spans is a destructive read — a blind resend could
         # double-drain, so only the non-draining form retries.
-        got = self._batched("telemetry", header,
-                            retryable=not drain_spans)
-        if got is None:
-            return None
-        resp, payload = got
-        out = {key: value for key, value in resp.items()
-               if key not in ("ok", "size", "spans_in_body", "body_json")}
-        if resp.get("body_json"):
-            # Current servers: the body is a JSON object carrying the
-            # bulk fields (span list + metric history).
-            out.update(json.loads(payload.decode("utf-8")) if payload
-                       else {"spans": []})
-        elif resp.get("spans_in_body"):
-            # Legacy servers shipped the bare span list as the body.
-            out["spans"] = json.loads(payload.decode("utf-8")) \
-                if payload else []
+        resp, payload = self._round_trip(header, retryable=not drain_spans)
+        out = fold_json_body(resp, payload)
+        del out["ok"], out["size"]
         return out
 
     # -- refs ------------------------------------------------------------------

@@ -13,12 +13,10 @@ remote store instead of one per blob). Index and pin merges land through
 the backend's ref compare-and-swap, so importing into a store that live
 builders are publishing to drops neither their writes nor the archive's.
 
-Index refs come in two layouts: per-namespace shards
-(``artifact-index/<namespace>``) and the legacy monolithic
-``artifact-index`` blob older exporters wrote. Import always merges into
-the *sharded* layout — a legacy incoming index is split by namespace first
-— so imported entries can never be silently dropped by a sharded reader
-that treats each shard as authoritative for its namespace.
+Index refs are per-namespace shards (``artifact-index/<namespace>``). An
+archive carrying a bare ``artifact-index`` ref was written by a
+pre-sharding exporter; no reader consults that layout any more, so
+importing it would silently lose every entry — it is rejected instead.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ import tarfile
 from typing import Callable
 
 from repro.store.backend import (
-    INDEX_REF,
     INDEX_REF_PREFIX,
     PINS_REF,
     Backend,
@@ -38,7 +35,6 @@ from repro.store.backend import (
     FileBackend,
     get_many as _get_many,
     has_many as _has_many,
-    index_ref_name,
     iter_index_payloads,
     put_many as _put_many,
 )
@@ -47,6 +43,9 @@ ARCHIVE_FORMAT = "xaas-store-archive-v1"
 
 #: Blobs per batched backend call during export/import.
 TRANSFER_BATCH = 64
+
+#: The one-blob index ref pre-sharding writers kept; nothing reads it.
+_PRE_SHARDING_INDEX_REF = INDEX_REF_PREFIX.rstrip("/")
 
 
 def _add_bytes(tar: tarfile.TarFile, name: str, data: bytes) -> None:
@@ -119,20 +118,6 @@ def _merge_index(existing: bytes | None, incoming: bytes,
     }, sort_keys=True).encode("utf-8")
 
 
-def _split_index_by_namespace(data: bytes) -> dict[str, bytes]:
-    """Split a legacy monolithic index payload into per-namespace shard
-    payloads (each carrying the original seq watermark)."""
-    blob = json.loads(data.decode("utf-8"))
-    by_ns: dict[str, list] = {}
-    for key, ns, digest, seq in blob.get("entries", ()):
-        by_ns.setdefault(ns, []).append([key, ns, digest, seq])
-    return {ns: json.dumps({
-        "version": 1,
-        "seq": int(blob.get("seq", 0)),
-        "entries": sorted(entries),
-    }, sort_keys=True).encode("utf-8") for ns, entries in by_ns.items()}
-
-
 def _merge_pins(existing: bytes | None, incoming: bytes) -> bytes:
     """Union two pin sets; an incoming pin wins a name conflict (the
     exporting side published it more recently than we pinned ours)."""
@@ -165,9 +150,9 @@ def _cas_merge_ref(backend: Backend, name: str, incoming: bytes,
 
 
 def _dest_index_seq_floor(backend: Backend) -> int:
-    """The destination's highest index seq across every shard (and any
-    legacy blob), so imported entries enter the LRU order as newest
-    globally, not merely within their own namespace's shard."""
+    """The destination's highest index seq across every shard, so
+    imported entries enter the LRU order as newest globally, not merely
+    within their own namespace's shard."""
     return max((int(blob.get("seq", 0))
                 for _name, blob in iter_index_payloads(backend)), default=0)
 
@@ -179,7 +164,8 @@ def import_store(backend: Backend, path: str) -> dict:
     corrupted archive cannot poison the store. Already-present blobs are
     skipped — counted separately so the summary shows real transfer work.
     Blobs land before refs: an index entry never appears ahead of the blob
-    it names.
+    it names. An archive in the pre-sharding index layout is rejected
+    with :class:`BackendError` before any ref is written.
     """
     added = skipped = refs_merged = 0
     blob_bytes = 0
@@ -216,16 +202,14 @@ def import_store(backend: Backend, path: str) -> dict:
                     _flush_blobs()
             elif member.name.startswith("refs/"):
                 name = FileBackend._unescape_ref(member.name[len("refs/"):])
-                if name == INDEX_REF:
-                    # Legacy monolithic index: merge into the sharded
-                    # layout so a sharded reader (authoritative per
-                    # namespace) can never drop the imported entries.
-                    for ns, payload in _split_index_by_namespace(data).items():
-                        index_payloads[index_ref_name(ns)] = payload
-                elif name.startswith(INDEX_REF_PREFIX):
+                if name == _PRE_SHARDING_INDEX_REF:
+                    raise BackendError(
+                        f"{path}: archive carries a bare {name!r} ref — the "
+                        f"unsupported pre-sharding index layout (the index "
+                        f"now lives in per-namespace {INDEX_REF_PREFIX}* "
+                        f"refs); re-export it from a current store")
+                if name.startswith(INDEX_REF_PREFIX):
                     index_payloads[name] = data
-                elif name == PINS_REF:
-                    other_refs.append((name, data))
                 else:
                     other_refs.append((name, data))
     _flush_blobs()

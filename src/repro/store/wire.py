@@ -1,6 +1,6 @@
 """Line-framed JSON-over-socket plumbing shared by the store and cluster.
 
-Both the artifact-store server (:mod:`repro.store.remote`) and the
+Both the artifact-store server (:mod:`repro.store.async_server`) and the
 build-farm coordinator (:mod:`repro.cluster`) speak the same trivially
 debuggable wire shape — a newline-terminated JSON header followed by an
 optional raw-bytes body whose length the header declares::
@@ -8,29 +8,22 @@ optional raw-bytes body whose length the header declares::
     -> {"cmd": ...}\n<body bytes>
     <- {"ok": true, ...}\n<body bytes>
 
-This module owns the framing only; each server defines its own command
-vocabulary on top.
+This module owns the framing and the one client transport; the one
+server loop is :mod:`repro.store.wire_server`, and each server defines
+its own command vocabulary on top.
 
-Two connection disciplines ride on the same frames:
-
-* **One-shot** (:func:`round_trip`): connect, one exchange, close. No
-  session state to resynchronize after a failure, but every operation
-  pays a full TCP connect/close.
-* **Sessions** (:class:`WireSession` / :class:`SessionPool`): many
-  exchanges pipelined over one connection; ``{"cmd": "bye"}`` (or just
-  closing) ends the session. A server that loops on :func:`read_message`
-  until EOF serves both disciplines transparently — a one-shot client's
-  half-close reads as a clean end-of-session.
+**Sessions** (:class:`WireSession` / :class:`SessionPool`): many
+exchanges pipelined over one connection; ``{"cmd": "bye"}`` (or just
+closing) ends the session.
 
 :class:`SessionPool` adds stale-socket detection: a pooled connection the
-peer silently dropped (server restart, an old one-shot-only server that
-closes after each response) fails its next exchange *before any response
-bytes arrive*, and the pool transparently reconnects and resends. A fresh
-connection failing is a real error and propagates. The pool is bounded in
-both directions: at most ``max_idle`` warm sockets survive check-in, and
-sockets idle longer than ``max_idle_seconds`` are reaped on the next pool
-operation — a long-lived worker talking to many stores can never
-accumulate file descriptors without limit.
+peer silently dropped (a server restart) fails its next exchange *before
+any response bytes arrive*, and the pool transparently reconnects and
+resends. A fresh connection failing is a real error and propagates. The
+pool is bounded in both directions: at most ``max_idle`` warm sockets
+survive check-in, and sockets idle longer than ``max_idle_seconds`` are
+reaped on the next pool operation — a long-lived worker talking to many
+stores can never accumulate file descriptors without limit.
 
 **Chunked bodies** extend the frame format for multi-MB payloads: a header
 declaring ``"chunked": true`` is followed not by a fixed-size body but by a
@@ -43,9 +36,12 @@ many payload bytes) ended by a zero-length terminator::
 Responses stream the same way when their header says ``"chunked": true``.
 Neither end ever needs the whole body resident: senders slice a memoryview
 (or pull from any chunk iterator), receivers hand each chunk to a sink as
-it arrives. Peers that predate chunking never see it — servers only stream
-responses to clients that asked, and clients probe the server's
-capabilities before streaming a request body.
+it arrives. Servers only stream responses to clients that asked.
+
+**JSON bodies** (:func:`json_body` / :func:`fold_json_body`) carry bulk
+optional header fields — span batches, metric deltas, history — as a
+fixed body flagged ``"body_json": true``, so they can never overflow the
+one-line header frame.
 """
 
 from __future__ import annotations
@@ -101,11 +97,9 @@ class WireError(RuntimeError):
 class ConnectionClosed(WireError):
     """The peer closed the connection at a frame boundary.
 
-    For a server looping over :func:`read_message` this is the clean
-    end-of-session signal (one-shot clients half-close after their single
-    request); for a pooled client it marks a stale socket worth retrying
-    on a fresh connection — no response bytes were received, so the
-    request cannot have been half-applied on the wire.
+    For a pooled client it marks a stale socket worth retrying on a
+    fresh connection — no response bytes were received, so the request
+    cannot have been half-applied on the wire.
     """
 
 
@@ -195,7 +189,7 @@ def read_chunked_body(rfile, max_bytes: "int | None" = None) -> bytes:
 
 def encode_message(header: dict, body: bytes = b"") -> bytes:
     """One framed message as bytes — what buffer-building senders (the
-    async server's event loop) append to an output buffer."""
+    server's event loop) append to an output buffer."""
     line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
     return line + body if body else line
 
@@ -216,78 +210,6 @@ def parse_chunk_prefix(buf, offset: int = 0) -> int:
     return _CHUNK_PREFIX.unpack_from(buf, offset)[0]
 
 
-class CountingFile:
-    """Wrap a socket file, feeding every byte moved to a counter callback.
-
-    The thread server wraps its request/response files with this so its
-    ``bytes_in``/``bytes_out`` metrics measure actual wire traffic — the
-    async server counts raw ``recv``/``send`` instead, and the two stay
-    comparable.
-    """
-
-    def __init__(self, raw, on_bytes):
-        self._raw = raw
-        self._on_bytes = on_bytes
-
-    def read(self, size: int = -1) -> bytes:
-        data = self._raw.read(size)
-        self._on_bytes(len(data))
-        return data
-
-    def readinto(self, buf) -> int:
-        n = self._raw.readinto(buf)
-        if n:
-            self._on_bytes(n)
-        return n
-
-    def readline(self, limit: int = -1) -> bytes:
-        line = self._raw.readline(limit)
-        self._on_bytes(len(line))
-        return line
-
-    def write(self, data) -> int:
-        n = self._raw.write(data)
-        self._on_bytes(len(data))
-        return n
-
-    def flush(self) -> None:
-        self._raw.flush()
-
-    def close(self) -> None:
-        self._raw.close()
-
-
-def request(host: str, port: int, header: dict, body: bytes = b"",
-            timeout: float = 10.0, read_timeout: "float | None" = None,
-            ) -> tuple[dict, "socket.socket | None", object]:
-    """Open a connection, send one framed request, read the response header.
-
-    ``timeout`` bounds the connect; ``read_timeout`` (defaulting wide —
-    see :data:`DEFAULT_READ_TIMEOUT`) paces the response reads. Returns
-    ``(response, sock, rfile)`` with the connection still open so the
-    caller can stream a declared body via :func:`read_exact`; the caller
-    owns closing ``sock``. Most callers want :func:`round_trip` instead.
-    """
-    sock = socket.create_connection((host, port), timeout=timeout)
-    sock.settimeout(_read_timeout_for(timeout, read_timeout))
-    try:
-        wfile = sock.makefile("wb")
-        rfile = sock.makefile("rb")
-        if header.get("chunked") and body:
-            write_message(wfile, header)
-            write_chunks(wfile, iter_chunks(body))
-        else:
-            # A chunked header with no body sends no chunk frames at all —
-            # it only asks the server to *answer* chunked.
-            write_message(wfile, header, body)
-        sock.shutdown(socket.SHUT_WR)
-        resp = read_message(rfile)
-        return resp, sock, rfile
-    except BaseException:
-        sock.close()
-        raise
-
-
 def read_response_body(rfile, resp: dict) -> bytes:
     """Read whatever body the response header declares: a chunked stream
     when ``"chunked": true``, ``size`` fixed bytes otherwise."""
@@ -299,31 +221,28 @@ def read_response_body(rfile, resp: dict) -> bytes:
     return b""
 
 
-def round_trip(host: str, port: int, header: dict, body: bytes = b"",
-               timeout: float = 10.0, read_timeout: "float | None" = None,
-               ) -> tuple[dict, bytes]:
-    """One complete request/response exchange, body included.
+def json_body(header: dict, fields: dict) -> tuple[dict, bytes]:
+    """Frame ``fields`` as a JSON body of ``header`` — for bulk values
+    (span batches, metric deltas, history) that could overflow the
+    one-line header frame."""
+    payload = json.dumps(fields).encode("utf-8")
+    return {**header, "size": len(payload), "body_json": True}, payload
 
-    The response header's ``size`` field (when positive) declares a body;
-    it is read in full before the connection closes. A request header
-    declaring ``"chunked": true`` streams its body as chunk frames, and a
-    chunked response is reassembled transparently.
-    """
-    resp, sock, rfile = request(host, port, header, body, timeout=timeout,
-                                read_timeout=read_timeout)
-    try:
-        payload = read_response_body(rfile, resp)
-    finally:
-        sock.close()
-    return resp, payload
+
+def fold_json_body(header: dict, payload: bytes) -> dict:
+    """Inverse of :func:`json_body`: merge a ``body_json`` body back into
+    the header dict it was split from (in place; returns it)."""
+    if header.pop("body_json", False) and payload:
+        header.update(json.loads(payload.decode("utf-8")))
+    return header
 
 
 class WireSession:
     """One connection carrying many framed request/response exchanges.
 
-    Unlike :func:`request`, the write side is never shut down — the
-    connection stays symmetric so the next request can follow the last
-    response. ``exchanges`` counts completed round-trips; a session that
+    The write side is never shut down — the connection stays symmetric
+    so the next request can follow the last response. ``exchanges``
+    counts completed round-trips; a session that
     has completed at least one is *reused* and its next failure may mean
     the peer quietly dropped the connection in between (the case
     :class:`SessionPool` retries).
@@ -397,11 +316,8 @@ class SessionPool:
     session fails before any response bytes arrive (EOF where the header
     should be, or a send into a reset/closed connection), the session is
     discarded and the request is resent on a fresh connection. This is
-    what makes a pooled client interoperate with an old one-shot server —
-    every response there is followed by a server-side close, which the
-    pool re-detects per request — and what survives a server restart
-    between operations. A *fresh* connection failing propagates: that is
-    a real error, not staleness.
+    what survives a server restart between operations. A *fresh*
+    connection failing propagates: that is a real error, not staleness.
 
     The pool is bounded: at most ``max_idle`` sessions stay warm (extras
     close on check-in), and a session idle longer than
@@ -565,7 +481,8 @@ class SessionPool:
         its session and the session closes on check-in instead of
         re-growing a pool its owner believes is gone (the tier flush
         thread and a cluster worker's exit path can race on exactly
-        this). Later exchanges still work, on one-shot sessions."""
+        this). Later exchanges still work: each connects, and closes its
+        session on check-in."""
         with self._lock:
             self._closed = True
             idle, self._idle = self._idle, []

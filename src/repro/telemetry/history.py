@@ -142,7 +142,7 @@ class MetricsHistory:
 class HistorySampler:
     """Daemon thread feeding a :class:`MetricsHistory` from a registry.
 
-    The server-side half of history: a store server (either flavor) or
+    The server-side half of history: a store server or
     any long-lived process starts one against its own registry; each
     tick samples the ``process.*`` resource gauges and records the full
     snapshot. ``stop()`` is idempotent and joins the thread.

@@ -258,8 +258,8 @@ class FlakyProxy:
                 continue
             # Both directions share one byte budget and a close refcount:
             # the budget makes drop_after_bytes count total traffic, the
-            # refcount keeps a clean half-close (one-shot clients SHUT_WR
-            # after the request) from tearing down the response path.
+            # refcount keeps a clean half-close (a client that SHUT_WRs
+            # after its request) from tearing down the response path.
             link = {"left": self.drop_after_bytes, "pumps": 2,
                     "lock": threading.Lock()}
             for src, dst in ((client, server), (server, client)):

@@ -29,9 +29,9 @@ from repro.cluster.coordinator import JobQueue
 from repro.cluster.journal import JOURNAL_REF
 from repro.cluster.jobs import Job
 from repro.containers import BlobStore
-from repro.store import MemoryBackend, RemoteBackend, StoreServer
+from repro.store import AsyncStoreServer, MemoryBackend, RemoteBackend
 from repro.store.remote import RemoteStoreError
-from repro.store.wire import WireError
+from repro.store.wire import WireError, WireSession
 from repro.testing import (
     FaultyBackend,
     FlakyProxy,
@@ -223,9 +223,9 @@ class TestCoordinatorBounce:
         waiter.start()
         time.sleep(0.1)  # the waiter is polling
 
-        # Crash: no graceful stop, no final journal flush.
-        coord._server.shutdown()
-        coord._server.server_close()
+        # Crash: the wire loop dies; no graceful stop, no final journal
+        # flush.
+        coord.server.stop()
         time.sleep(0.2)  # the waiter sees the outage
 
         resumed = None
@@ -256,8 +256,15 @@ class TestCoordinatorBounce:
             # The outage was ridden out, not dodged.
             assert submitter.registry.snapshot()["counters"][
                 "cluster.reconnects"] > 0
-            # Pre-crash zombie reports stay idempotent across the resume.
+            # Pre-crash zombie reports stay idempotent across the resume —
+            # and worker1's pooled session, warm since before the crash,
+            # is picked up by stale-socket resend: one fresh connection,
+            # no retry/backoff.
+            assert worker1._pool.connections_opened == 1
             assert worker1.complete("a", "w1", {"winner": "zombie"}) is False
+            assert worker1._pool.connections_opened == 2
+            assert worker1.registry.snapshot()["counters"][
+                "cluster.reconnects"] == 0
             assert worker2.status(["a"])["a"]["result"] == {"winner": "w2"}
         finally:
             resumed.stop()
@@ -267,23 +274,22 @@ class TestCoordinatorBounce:
         The retried resend answers "duplicate job id" — which proves the
         first send landed, so submit reports success; a genuine
         duplicate (no resend in play) still raises."""
-        import repro.cluster.client as client_mod
         with Coordinator() as coord:
             host, port = coord.address
             client = CoordinatorClient(host, port, timeout=2,
                                        retry=RetryPolicy(max_attempts=4,
                                                          base_delay=0.01))
-            real = client_mod.round_trip
+            real = client._pool.exchange
             state = {"lost": False}
 
-            def lossy(host_, port_, header, body=b"", **kwargs):
-                resp = real(host_, port_, header, body, **kwargs)
+            def lossy(header, body=b""):
+                resp = real(header, body)
                 if header.get("cmd") == "submit" and not state["lost"]:
                     state["lost"] = True  # delivered, but the reply dies
                     raise WireError("connection reset reading response")
                 return resp
 
-            monkeypatch.setattr(client_mod, "round_trip", lossy)
+            monkeypatch.setattr(client._pool, "exchange", lossy)
             assert client.submit([job("a"), job("b")]) == 2
             assert state["lost"]
             assert set(coord.queue.status(["a", "b"])) == {"a", "b"}
@@ -301,6 +307,93 @@ class TestCoordinatorBounce:
             client.ping()
         assert client.registry.snapshot()["counters"][
             "cluster.reconnects"] == 2  # one per retry after the first try
+
+
+class TestCoordinatorOnTheWireLoop:
+    """What the control plane gains from the shared ``WireServer``:
+    sessions, body guards, tolerant dispatch, ``server_stats``, spans."""
+
+    def test_many_ops_from_one_client_ride_one_connection(self):
+        with Coordinator() as coord:
+            client = CoordinatorClient(*coord.address, retry=NO_RETRY)
+            assert client.ping()
+            assert client.submit([job("a"), job("b")]) == 2
+            assert client.fetch("w1").job_id == "a"
+            assert client.renew("a", "w1")
+            assert client.complete("a", "w1", {}, spans=[],
+                                   metrics={"counters": {"x": 1}})
+            assert client.status(["a"])["a"]["state"] == "done"
+            assert client.stats()["jobs"] == 2
+            assert client.telemetry()["telemetry"]["jobs"]["total"] == 2
+            client.close()
+            assert coord.server.connections_served == 1
+            assert coord.server.requests_served == 8
+
+    def test_oversized_request_is_rejected_and_the_session_survives(
+            self, monkeypatch):
+        import repro.cluster.coordinator as coordinator_mod
+        monkeypatch.setattr(coordinator_mod, "MAX_REQUEST_BODY_BYTES", 1024)
+        with Coordinator() as coord:
+            client = CoordinatorClient(*coord.address, retry=NO_RETRY)
+            with pytest.raises(ClusterError, match="max_body_bytes=1024"):
+                client.complete("a", "w1", {}, spans=[{"pad": "x" * 4096}])
+            assert client.ping()  # body drained: same session, in sync
+            assert coord.server.connections_served == 1
+
+    def test_malformed_size_ends_that_session_not_the_loop(self):
+        with Coordinator() as coord:
+            session = WireSession(*coord.address)
+            resp, _ = session.exchange({"cmd": "ping", "size": "abc"})
+            assert resp["ok"] is False
+            assert "malformed header" in resp["error"]
+            session.close(polite=False)
+            assert CoordinatorClient(*coord.address).ping()
+
+    def test_unknown_command_answers_and_session_continues(self):
+        with Coordinator() as coord:
+            session = WireSession(*coord.address)
+            try:
+                resp, _ = session.exchange({"cmd": "frobnicate"})
+                assert resp == {"ok": False,
+                                "error": "unknown command 'frobnicate'"}
+                assert session.exchange({"cmd": "ping"})[0]["ok"]
+            finally:
+                session.close()
+            assert coord.server.connections_served == 1
+
+    def test_coordinator_answers_server_stats_and_traced_requests(self):
+        with Coordinator() as coord:
+            session = WireSession(*coord.address)
+            try:
+                resp, _ = session.exchange({"cmd": "ping", "trace": {
+                    "trace_id": "T" * 32, "parent_span_id": "P" * 16}})
+                assert resp["ok"]
+                stats, _ = session.exchange({"cmd": "server_stats"})
+            finally:
+                session.close()
+            assert stats["connections_served"] == 1
+            assert stats["requests_served"] == 2
+            assert stats["bytes_in"] > 0 and stats["bytes_out"] > 0
+            # The wire span lands where the `telemetry` op drains from.
+            names = [span.name for span in
+                     coord.queue.telemetry.recorder.spans()]
+            assert names == ["cluster.server.ping"]
+
+    def test_handlers_use_the_executor_exactly_when_journaled(self):
+        plain = Coordinator()
+        journaled = Coordinator(journal=Journal(MemoryBackend(),
+                                                autosave_interval=None))
+        try:
+            assert plain.server._executor is None
+            assert journaled.server._executor is not None
+            with journaled:
+                client = CoordinatorClient(*journaled.address,
+                                           retry=NO_RETRY)
+                assert client.submit([job("a")]) == 1  # checkpoints off-loop
+                assert client.fetch("w").job_id == "a"
+                client.close()
+        finally:
+            plain.server.stop()
 
 
 class TestWorkerDowntimePolicy:
@@ -429,24 +522,24 @@ class TestProcessFaultInjection:
 
 class TestFlakyProxy:
     def test_refuse_every_counts_and_retried_client_rides_it_out(self):
-        with StoreServer(MemoryBackend()) as server:
+        with AsyncStoreServer(MemoryBackend()) as server:
             proxy = FlakyProxy(*server.address, refuse_every=2)
             host, port = proxy.start()
             try:
-                bare = RemoteBackend(host, port, pooled=False,
-                                     retry=NO_RETRY)
-                bare.set_ref("r", b"1")  # connection 1: forwarded
+                def fresh(retry):
+                    """One connection per operation: a new client each."""
+                    return RemoteBackend(host, port, retry=retry)
+
+                fresh(NO_RETRY).set_ref("r", b"1")  # connection 1: forwarded
                 with pytest.raises((RemoteStoreError, OSError)):
-                    bare.get_ref("r")  # connection 2: refused
+                    fresh(NO_RETRY).get_ref("r")  # connection 2: refused
                 assert proxy.refused == 1
                 # The retried client absorbs the same schedule silently.
-                retried = RemoteBackend(host, port, pooled=False,
-                                        retry=RetryPolicy(max_attempts=4,
-                                                          base_delay=0.01))
+                patient = RetryPolicy(max_attempts=4, base_delay=0.01)
                 for _ in range(6):
-                    assert retried.get_ref("r") == b"1"
+                    assert fresh(patient).get_ref("r") == b"1"
                 assert proxy.refused >= 2
                 proxy.refuse_every = 0  # heal the link
-                assert bare.get_ref("r") == b"1"
+                assert fresh(NO_RETRY).get_ref("r") == b"1"
             finally:
                 proxy.stop()

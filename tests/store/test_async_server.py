@@ -1,10 +1,11 @@
-"""The event-loop store server: interop, streaming, failure paths.
+"""The event-loop store server: sessions, streaming, failure paths.
 
-Covers the ISSUE's matrix — {one-shot, pooled, streaming} clients against
-the async server — plus the failure modes an event loop must survive
-without a thread-per-connection safety net: a chunked body truncated
-mid-stream, a slow reader triggering write-side backpressure, and
-oversized bodies rejected with a clean error frame.
+Pooled and streaming clients against the store server, plus the failure
+modes an event loop must survive without a thread-per-connection safety
+net: a chunked body truncated mid-stream, a slow reader triggering
+write-side backpressure, oversized bodies rejected with a clean error
+frame, and poisoned or unknown commands that must cost at most one
+session.
 """
 
 import json
@@ -21,15 +22,9 @@ from repro.store import (
     FileBackend,
     MemoryBackend,
     RemoteBackend,
-    StoreServer,
+    WireSession,
 )
-from repro.store.wire import (
-    CHUNK_SIZE,
-    chunk_prefix,
-    read_message,
-    round_trip,
-    write_message,
-)
+from repro.store.wire import CHUNK_SIZE, chunk_prefix, read_message
 from repro.util.hashing import content_digest
 
 
@@ -52,33 +47,7 @@ def put_header(digest: str, size: int, chunked: bool = False) -> bytes:
     return json.dumps(header).encode() + b"\n"
 
 
-class TestInteropMatrix:
-    def test_one_shot_client(self, server):
-        """An old connect-per-request client, half-close included."""
-        host, port = server.address
-        digest = content_digest(b"old client bytes")
-        resp, _ = round_trip(host, port, {"cmd": "put", "digest": digest,
-                                          "size": 16}, b"old client bytes")
-        assert resp["ok"]
-        resp, payload = round_trip(host, port,
-                                   {"cmd": "get", "digest": digest})
-        assert payload == b"old client bytes"
-        resp, _ = round_trip(host, port, {"cmd": "stat"})
-        assert resp["count"] == 1
-        assert server.connections_served == 3
-
-    def test_one_shot_backend(self, server):
-        host, port = server.address
-        backend = RemoteBackend(host, port, pooled=False)
-        digest = content_digest(b"payload")
-        backend.put(digest, b"payload")
-        assert backend.has(digest)
-        assert backend.get(digest) == b"payload"
-        assert backend.compare_and_set_ref("r", None, b"v")
-        assert backend.get_ref("r") == b"v"
-        with pytest.raises(BlobNotFound):
-            backend.get("sha256:" + "1" * 64)
-
+class TestSessions:
     def test_pooled_backend_full_surface(self, server):
         """The whole op matrix over one pooled session: blobs, batches,
         refs, CAS, stats."""
@@ -113,17 +82,37 @@ class TestInteropMatrix:
             blob = os.urandom(3 * (1 << 20))
             digest = content_digest(blob)
             backend.put(digest, blob)
-            assert "streams" in backend._supported  # probed, cached
             assert backend.get(digest) == blob
         finally:
             backend.close()
         assert file_server.stats()["peak_body_bytes"] <= CHUNK_SIZE
+        # No capability probe: put + get are the only two requests.
+        assert file_server.requests_served == 2
 
-    def test_capabilities_command(self, server):
+    def test_half_closed_client_is_answered_then_closed(self, server):
+        """A peer that sends one request and shuts down its write side
+        still gets its answer: buffered input is parsed and answered, the
+        output flushed, then the connection closed."""
         host, port = server.address
-        resp, _ = round_trip(host, port, {"cmd": "capabilities"})
-        assert resp["ok"] and resp["caps"]["streams"]
-        assert resp["flavor"] == "async"
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(json.dumps({"cmd": "stat"}).encode() + b"\n")
+            sock.shutdown(socket.SHUT_WR)
+            rfile = sock.makefile("rb")
+            assert read_message(rfile)["count"] == 0
+            assert rfile.readline() == b""
+
+    def test_unknown_command_answers_and_session_continues(self, server):
+        host, port = server.address
+        session = WireSession(host, port)
+        try:
+            resp, _ = session.exchange({"cmd": "frobnicate"})
+            assert resp == {"ok": False,
+                            "error": "unknown command 'frobnicate'"}
+            resp, _ = session.exchange({"cmd": "stat"})
+            assert resp["ok"]
+        finally:
+            session.close()
+        assert server.connections_served == 1
 
     def test_pipelined_requests_answer_in_order(self, server):
         """Two requests written back-to-back before any read: responses
@@ -212,10 +201,10 @@ class TestTruncatedStream:
 class TestMalformedHeaders:
     """Headers that parse as JSON but are malformed where it counts.
 
-    A single such packet once killed the async event loop outright
-    (ValueError from ``int("abc")`` propagating out of ``_run``) and
-    silently desynchronized a thread-server session. Both flavors must
-    answer with an error frame and keep serving everyone else."""
+    A single such packet once killed the event loop outright
+    (ValueError from ``int("abc")`` propagating out of ``_run``). The
+    server must answer with an error frame and keep serving everyone
+    else."""
 
     POISON = [
         {"cmd": "put", "digest": "sha256:" + "0" * 64, "size": "abc"},
@@ -223,23 +212,23 @@ class TestMalformedHeaders:
         {"cmd": "cas_ref", "name": "r", "expected_size": [], "size": 0},
     ]
 
-    @pytest.mark.parametrize("flavor", [StoreServer, AsyncStoreServer])
     @pytest.mark.parametrize("header", POISON)
-    def test_poison_header_gets_error_server_survives(self, flavor, header):
-        with flavor(MemoryBackend()) as server:
-            host, port = server.address
-            with socket.create_connection((host, port), timeout=5) as sock:
-                sock.sendall(json.dumps(header).encode() + b"\n")
-                resp = json.loads(sock.makefile("rb").readline())
-                assert resp["ok"] is False
-                assert "malformed header" in resp["error"]
-            # The poison frame cost one session, never the server.
-            resp, _ = round_trip(host, port, {"cmd": "stat"})
-            assert resp["ok"]
+    def test_poison_header_gets_error_server_survives(self, server, header):
+        host, port = server.address
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(json.dumps(header).encode() + b"\n")
+            resp = json.loads(sock.makefile("rb").readline())
+            assert resp["ok"] is False
+            assert "malformed header" in resp["error"]
+        # The poison frame cost one session, never the server.
+        session = WireSession(host, port)
+        try:
+            assert session.exchange({"cmd": "stat"})[0]["ok"]
+        finally:
+            session.close()
 
     def test_loop_survives_poison_amid_pooled_traffic(self):
-        """The async loop specifically: other connections stay served
-        after a poisoned one."""
+        """Other connections stay served after a poisoned one."""
         with AsyncStoreServer(MemoryBackend()) as server:
             host, port = server.address
             backend = RemoteBackend(host, port)
@@ -256,9 +245,8 @@ class TestMalformedHeaders:
 
 
 class TestWriterOpenFailure:
-    @pytest.mark.parametrize("flavor", [StoreServer, AsyncStoreServer])
     def test_failed_open_drains_stream_and_session_survives(
-            self, flavor, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch):
         """An OSError from opening the blob writer (disk full, bad
         perms) must drain the chunk stream to its terminator and answer
         an error — not desync the session or kill the event loop."""
@@ -270,7 +258,7 @@ class TestWriterOpenFailure:
         monkeypatch.setattr(backend, "open_blob_writer", boom)
         blob = os.urandom(3 * CHUNK_SIZE)
         digest = content_digest(blob)
-        with flavor(backend) as server:
+        with AsyncStoreServer(backend) as server:
             host, port = server.address
             rb = RemoteBackend(host, port, stream_threshold=1)
             try:
@@ -288,7 +276,7 @@ class TestConnectionIdentity:
         """fds are reused: bookkeeping for a connection that died with
         work in flight must not touch the connection that inherited its
         fd (whitebox — exercises the identity checks directly)."""
-        import repro.store.async_server as mod
+        import repro.store.wire_server as mod
         with AsyncStoreServer(MemoryBackend()) as server:
             host, port = server.address
             with socket.create_connection((host, port), timeout=5) as sock:
@@ -356,11 +344,12 @@ class TestBackpressure:
 
 
 class TestMaxBodyBytes:
-    @pytest.mark.parametrize("flavor", [StoreServer, AsyncStoreServer])
-    def test_oversized_fixed_body_rejected_cleanly(self, flavor):
-        with flavor(MemoryBackend(), max_body_bytes=64 * 1024) as server:
+    def test_oversized_fixed_body_rejected_cleanly(self):
+        with AsyncStoreServer(MemoryBackend(),
+                              max_body_bytes=64 * 1024) as server:
             host, port = server.address
-            backend = RemoteBackend(host, port, stream_threshold=None)
+            # A threshold above the blob keeps the body a fixed frame.
+            backend = RemoteBackend(host, port, stream_threshold=1 << 20)
             try:
                 big = os.urandom(100 * 1024)
                 with pytest.raises(Exception) as exc_info:
@@ -373,10 +362,9 @@ class TestMaxBodyBytes:
                 backend.close()
             assert server.stats()["peak_body_bytes"] <= 64 * 1024
 
-    @pytest.mark.parametrize("flavor", [StoreServer, AsyncStoreServer])
-    def test_oversized_chunked_body_rejected_cleanly(self, flavor, tmp_path):
-        with flavor(FileBackend(tmp_path / f"s-{flavor.flavor}"),
-                    max_body_bytes=64 * 1024) as server:
+    def test_oversized_chunked_body_rejected_cleanly(self, tmp_path):
+        with AsyncStoreServer(FileBackend(tmp_path / "s"),
+                              max_body_bytes=64 * 1024) as server:
             host, port = server.address
             backend = RemoteBackend(host, port, stream_threshold=1)
             try:
@@ -393,43 +381,36 @@ class TestMaxBodyBytes:
 
 
 class TestCounters:
-    def test_traffic_counters_both_flavors(self, tmp_path):
+    def test_traffic_counters(self, server):
         blob = os.urandom(300 * 1024)
         digest = content_digest(blob)
-        for flavor in (StoreServer, AsyncStoreServer):
-            with flavor(MemoryBackend()) as server:
-                host, port = server.address
-                backend = RemoteBackend(host, port)
-                backend.put(digest, blob)
-                assert backend.get(digest) == blob
-                stats = backend.server_stats()
-                backend.close()
-            assert stats["flavor"] == server.flavor
-            assert stats["connections_served"] == 1
-            assert stats["requests_served"] >= 3  # probe + put + get
-            # Both directions moved at least the blob, plus framing.
-            assert stats["bytes_in"] >= len(blob)
-            assert stats["bytes_out"] >= len(blob)
-            assert stats["peak_body_bytes"] >= len(blob)  # memory buffers
+        host, port = server.address
+        backend = RemoteBackend(host, port)
+        backend.put(digest, blob)
+        assert backend.get(digest) == blob
+        stats = backend.server_stats()
+        backend.close()
+        assert stats["connections_served"] == 1
+        assert stats["requests_served"] == 3  # put + get + server_stats
+        # Both directions moved at least the blob, plus framing.
+        assert stats["bytes_in"] >= len(blob)
+        assert stats["bytes_out"] >= len(blob)
+        assert stats["peak_body_bytes"] >= len(blob)  # memory buffers
 
     def test_peak_body_is_chunk_sized_for_streamed_file_store(self,
                                                               tmp_path):
         """The memory-residency observable the benchmark asserts on: a
         4 MiB streamed put+get against a file store moves peak_body_bytes
-        by one chunk only. (Both flavors — the incremental writer is the
-        backend's, not the event loop's.)"""
+        by one chunk only."""
         blob = os.urandom(4 * (1 << 20))
         digest = content_digest(blob)
-        for flavor in (StoreServer, AsyncStoreServer):
-            with flavor(FileBackend(tmp_path / f"st-{flavor.flavor}")) \
-                    as server:
-                host, port = server.address
-                backend = RemoteBackend(host, port)
-                backend.put(digest, blob)
-                assert backend.get(digest) == blob
-                backend.close()
-                assert server.stats()["peak_body_bytes"] <= CHUNK_SIZE, \
-                    server.flavor
+        with AsyncStoreServer(FileBackend(tmp_path / "st")) as server:
+            host, port = server.address
+            backend = RemoteBackend(host, port)
+            backend.put(digest, blob)
+            assert backend.get(digest) == blob
+            backend.close()
+            assert server.stats()["peak_body_bytes"] <= CHUNK_SIZE
 
     def test_cli_status_line_shape(self, server):
         """What `cache serve` prints on shutdown is the same snapshot
@@ -439,6 +420,6 @@ class TestCounters:
         backend.put(content_digest(b"x"), b"x")
         stats = backend.server_stats()
         backend.close()
-        assert set(stats) == {"flavor", "connections_served",
+        assert set(stats) == {"connections_served",
                               "requests_served", "bytes_in", "bytes_out",
                               "peak_body_bytes", "peak_outbuf_bytes"}

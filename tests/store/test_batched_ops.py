@@ -13,7 +13,7 @@ from repro.store import (
     FileBackend,
     MemoryBackend,
     RemoteBackend,
-    StoreServer,
+    AsyncStoreServer,
 )
 from repro.util.hashing import content_digest
 
@@ -27,7 +27,7 @@ def backend(request, tmp_path):
     elif request.param == "file":
         yield FileBackend(tmp_path / "store")
     else:
-        with StoreServer(MemoryBackend()) as server:
+        with AsyncStoreServer(MemoryBackend()) as server:
             remote = RemoteBackend(*server.address)
             yield remote
             remote.close()
@@ -89,7 +89,7 @@ class TestWireEconomics:
     """The point of batching: N probes, one request."""
 
     def test_has_many_is_one_request(self):
-        with StoreServer(MemoryBackend()) as server:
+        with AsyncStoreServer(MemoryBackend()) as server:
             remote = RemoteBackend(*server.address)
             blobs = blobs_of(*(f"blob-{i}".encode() for i in range(40)))
             remote.put_many(blobs)
@@ -100,7 +100,7 @@ class TestWireEconomics:
             remote.close()
 
     def test_loop_probe_costs_n_requests(self):
-        with StoreServer(MemoryBackend()) as server:
+        with AsyncStoreServer(MemoryBackend()) as server:
             remote = RemoteBackend(*server.address)
             blobs = blobs_of(*(f"blob-{i}".encode() for i in range(10)))
             remote.put_many(blobs)
@@ -113,7 +113,7 @@ class TestWireEconomics:
     def test_stat_is_one_request(self):
         """The __len__ + total_bytes double round-trip is gone for any
         caller going through BlobStore.stat()."""
-        with StoreServer(MemoryBackend()) as server:
+        with AsyncStoreServer(MemoryBackend()) as server:
             remote = RemoteBackend(*server.address)
             store = BlobStore(remote)
             store.put("some payload")
@@ -127,24 +127,18 @@ class TestWireEconomics:
             remote.close()
 
     def test_put_many_is_one_request(self):
-        with StoreServer(MemoryBackend()) as server:
+        with AsyncStoreServer(MemoryBackend()) as server:
             remote = RemoteBackend(*server.address)
             before = server.requests_served
             remote.put_many(blobs_of(*(f"p-{i}".encode() for i in range(25))))
-            # First call pays a one-time body-less capability probe (old
-            # servers must reject put_many *before* any body is shipped).
-            assert server.requests_served - before == 2
+            assert server.requests_served - before == 1  # no probe, ever
             assert len(server.backend) == 25
-            before = server.requests_served
-            remote.put_many(blobs_of(*(f"q-{i}".encode() for i in range(25))))
-            assert server.requests_served - before == 1  # probe cached
-            assert len(server.backend) == 50
             remote.close()
 
     def test_large_batches_chunk_under_header_limit(self):
         """More digests than fit one header are split transparently."""
         from repro.store.remote import BATCH_DIGESTS
-        with StoreServer(MemoryBackend()) as server:
+        with AsyncStoreServer(MemoryBackend()) as server:
             remote = RemoteBackend(*server.address)
             n = BATCH_DIGESTS + 17
             blobs = blobs_of(*(f"chunky-{i}".encode() for i in range(n)))
@@ -189,7 +183,7 @@ class TestBatchedConsumers:
         """GC pricing against a store server works through
         blob_size_many (and through the per-blob fallback on an old
         server — exercised in test_wire_sessions)."""
-        with StoreServer(MemoryBackend()) as server:
+        with AsyncStoreServer(MemoryBackend()) as server:
             remote = RemoteBackend(*server.address)
             cache = ArtifactCache(BlobStore(remote))
             for i in range(6):
@@ -237,7 +231,7 @@ class TestBatchedConsumers:
         move blobs through the batched wire ops and still round-trip."""
         from repro.store import export_store, import_store
         archive = str(tmp_path / "warm.tar.gz")
-        with StoreServer(MemoryBackend()) as src_server:
+        with AsyncStoreServer(MemoryBackend()) as src_server:
             src = RemoteBackend(*src_server.address)
             cache = ArtifactCache(BlobStore(src))
             for i in range(10):
@@ -248,7 +242,7 @@ class TestBatchedConsumers:
             # Batched: far fewer wire requests than blobs moved.
             assert src_server.requests_served - requests_before < 10
             src.close()
-        with StoreServer(MemoryBackend()) as dst_server:
+        with AsyncStoreServer(MemoryBackend()) as dst_server:
             dst = RemoteBackend(*dst_server.address)
             requests_before = dst_server.requests_served
             result = import_store(dst, archive)
@@ -265,7 +259,7 @@ class TestCacheStatsBatched:
         still attributes payload + referenced bulk blobs, now via batched
         size/get calls."""
         import json
-        with StoreServer(MemoryBackend()) as server:
+        with AsyncStoreServer(MemoryBackend()) as server:
             remote = RemoteBackend(*server.address)
             cache = ArtifactCache(BlobStore(remote))
             bulk = cache.put_blob("bulk text " * 100)

@@ -15,7 +15,8 @@ from repro.apps import lulesh_configs, lulesh_model
 from repro.containers.store import ArtifactCache, BlobStore
 from repro.core import build_ir_container, deploy_ir_container
 from repro.discovery import get_system
-from repro.store import FileBackend, MemoryBackend, RemoteBackend, StoreServer
+from repro.store import (AsyncStoreServer, FileBackend, MemoryBackend,
+                         RemoteBackend)
 
 OPTIONS = {"WITH_MPI": "OFF", "WITH_OPENMP": "ON"}
 
@@ -40,7 +41,7 @@ def persistent_backend(request, tmp_path):
     if request.param == "file":
         yield lambda: FileBackend(tmp_path / "store")
     else:
-        with StoreServer(MemoryBackend()) as server:
+        with AsyncStoreServer(MemoryBackend()) as server:
             host, port = server.address
             yield lambda: RemoteBackend(host, port)
 

@@ -2,7 +2,7 @@
 
 This is the paper's fleet-build scenario at its most hostile: many
 builders (threads in one process, and genuinely separate processes)
-publishing into one shared ``FileBackend`` / ``StoreServer``
+publishing into one shared ``FileBackend`` / ``AsyncStoreServer``
 concurrently. Before the CAS retry-merge loop, the access-ordered index
 and the pin set were last-writer-wins and these tests lose entries;
 with it, every writer's publishes, recency bumps, and pins survive.
@@ -16,7 +16,7 @@ import threading
 import repro
 from repro.containers.store import ArtifactCache, BlobStore
 from repro.store import (FileBackend, MemoryBackend, RemoteBackend,
-                         StoreServer, TieredBackend)
+                         AsyncStoreServer, TieredBackend)
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -62,7 +62,7 @@ class TestThreadWriters:
         _assert_all_present(fresh, self.WRITERS, self.PER_WRITER)
 
     def test_store_server_threads_lose_nothing(self):
-        with StoreServer(MemoryBackend()) as server:
+        with AsyncStoreServer(MemoryBackend()) as server:
             def work(w):
                 backend = RemoteBackend(*server.address)
                 _publish(ArtifactCache(BlobStore(backend)),
@@ -167,7 +167,7 @@ class TestTieredWriters:
             lambda: FileBackend(root))
 
     def test_file_over_remote_tiers_lose_nothing(self, tmp_path):
-        with StoreServer(MemoryBackend()) as server:
+        with AsyncStoreServer(MemoryBackend()) as server:
             self._stress(
                 lambda w: TieredBackend(FileBackend(tmp_path / f"tier-{w}"),
                                         RemoteBackend(*server.address)),
@@ -177,7 +177,7 @@ class TestTieredWriters:
 class TestShardedNamespaces:
     """ISSUE 5 acceptance: writers in *different namespaces* share no
     index ref, so publishing concurrently costs zero CAS retries — on a
-    FileBackend and through a StoreServer alike. The retry counter is
+    FileBackend and through a AsyncStoreServer alike. The retry counter is
     exposed on ArtifactCache stats."""
 
     PER_WRITER = 40
@@ -220,7 +220,7 @@ class TestShardedNamespaces:
                                   namespaces)
 
     def test_cross_namespace_zero_cas_retries_server(self):
-        with StoreServer(MemoryBackend()) as server:
+        with AsyncStoreServer(MemoryBackend()) as server:
             make = lambda: RemoteBackend(*server.address)  # noqa: E731
             namespaces = ("preprocess", "lower")
             caches = self._race(make, namespaces)
@@ -276,7 +276,7 @@ class TestProcessWriters:
         assert sorted(pins) == [f"pin/w{w}" for w in range(self.WRITERS)]
 
     def test_processes_on_one_store_server(self, tmp_path):
-        with StoreServer(FileBackend(tmp_path / "served")) as server:
+        with AsyncStoreServer(FileBackend(tmp_path / "served")) as server:
             host, port = server.address
             _run_workers("remote", f"{host}:{port}",
                          self.WRITERS, self.PER_WRITER)

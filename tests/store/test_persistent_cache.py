@@ -6,11 +6,11 @@ import pytest
 
 from repro.containers.store import ArtifactCache, BlobStore
 from repro.store import (
-    INDEX_REF,
+    INDEX_REF_PREFIX,
     FileBackend,
     MemoryBackend,
     RemoteBackend,
-    StoreServer,
+    AsyncStoreServer,
     index_ref_name,
 )
 
@@ -220,7 +220,7 @@ class InterposingBackend:
     def _maybe_fire(self, name):
         # Index refs are sharded per namespace; fire on the first write
         # to any of them (the legacy monolithic name included).
-        if name.startswith(INDEX_REF) and not self._fired:
+        if name.startswith(INDEX_REF_PREFIX) and not self._fired:
             self._fired = True
             self._on_index_write()
 
@@ -244,7 +244,7 @@ def shared_backend(request, tmp_path):
         yield (FileBackend(tmp_path / "shared"),
                FileBackend(tmp_path / "shared"))
     else:
-        with StoreServer(MemoryBackend()) as server:
+        with AsyncStoreServer(MemoryBackend()) as server:
             yield (RemoteBackend(*server.address),
                    RemoteBackend(*server.address))
 

@@ -13,20 +13,16 @@ from repro.store import (
     MemoryBackend,
     RemoteBackend,
     RemoteStoreError,
-    StoreServer,
+    AsyncStoreServer,
 )
 from repro.util.hashing import content_digest
 from repro.util.retry import NO_RETRY
 
 
-@pytest.fixture(params=["pooled", "one-shot"])
-def served_memory(request):
-    """The whole matrix runs twice: through the pooled session client and
-    through the historical one-connection-per-operation client."""
-    with StoreServer(MemoryBackend()) as server:
-        host, port = server.address
-        backend = RemoteBackend(host, port,
-                                pooled=(request.param == "pooled"))
+@pytest.fixture()
+def served_memory():
+    with AsyncStoreServer(MemoryBackend()) as server:
+        backend = RemoteBackend(*server.address)
         yield backend, server.backend
         backend.close()
 
@@ -264,7 +260,7 @@ class TestSharedStore:
 
     def test_server_over_file_backend_persists(self, tmp_path):
         root = tmp_path / "shared"
-        with StoreServer(FileBackend(root)) as server:
+        with AsyncStoreServer(FileBackend(root)) as server:
             remote = RemoteBackend(*server.address)
             cache = ArtifactCache(BlobStore(remote))
             cache.put("ir", "key", "module @m\n")

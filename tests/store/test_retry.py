@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.store import MemoryBackend, RemoteBackend, StoreServer
+from repro.store import AsyncStoreServer, MemoryBackend, RemoteBackend
 from repro.store.remote import StoreUnavailable
 from repro.testing import FlakyProxy
 from repro.util.hashing import content_digest
@@ -160,7 +160,7 @@ class TestConnectRetry:
 
         def start_later():
             time.sleep(0.4)
-            server = StoreServer(MemoryBackend(), host=host, port=port)
+            server = AsyncStoreServer(MemoryBackend(), host=host, port=port)
             server.start()
             server_box["server"] = server
 
@@ -200,7 +200,7 @@ class TestServerBounce:
         reuse and replaced; the op completes against the restarted
         server without the caller seeing an error."""
         store = MemoryBackend()  # survives the bounce, like a FileBackend
-        first = StoreServer(store)
+        first = AsyncStoreServer(store)
         host, port = first.start()
         proxy = FlakyProxy(host, port)
         phost, pport = proxy.start()
@@ -216,7 +216,7 @@ class TestServerBounce:
             # (in-process handler threads would linger, so sever by hand).
             for session in list(backend._pool._idle):
                 session.sock.shutdown(socket.SHUT_RDWR)
-            second = StoreServer(store)
+            second = AsyncStoreServer(store)
             proxy.upstream = second.start()
             try:
                 assert backend.get(digest) == b"before the bounce"
@@ -233,7 +233,7 @@ class TestServerBounce:
         resend; the stored blob is byte-identical and the retry is
         counted."""
         store = MemoryBackend()
-        server = StoreServer(store)
+        server = AsyncStoreServer(store)
         host, port = server.start()
         proxy = FlakyProxy(host, port)
         phost, pport = proxy.start()
@@ -252,11 +252,8 @@ class TestServerBounce:
         try:
             blob = bytes(range(256)) * 1024  # 256 KiB: several wire chunks
             digest = content_digest(blob)
-            # Let the capabilities probe through untouched, then drain
-            # its warm socket (a proxy connection's byte budget is fixed
-            # at accept) so the put opens a fresh, armed connection.
-            backend._server_streams()
-            backend.close()
+            # A proxy connection's byte budget is fixed at accept: the
+            # put's fresh connection is the armed one.
             proxy.drop_after_bytes = 40_000
             backend.put(digest, blob)
             assert store.get(digest) == blob
@@ -271,7 +268,7 @@ class TestServerBounce:
         """A chunked get whose response dies mid-body never surfaces
         truncated bytes: the client retries and returns the whole blob."""
         store = MemoryBackend()
-        server = StoreServer(store)
+        server = AsyncStoreServer(store)
         host, port = server.start()
         blob = bytes(range(256)) * 1024
         digest = content_digest(blob)
@@ -290,8 +287,6 @@ class TestServerBounce:
                                                   deadline=10.0,
                                                   sleep=healing_sleep))
         try:
-            backend._server_streams()
-            backend.close()  # as above: arm a fresh connection
             proxy.drop_after_bytes = 40_000
             assert backend.get(digest) == blob
             assert proxy.dropped >= 1
@@ -307,7 +302,7 @@ class TestCasReadVerify:
 
     @pytest.fixture
     def served(self):
-        with StoreServer(MemoryBackend()) as server:
+        with AsyncStoreServer(MemoryBackend()) as server:
             host, port = server.address
             backend = RemoteBackend(host, port)
             yield backend, server.backend

@@ -1,10 +1,10 @@
-"""Per-namespace index shards: layout, migration, and contention.
+"""Per-namespace index shards: layout and contention.
 
 The ArtifactCache persists its index as one ref per namespace
 (``artifact-index/<ns>``): writers in different namespaces CAS different
-refs (zero retries), payloads are O(namespace), and a legacy monolithic
-``artifact-index`` blob is read transparently and migrated at the first
-save.
+refs (zero retries) and payloads are O(namespace). The bare
+``artifact-index`` ref of the pre-sharding layout is outside input: a
+cache ignores it, an import rejects it.
 """
 
 import json
@@ -13,13 +13,17 @@ import pytest
 
 from repro.containers.store import ArtifactCache, BlobStore
 from repro.store import (
-    INDEX_REF,
+    INDEX_REF_PREFIX,
+    AsyncStoreServer,
+    BackendError,
     FileBackend,
-    MemoryBackend,
     RemoteBackend,
-    StoreServer,
     index_ref_name,
+    index_ref_names,
 )
+
+#: The one-blob index ref a pre-sharding writer kept.
+PRE_SHARDING_REF = "artifact-index"
 
 
 def file_cache(tmp_path, name="store", **kwargs):
@@ -34,7 +38,7 @@ class TestShardLayout:
         refs = set(cache.store.backend.refs())
         assert index_ref_name("preprocess") in refs
         assert index_ref_name("lower") in refs
-        assert INDEX_REF not in refs  # no monolithic blob is ever written
+        assert PRE_SHARDING_REF not in refs  # no monolithic blob, ever
 
     def test_shard_payload_holds_only_its_namespace(self, tmp_path):
         cache = file_cache(tmp_path)
@@ -79,56 +83,46 @@ class TestShardLayout:
             seq[cold.cache_key("lower", "new")]
 
 
-class TestLegacyMigration:
-    def seed_legacy(self, tmp_path):
-        """A store exactly as an old (monolithic-index) writer left it."""
-        legacy = file_cache(tmp_path, sharded_index=False)
-        legacy.put("preprocess", "p", "old-p")
-        legacy.put("lower", "l", "old-l")
-        backend = FileBackend(tmp_path / "store")
-        assert backend.get_ref(INDEX_REF) is not None
-        assert not any(name.startswith(INDEX_REF + "/")
-                       for name in backend.refs())
-        return backend
+def seed_pre_sharding_store(tmp_path, name="store"):
+    """A store as a pre-sharding writer left it: blobs on disk, and every
+    index entry in one bare ``artifact-index`` ref."""
+    writer = file_cache(tmp_path, name=name)
+    writer.put("preprocess", "p", "old-p")
+    writer.put("lower", "l", "old-l")
+    backend = FileBackend(tmp_path / name)
+    rows = []
+    for ref in index_ref_names(backend):
+        rows += json.loads(backend.get_ref(ref).decode())["entries"]
+        backend.delete_ref(ref)
+    backend.set_ref(PRE_SHARDING_REF, json.dumps(
+        {"version": 1, "seq": len(rows), "entries": sorted(rows)}).encode())
+    return backend
 
-    def test_legacy_index_is_read_transparently(self, tmp_path):
-        self.seed_legacy(tmp_path)
-        cache = file_cache(tmp_path)
-        assert cache.get("preprocess", "p").payload == "old-p"
-        assert cache.get("lower", "l").payload == "old-l"
 
-    def test_first_save_migrates_and_retires_legacy_ref(self, tmp_path):
-        backend = self.seed_legacy(tmp_path)
+class TestPreShardingLayoutIsOutsideInput:
+    def test_cache_ignores_a_bare_index_ref(self, tmp_path):
+        """The old layout is not migrated: its entries are cache misses
+        (always correct), the ref is left alone, and GC treats the blobs
+        it named as the orphans they now are."""
+        backend = seed_pre_sharding_store(tmp_path)
+        before = backend.get_ref(PRE_SHARDING_REF)
         cache = file_cache(tmp_path)
-        cache.put("lower", "fresh", "new-l")  # first save -> migration
-        assert backend.get_ref(INDEX_REF) is None
-        refs = set(backend.refs())
-        assert index_ref_name("preprocess") in refs
-        assert index_ref_name("lower") in refs
-        # Everything — migrated and fresh — visible to a cold reader.
-        cold = file_cache(tmp_path)
-        assert cold.get("preprocess", "p").payload == "old-p"
-        assert cold.get("lower", "l").payload == "old-l"
-        assert cold.get("lower", "fresh").payload == "new-l"
+        assert cache.entries() == {}
+        assert cache.get("preprocess", "p") is None
+        cache.put("lower", "fresh", "new-l")
+        assert backend.get_ref(PRE_SHARDING_REF) == before
+        assert file_cache(tmp_path).get("lower", "fresh").payload == "new-l"
+        assert cache.gc(10_000_000).deleted_blobs == 2
 
-    def test_eviction_survives_migration(self, tmp_path):
-        """An entry evicted post-migration stays dead even though the
-        legacy blob (now deleted) once listed it."""
-        self.seed_legacy(tmp_path)
-        cache = file_cache(tmp_path)
-        cache.evict(cache.cache_key("preprocess", "p"))
-        cold = file_cache(tmp_path)
-        assert cold.get("preprocess", "p") is None
-        assert cold.get("lower", "l") is not None
-
-    def test_gc_on_unmigrated_store(self, tmp_path):
-        """GC through a sharded cache handles a store whose index still
-        lives in the legacy blob: nothing live is swept as an orphan."""
-        self.seed_legacy(tmp_path)
-        cache = file_cache(tmp_path)
-        report = cache.gc(10_000_000)
-        assert report.deleted_blobs == 0
-        assert cache.get("preprocess", "p") is not None
+    def test_import_rejects_a_pre_sharding_archive(self, tmp_path):
+        from repro.store import export_store, import_store
+        seed_pre_sharding_store(tmp_path, name="old")
+        archive = str(tmp_path / "old.tar.gz")
+        export_store(FileBackend(tmp_path / "old"), archive)
+        dst = FileBackend(tmp_path / "dst")
+        with pytest.raises(BackendError, match="pre-sharding index layout"):
+            import_store(dst, archive)
+        assert dst.refs() == []  # rejected before any ref was written
 
 
 class TestShardContention:
@@ -154,7 +148,7 @@ class TestShardContention:
                 return len(self._inner)
 
             def compare_and_set_ref(self, name, expected, data):
-                if name.startswith(INDEX_REF) and not fired:
+                if name.startswith(INDEX_REF_PREFIX) and not fired:
                     fired.append(True)
                     writer_b.put("preprocess", "from-b", "payload-b")
                 return self._inner.compare_and_set_ref(name, expected, data)
@@ -189,7 +183,7 @@ class TestShardContention:
                 return len(self._inner)
 
             def compare_and_set_ref(self, name, expected, data):
-                if name.startswith(INDEX_REF) and not fired:
+                if name.startswith(INDEX_REF_PREFIX) and not fired:
                     fired.append(True)
                     writer_b.put("lower", "from-b", "payload-b")
                 return self._inner.compare_and_set_ref(name, expected, data)
@@ -201,43 +195,6 @@ class TestShardContention:
         assert fresh.get("lower", "from-a").payload == "payload-a"
         assert fresh.get("lower", "from-b").payload == "payload-b"
 
-    def test_monolithic_mode_conflicts_across_namespaces(self, tmp_path):
-        """The baseline the shards remove: in monolithic mode the same
-        cross-namespace interleave costs a CAS retry."""
-        root = tmp_path / "shared"
-        FileBackend(root)
-        writer_b = ArtifactCache(BlobStore(FileBackend(root)),
-                                 sharded_index=False)
-
-        fired = []
-
-        class Interposer:
-            persistent = True
-
-            def __init__(self, inner):
-                self._inner = inner
-
-            def __getattr__(self, name):
-                return getattr(self._inner, name)
-
-            def __len__(self):
-                return len(self._inner)
-
-            def compare_and_set_ref(self, name, expected, data):
-                if name == INDEX_REF and not fired:
-                    fired.append(True)
-                    writer_b.put("preprocess", "from-b", "payload-b")
-                return self._inner.compare_and_set_ref(name, expected, data)
-
-        writer_a = ArtifactCache(BlobStore(Interposer(FileBackend(root))),
-                                 sharded_index=False)
-        writer_a.put("lower", "from-a", "payload-a")
-        assert writer_a.cas_retries >= 1
-        fresh = ArtifactCache(BlobStore(FileBackend(root)),
-                              sharded_index=False)
-        assert fresh.get("lower", "from-a").payload == "payload-a"
-        assert fresh.get("preprocess", "from-b").payload == "payload-b"
-
 
 @pytest.fixture(params=["file", "remote"])
 def shared_root(request, tmp_path):
@@ -246,7 +203,7 @@ def shared_root(request, tmp_path):
         FileBackend(root)
         yield lambda: FileBackend(root)
     else:
-        with StoreServer(FileBackend(tmp_path / "served")) as server:
+        with AsyncStoreServer(FileBackend(tmp_path / "served")) as server:
             host, port = server.address
             yield lambda: RemoteBackend(host, port)
 
@@ -259,7 +216,6 @@ class TestShardsAcrossBackends:
         b.put("lower", "l", "vb")
         stats = ArtifactCache(BlobStore(shared_root())).stats()
         assert stats["entries_by_namespace"] == {"lower": 1, "preprocess": 1}
-        assert stats["sharded_index"] is True
         assert stats["index_cas_retries"] == 0
 
     def test_eviction_propagates_per_shard(self, shared_root):
@@ -276,28 +232,6 @@ class TestShardsAcrossBackends:
 
 
 class TestImportWithShards:
-    def test_legacy_archive_imports_into_sharded_store(self, tmp_path):
-        """An archive exported by an old (monolithic-index) version merges
-        into the shards — imported entries survive a sharded reader that
-        treats each shard as authoritative."""
-        from repro.store import export_store, import_store
-        old = file_cache(tmp_path, name="old", sharded_index=False)
-        old.put("preprocess", "archived", "from-the-archive")
-        archive = str(tmp_path / "old.tar.gz")
-        export_store(FileBackend(tmp_path / "old"), archive)
-
-        dst_root = tmp_path / "dst"
-        local = ArtifactCache(BlobStore(FileBackend(dst_root)))
-        local.put("preprocess", "mine", "local payload")
-        import_store(FileBackend(dst_root), archive)
-
-        merged = ArtifactCache(BlobStore(FileBackend(dst_root)))
-        assert merged.get("preprocess", "mine").payload == "local payload"
-        assert merged.get("preprocess", "archived").payload == \
-            "from-the-archive"
-        # The import landed in the shard, not the legacy ref.
-        assert FileBackend(dst_root).get_ref(INDEX_REF) is None
-
     def test_sharded_archive_round_trip(self, tmp_path):
         from repro.store import export_store, import_store
         src = file_cache(tmp_path, name="src")

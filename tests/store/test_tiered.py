@@ -14,7 +14,7 @@ import pytest
 
 from repro.containers.store import ArtifactCache, BlobStore
 from repro.store import (BlobNotFound, FileBackend, MemoryBackend,
-                         RemoteBackend, StoreServer, TieredBackend)
+                         RemoteBackend, AsyncStoreServer, TieredBackend)
 from repro.util.hashing import content_digest
 
 
@@ -254,7 +254,7 @@ class TestTieredCache:
         """The full deployment composition: ArtifactCache -> BlobStore ->
         TieredBackend(FileBackend, RemoteBackend). A second flat reader
         sees everything the tiered writer published."""
-        with StoreServer(MemoryBackend()) as server:
+        with AsyncStoreServer(MemoryBackend()) as server:
             tier = TieredBackend(FileBackend(tmp_path / "tier"),
                                  RemoteBackend(*server.address))
             cache = ArtifactCache(BlobStore(tier))
@@ -279,7 +279,7 @@ class TestPoolDrainRace:
     (one-shot sessions) afterwards."""
 
     def test_remote_close_is_idempotent_and_nonfatal(self):
-        with StoreServer(MemoryBackend()) as server:
+        with AsyncStoreServer(MemoryBackend()) as server:
             backend = RemoteBackend(*server.address)
             digest = content_digest(b"x")
             backend.put(digest, b"x")
@@ -290,7 +290,7 @@ class TestPoolDrainRace:
             backend.close()
 
     def test_checkin_after_close_does_not_regrow_pool(self):
-        with StoreServer(MemoryBackend()) as server:
+        with AsyncStoreServer(MemoryBackend()) as server:
             backend = RemoteBackend(*server.address)
             pool = backend._pool
             assert pool is not None
@@ -304,7 +304,7 @@ class TestPoolDrainRace:
             assert pool.stats()["idle"] == 0
 
     def test_concurrent_close_and_requests(self):
-        with StoreServer(MemoryBackend()) as server:
+        with AsyncStoreServer(MemoryBackend()) as server:
             backend = RemoteBackend(*server.address)
             digest = content_digest(b"z")
             backend.put(digest, b"z")
@@ -335,7 +335,7 @@ class TestPoolDrainRace:
         """The exact production race: the tier's close (final flush +
         upstream close) and another component closing the same
         RemoteBackend concurrently."""
-        with StoreServer(MemoryBackend()) as server:
+        with AsyncStoreServer(MemoryBackend()) as server:
             upstream = RemoteBackend(*server.address)
             tier = TieredBackend(FileBackend(tmp_path / "tier"), upstream,
                                  flush_interval=0.01)

@@ -30,7 +30,7 @@ class TestExportImport:
     def test_import_races_concurrent_publisher(self, tmp_path):
         """An import landing while a builder publishes must keep both the
         archive's entries and the builder's — the merge goes through CAS."""
-        from repro.store import INDEX_REF
+        from repro.store import INDEX_REF_PREFIX
         src = FileBackend(tmp_path / "src")
         warm_cache(src)
         archive = str(tmp_path / "store.tar.gz")
@@ -56,13 +56,13 @@ class TestExportImport:
                 return len(self._inner)
 
             def compare_and_set_ref(self, name, expected, data):
-                if name.startswith(INDEX_REF) and not self._fired:
+                if name.startswith(INDEX_REF_PREFIX) and not self._fired:
                     self._fired = True
                     builder.put("ir", "live-work", "fresh payload")
                 return self._inner.compare_and_set_ref(name, expected, data)
 
             def set_ref(self, name, data):
-                if name.startswith(INDEX_REF) and not self._fired:
+                if name.startswith(INDEX_REF_PREFIX) and not self._fired:
                     self._fired = True
                     builder.put("ir", "live-work", "fresh payload")
                 self._inner.set_ref(name, data)

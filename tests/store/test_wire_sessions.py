@@ -1,34 +1,22 @@
-"""Wire sessions: pipelined exchanges, pool reconnects, old/new interop.
+"""Wire sessions: pipelined exchanges and pool reconnects.
 
-The store server answers whole sessions of requests per connection;
-one-shot clients are sessions of length one. These tests cover the
-failure paths the ISSUE calls out: a client dying mid-stream must leave
-the server healthy, a pooled socket killed under the client must
-reconnect transparently, and both old-client x new-server and
-new-client x old-server must pass the store operation matrix.
+The store server answers whole sessions of requests per connection.
+These tests cover the failure paths: a client dying mid-stream must
+leave the server healthy, and a pooled socket killed under the client
+must reconnect transparently.
 """
 
 import json
-import os
 import socket
-import socketserver
 import threading
 
 import pytest
 
 from repro.store import (
-    BlobNotFound,
+    AsyncStoreServer,
     MemoryBackend,
     RemoteBackend,
-    RemoteStoreError,
-    StoreServer,
     WireSession,
-)
-from repro.store.wire import (
-    read_exact,
-    read_message,
-    round_trip,
-    write_message,
 )
 from repro.util.hashing import content_digest
 from repro.util.retry import NO_RETRY
@@ -36,7 +24,7 @@ from repro.util.retry import NO_RETRY
 
 @pytest.fixture()
 def server():
-    with StoreServer(MemoryBackend()) as srv:
+    with AsyncStoreServer(MemoryBackend()) as srv:
         yield srv
 
 
@@ -185,8 +173,7 @@ class TestSessionPoolReconnect:
         # The two kept sessions still work.
         backend.put(content_digest(b"after burst"), b"after burst")
         assert backend.get(content_digest(b"after burst")) == b"after burst"
-        # put + the get's one-time capabilities probe + the get itself.
-        assert backend.pool_stats()["requests_sent"] == 3
+        assert backend.pool_stats()["requests_sent"] == 2  # put + get
         backend.close()
 
     def test_pool_reaps_aged_idle_sessions(self, server):
@@ -214,8 +201,19 @@ class TestSessionPoolReconnect:
         backend.put(content_digest(b"x"), b"x")
         assert backend.pool_stats()["idle"] == 1
         backend.close()
-        one_shot = RemoteBackend(host, port, pooled=False)
-        assert one_shot.pool_stats() is None
+
+    def test_closed_backend_stays_usable_without_parking_sockets(self,
+                                                                 server):
+        """After close() each operation connects, and its session closes
+        on check-in — a drained pool never re-grows."""
+        host, port = server.address
+        backend = RemoteBackend(host, port)
+        backend.put(content_digest(b"x"), b"x")
+        backend.close()
+        assert backend.get(content_digest(b"x")) == b"x"
+        assert backend.has(content_digest(b"x"))
+        assert backend.pool_stats()["idle"] == 0
+        assert backend.connections_opened == 3
 
     def test_concurrent_pooled_clients(self, server):
         """N threads hammer one pooled backend; every op lands and the
@@ -241,186 +239,3 @@ class TestSessionPoolReconnect:
         assert len(backend) == 100
         assert server.connections_served <= 8  # ~thread count, not 100
         backend.close()
-
-
-# -- interop with pre-session peers --------------------------------------------
-
-
-class _LegacyHandler(socketserver.StreamRequestHandler):
-    """The pre-session server verbatim: ONE request per connection, then
-    close — what an old deployment still runs."""
-
-    def handle(self):
-        backend = self.server.legacy_backend
-        try:
-            req = read_message(self.rfile)
-            cmd = req.get("cmd")
-            if cmd == "put":
-                body = read_exact(self.rfile, int(req["size"]))
-                backend.put(req["digest"], body)
-                write_message(self.wfile, {"ok": True})
-            elif cmd == "get":
-                data = backend.get(req["digest"])
-                write_message(self.wfile, {"ok": True, "size": len(data)}, data)
-            elif cmd == "has":
-                write_message(self.wfile,
-                              {"ok": True, "has": backend.has(req["digest"])})
-            elif cmd == "stat":
-                write_message(self.wfile, {"ok": True, "count": len(backend),
-                                           "total_bytes": backend.total_bytes})
-            elif cmd == "get_ref":
-                data = backend.get_ref(req["name"])
-                if data is None:
-                    write_message(self.wfile, {"ok": True, "size": -1})
-                else:
-                    write_message(self.wfile,
-                                  {"ok": True, "size": len(data)}, data)
-            elif cmd == "cas_ref":
-                expected_size = int(req.get("expected_size", -1))
-                expected = (read_exact(self.rfile, expected_size)
-                            if expected_size >= 0 else None)
-                data = read_exact(self.rfile, int(req["size"]))
-                swapped = backend.compare_and_set_ref(req["name"], expected,
-                                                      data)
-                write_message(self.wfile, {"ok": True, "swapped": swapped})
-            else:
-                write_message(self.wfile, {"ok": False,
-                                           "error": f"unknown command {cmd!r}"})
-        except BlobNotFound as exc:
-            write_message(self.wfile, {"ok": False, "not_found": True,
-                                       "error": str(exc)})
-        except Exception as exc:
-            try:
-                write_message(self.wfile, {"ok": False, "error": str(exc)})
-            except OSError:
-                pass
-
-
-@pytest.fixture()
-def legacy_server():
-    backend = MemoryBackend()
-    srv = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _LegacyHandler)
-    srv.daemon_threads = True
-    srv.legacy_backend = backend
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    host, port = srv.server_address[:2]
-    yield str(host), int(port), backend
-    srv.shutdown()
-    srv.server_close()
-
-
-class TestInterop:
-    def test_one_shot_client_against_session_server(self, server):
-        """An old client (one connection per request, half-close after
-        send) runs the op matrix against the new looping server."""
-        host, port = server.address
-        digest = content_digest(b"old client bytes")
-        resp, _ = round_trip(host, port, {"cmd": "put", "digest": digest,
-                                          "size": 16}, b"old client bytes")
-        assert resp["ok"]
-        resp, payload = round_trip(host, port, {"cmd": "get",
-                                                "digest": digest})
-        assert payload == b"old client bytes"
-        resp, _ = round_trip(host, port, {"cmd": "stat"})
-        assert resp["count"] == 1
-        assert server.connections_served == 3  # still one per request
-
-    def test_one_shot_backend_against_session_server(self, server):
-        host, port = server.address
-        backend = RemoteBackend(host, port, pooled=False)
-        digest = content_digest(b"payload")
-        backend.put(digest, b"payload")
-        assert backend.has(digest)
-        assert backend.get(digest) == b"payload"
-        assert backend.compare_and_set_ref("r", None, b"v")
-        assert backend.get_ref("r") == b"v"
-        with pytest.raises(BlobNotFound):
-            backend.get("sha256:" + "1" * 64)
-
-    def test_pooled_client_against_legacy_server(self, legacy_server):
-        """A pooled client against a one-request-per-connection server:
-        every response is followed by a server-side close, which the pool
-        must re-detect per operation — slower, never wrong."""
-        host, port, local = legacy_server
-        backend = RemoteBackend(host, port)
-        try:
-            digest = content_digest(b"new client, old server")
-            backend.put(digest, b"new client, old server")
-            assert local.has(digest)
-            assert backend.has(digest)
-            assert backend.get(digest) == b"new client, old server"
-            count, total = backend.stat()
-            assert (count, total) == (1, len(b"new client, old server"))
-            assert backend.compare_and_set_ref("idx", None, b"v1")
-            assert backend.get_ref("idx") == b"v1"
-            assert not backend.compare_and_set_ref("idx", b"bad", b"v2")
-        finally:
-            backend.close()
-
-    def test_batched_ops_fall_back_against_legacy_server(self, legacy_server):
-        """`unknown command` from an old server downgrades has_many/
-        get_many/put_many/blob_size_many to per-item loops, once."""
-        host, port, local = legacy_server
-        backend = RemoteBackend(host, port)
-        try:
-            blobs = {content_digest(p): p for p in (b"aa", b"bb", b"cc")}
-            backend.put_many(blobs)
-            assert all(local.has(d) for d in blobs)
-            missing = "sha256:" + "2" * 64
-            has = backend.has_many(list(blobs) + [missing])
-            assert has == {**{d: True for d in blobs}, missing: False}
-            got = backend.get_many(list(blobs) + [missing])
-            assert got == blobs
-            # The unsupported commands were learned and cached.
-            assert {"put_many", "has_many", "get_many"} <= \
-                backend._unsupported
-        finally:
-            backend.close()
-
-    def test_streaming_client_against_thread_server(self, server):
-        """Chunked bodies are a protocol feature, not an async-server
-        feature: the thread server speaks them too."""
-        host, port = server.address
-        backend = RemoteBackend(host, port, stream_threshold=1)
-        try:
-            blob = bytes(range(256)) * 2048  # 512 KiB, several chunks
-            digest = content_digest(blob)
-            backend.put(digest, blob)
-            assert "streams" in backend._supported  # probed once, cached
-            assert backend.get(digest) == blob
-        finally:
-            backend.close()
-
-    def test_streaming_falls_back_against_legacy_server(self, legacy_server):
-        """A legacy server rejects the capabilities probe with `unknown
-        command`; blobs above the threshold silently downgrade to
-        whole-body frames — no chunk bytes ever hit the old parser."""
-        host, port, local = legacy_server
-        backend = RemoteBackend(host, port, stream_threshold=1)
-        try:
-            blob = os.urandom(300 * 1024)
-            digest = content_digest(blob)
-            backend.put(digest, blob)
-            assert "streams" in backend._unsupported
-            assert local.get(digest) == blob
-            assert backend.get(digest) == blob
-        finally:
-            backend.close()
-
-    def test_put_many_large_bodies_against_legacy_server(self, legacy_server):
-        """The downgrade must hold for bodies bigger than the socket
-        buffers: an old server answers `unknown command` *without
-        draining the body*, so shipping a large batch up front would die
-        on a connection reset mid-send — the capability probe (an empty,
-        body-less put_many) settles support before any body moves."""
-        host, port, local = legacy_server
-        backend = RemoteBackend(host, port)
-        try:
-            big = {content_digest(bytes([i]) * (1 << 20)): bytes([i]) * (1 << 20)
-                   for i in range(3)}  # 3 MiB total, >> any socket buffer
-            backend.put_many(big)
-            assert all(local.has(d) for d in big)
-            assert "put_many" in backend._unsupported
-        finally:
-            backend.close()

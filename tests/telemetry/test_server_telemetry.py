@@ -1,25 +1,19 @@
-"""Server-side telemetry surfaces: the unified ``stats()`` schema both
-flavors share, the ``telemetry`` wire op (metrics snapshot + span drain),
-and the client/server request-count cross-check."""
+"""Server-side telemetry surfaces: the documented ``stats()`` schema,
+the ``telemetry`` wire op (metrics snapshot + span drain), and the
+client/server request-count cross-check."""
 
 import pytest
 
-from repro.store import (
-    AsyncStoreServer,
-    MemoryBackend,
-    RemoteBackend,
-    StoreServer,
-)
-from repro.store.remote import SERVER_STATS_FIELDS
+from repro.store import AsyncStoreServer, MemoryBackend, RemoteBackend
+from repro.store.wire_server import SERVER_STATS_FIELDS
 from repro.telemetry import trace as _trace
 from repro.telemetry.trace import TraceRecorder
 from repro.util.hashing import content_digest
 
 
-@pytest.fixture(params=["thread", "async"])
-def served(request):
-    flavor = StoreServer if request.param == "thread" else AsyncStoreServer
-    with flavor(MemoryBackend()) as server:
+@pytest.fixture()
+def served():
+    with AsyncStoreServer(MemoryBackend()) as server:
         host, port = server.address
         backend = RemoteBackend(host, port)
         yield backend, server
@@ -27,7 +21,7 @@ def served(request):
 
 
 class TestStatsSchema:
-    def test_both_flavors_emit_exactly_the_documented_fields(self, served):
+    def test_stats_are_exactly_the_documented_fields(self, served):
         backend, server = served
         digest = content_digest(b"schema probe")
         backend.put(digest, b"schema probe")
@@ -39,12 +33,12 @@ class TestStatsSchema:
 
 
 class TestTelemetryWireOp:
-    def test_reports_flavor_stats_and_metrics(self, served):
+    def test_reports_stats_and_metrics(self, served):
         backend, server = served
         digest = content_digest(b"telemetry probe")
         backend.put(digest, b"telemetry probe")
         info = backend.telemetry()
-        assert info["flavor"] == server.flavor
+        assert sorted(info) == ["history", "metrics", "spans", "stats"]
         assert tuple(sorted(info["stats"])) == \
             tuple(sorted(SERVER_STATS_FIELDS))
         counters = info["metrics"]["counters"]
@@ -59,7 +53,7 @@ class TestTelemetryWireOp:
                 digest = content_digest(b"traced blob")
                 backend.put(digest, b"traced blob")
         # The server recorded one span per traced request, parented to
-        # the client's request span (plus a capabilities probe).
+        # the client's request span.
         peek = backend.telemetry()["spans"]
         assert peek and all(sp["trace_id"] == parent["trace_id"]
                             for sp in peek)
@@ -97,7 +91,7 @@ class TestRequestCountCrossCheck:
         """One pooled client alone on a server: every request it counted
         must be a request the server counted — the end-to-end consistency
         `cache stats --store-server` relies on."""
-        with StoreServer(MemoryBackend()) as server:
+        with AsyncStoreServer(MemoryBackend()) as server:
             host, port = server.address
             backend = RemoteBackend(host, port)
             try:
@@ -116,36 +110,35 @@ class TestRequestCountCrossCheck:
 
 
 class TestHistoryWireField:
-    def test_both_flavors_ship_bounded_history_in_the_body(self):
+    def test_bounded_history_ships_in_the_body(self):
         """The `telemetry` op's JSON body carries the server's metrics
         history — sampled by a background thread, bounded per series —
         which is what `telemetry history` and `cluster top --watch`
         render."""
         import time
 
-        for flavor in (StoreServer, AsyncStoreServer):
-            with flavor(MemoryBackend(), history_interval=0.05) as server:
-                host, port = server.address
-                backend = RemoteBackend(host, port)
-                try:
-                    digest = content_digest(b"history probe")
-                    backend.put(digest, b"history probe")
-                    deadline = time.time() + 10
-                    history = backend.telemetry().get("history", {})
-                    while time.time() < deadline and not any(
-                            len(s) >= 2
-                            for s in history.get("series", {}).values()):
-                        time.sleep(0.05)
-                        history = backend.telemetry().get("history", {})
-                    assert history.get("format") == "repro-history-v1", flavor
-                    series = history["series"]
-                    # Request traffic and process resources both trend.
-                    assert series.get("store.server.requests"), flavor
-                    assert series.get("process.rss_bytes"), flavor
-                    assert all(len(s) <= history["max_samples"]
-                               for s in series.values())
-                finally:
-                    backend.close()
+        with AsyncStoreServer(MemoryBackend(),
+                              history_interval=0.05) as server:
+            backend = RemoteBackend(*server.address)
+            try:
+                digest = content_digest(b"history probe")
+                backend.put(digest, b"history probe")
+                deadline = time.time() + 10
+                history = backend.telemetry()["history"]
+                while time.time() < deadline and not any(
+                        len(s) >= 2
+                        for s in history.get("series", {}).values()):
+                    time.sleep(0.05)
+                    history = backend.telemetry()["history"]
+                assert history.get("format") == "repro-history-v1"
+                series = history["series"]
+                # Request traffic and process resources both trend.
+                assert series.get("store.server.requests")
+                assert series.get("process.rss_bytes")
+                assert all(len(s) <= history["max_samples"]
+                           for s in series.values())
+            finally:
+                backend.close()
 
     def test_process_gauges_ride_every_snapshot(self, served):
         backend, _ = served

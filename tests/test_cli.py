@@ -399,10 +399,10 @@ class TestTelemetryCli:
             self, capsys, tmp_path):
         """The remote-store bugfix: `cache stats --store-server --json`
         must include the server's live counters, not just index totals."""
-        from repro.store import FileBackend, StoreServer
+        from repro.store import AsyncStoreServer, FileBackend
         store_dir = str(tmp_path / "store")
         run_cli(capsys, "ir-build", "--app", "lulesh", "--store", store_dir)
-        with StoreServer(FileBackend(store_dir)) as server:
+        with AsyncStoreServer(FileBackend(store_dir)) as server:
             host, port = server.address
             code, out = run_cli(capsys, "cache", "stats",
                                 "--store-server", f"{host}:{port}", "--json")
@@ -410,7 +410,6 @@ class TestTelemetryCli:
         blob = json.loads(out)
         assert blob["entries"] > 0          # the usual index report
         server_blob = blob["server"]        # plus the live server side
-        assert server_blob["flavor"] == "thread"
         assert server_blob["stats"]["requests_served"] > 0
         counters = server_blob["metrics"]["counters"]
         assert counters["store.server.requests"] == \
