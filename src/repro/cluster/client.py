@@ -39,7 +39,7 @@ from repro.cluster.jobs import (
     preprocess_job,
 )
 from repro.cluster.worker import ClusterWorker
-from repro.containers.store import ArtifactCache, BlobStore
+from repro.containers.store import BULK_FLUSH_EVERY, ArtifactCache, BlobStore
 from repro.store.wire import SessionPool, WireError, fold_json_body, json_body
 from repro.telemetry import events as _events
 from repro.telemetry import trace as _trace
@@ -603,7 +603,6 @@ class LocalCluster:
                  cache: ArtifactCache | None = None,
                  store_dir: str = "",
                  lease_seconds: float = 60.0,
-                 job_max_workers: int | None = 1,
                  elastic: bool = False,
                  min_workers: int = 1,
                  max_workers: int | None = None,
@@ -647,9 +646,8 @@ class LocalCluster:
         self.scale_events: list[dict] = []
         self.store = store
         self.cache = cache if cache is not None else ArtifactCache(
-            store, flush_every=ClusterWorker.FLUSH_EVERY)
+            store, flush_every=BULK_FLUSH_EVERY)
         self.store_dir = store_dir
-        self.job_max_workers = job_max_workers
         # A fixed fleet size lets the scheduler treat "excluded by every
         # worker" as terminal; an elastic fleet keeps that open — workers
         # may yet join.
@@ -674,8 +672,7 @@ class LocalCluster:
             self._next_worker += 1
             worker = ClusterWorker(
                 CoordinatorClient(host, port), self.store,
-                cache=self.cache, worker_id=f"local-{index}",
-                max_workers=self.job_max_workers)
+                cache=self.cache, worker_id=f"local-{index}")
             worker_stop = threading.Event()
             self._worker_stops[worker.worker_id] = worker_stop
             self.workers.append(worker)

@@ -82,19 +82,13 @@ class ClusterWorker:
     CAS index instead.
     """
 
-    #: Index saves are batched this hard in worker-owned caches
-    #: (:data:`repro.containers.store.BULK_FLUSH_EVERY`): a
-    #: thousand-publish preprocess job costs O(n) index bytes instead of
-    #: O(n^2). Safe because :meth:`run_one` flushes before announcing
-    #: completion — no artifact key is published before its artifacts —
-    #: and the lease-renewal heartbeat flushes mid-job, bounding how long
-    #: a concurrent GC could see the job's blobs as unindexed orphans.
-    FLUSH_EVERY = BULK_FLUSH_EVERY
+    #: Thread-pool width for per-TU loops *inside* a job: cluster
+    #: parallelism comes from many workers, not nested pools.
+    JOB_MAX_WORKERS = 1
 
     def __init__(self, client, store: BlobStore,
                  cache: ArtifactCache | None = None,
                  worker_id: str = "",
-                 max_workers: int | None = 1,
                  registry: MetricsRegistry | None = None,
                  local_tier_dir: str = "",
                  tier_flush_interval: float | None = None,
@@ -137,11 +131,15 @@ class ClusterWorker:
                 registry=self.registry, tier_id=self.worker_tier_id)
             store = BlobStore(self.tier)
         self.store = store
+        # Worker-owned caches batch index saves at BULK_FLUSH_EVERY: a
+        # thousand-publish preprocess job costs O(n) index bytes instead
+        # of O(n^2). Safe because run_one flushes before announcing
+        # completion — no artifact key is published before its artifacts
+        # — and the lease-renewal heartbeat flushes mid-job, bounding how
+        # long a concurrent GC could see the job's blobs as unindexed
+        # orphans.
         self.cache = cache if cache is not None \
-            else ArtifactCache(store, flush_every=self.FLUSH_EVERY)
-        #: Thread-pool width for per-TU loops *inside* a job. Defaults to 1:
-        #: cluster parallelism comes from many workers, not nested pools.
-        self.max_workers = max_workers
+            else ArtifactCache(store, flush_every=BULK_FLUSH_EVERY)
         self.jobs_done = 0
         self.jobs_failed = 0
         self.recorder = _trace.TraceRecorder()
@@ -431,7 +429,7 @@ class ClusterWorker:
             "env": default_build_environment(),
             "arch_family": build.arch_family,
             "stats": PipelineStats(configurations=len(configs)),
-            "cache": self.cache, "max_workers": self.max_workers,
+            "cache": self.cache, "max_workers": self.JOB_MAX_WORKERS,
         }
 
     def _run_stages(self, stages: list, inputs: dict) -> PipelineStats:
@@ -484,7 +482,7 @@ class ClusterWorker:
         result = build_ir_container(app, [dict(c) for c in build.configs],
                                     store=self.store, cache=self.cache,
                                     arch_family=build.arch_family,
-                                    max_workers=self.max_workers)
+                                    max_workers=self.JOB_MAX_WORKERS)
         with self._memo_lock:
             self._memo[key] = (app, result)
             while len(self._memo) > RESULT_MEMO_SIZE:

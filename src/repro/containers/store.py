@@ -27,13 +27,9 @@ from repro.store.backend import (
     INDEX_REF_PREFIX,
     PINS_REF,
     Backend,
-    BackendError,
     BlobNotFound,
     MemoryBackend,
-    backend_stat,
-    blob_size_many as _blob_size_many,
-    get_many as _get_many,
-    has_many as _has_many,
+    cas_merge_ref,
     index_ref_name,
     index_ref_names,
 )
@@ -82,31 +78,25 @@ class BlobStore:
     def blob_size(self, digest: str) -> int | None:
         """Byte size of one blob without fetching it when the backend can
         answer from metadata (stat / remote size op); None if absent."""
-        size_of = getattr(self.backend, "blob_size", None)
-        if size_of is not None:
-            return size_of(digest)
-        try:
-            return len(self.backend.get(digest))
-        except BlobNotFound:
-            return None
+        return self.backend.blob_size(digest)
 
     # -- batched operations (one round-trip on a remote backend) ---------------
 
     def get_many(self, digests) -> dict[str, bytes]:
         """Fetch many blobs at once; missing digests are omitted."""
-        return _get_many(self.backend, digests)
+        return self.backend.get_many(digests)
 
     def has_many(self, digests) -> dict[str, bool]:
         """Existence-probe many digests at once."""
-        return _has_many(self.backend, digests)
+        return self.backend.has_many(digests)
 
     def blob_size_many(self, digests) -> dict[str, int | None]:
         """Metadata-only sizes for many blobs at once; None if absent."""
-        return _blob_size_many(self.backend, digests)
+        return self.backend.blob_size_many(digests)
 
     def stat(self) -> tuple[int, int]:
         """``(blob_count, total_bytes)`` in one backend operation."""
-        return backend_stat(self.backend)
+        return self.backend.stat()
 
     def delete(self, digest: str) -> bool:
         """Remove one blob; True if it existed. (GC's primitive — callers
@@ -133,42 +123,25 @@ class BlobStore:
 
 
 class CacheCounters:
-    """Hit/miss accounting for one cache namespace.
-
-    Historically a pair of plain ints; now a view over two telemetry
-    counters (``cache.hits{namespace=...}`` / ``cache.misses{...}``) so
-    the same numbers appear in metric snapshots without double
-    bookkeeping. The int-like interface — reads, assignment, ``+=`` — is
-    unchanged for existing callers and tests.
+    """Hit/miss accounting for one cache namespace: a read-only view over
+    two telemetry counters (``cache.hits{namespace=...}`` /
+    ``cache.misses{...}``), so the same numbers appear in metric
+    snapshots without double bookkeeping.
     """
 
     __slots__ = ("_hits", "_misses")
 
-    def __init__(self, hits: int = 0, misses: int = 0,
-                 _hits: "Counter | None" = None,
-                 _misses: "Counter | None" = None):
-        self._hits = _hits if _hits is not None else Counter()
-        self._misses = _misses if _misses is not None else Counter()
-        if hits:
-            self._hits.inc(hits)
-        if misses:
-            self._misses.inc(misses)
+    def __init__(self, hits: Counter, misses: Counter):
+        self._hits = hits
+        self._misses = misses
 
     @property
     def hits(self) -> int:
         return self._hits.value
 
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._hits.set(value)
-
     @property
     def misses(self) -> int:
         return self._misses.value
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self._misses.set(value)
 
     @property
     def lookups(self) -> int:
@@ -232,10 +205,10 @@ class ArtifactCache:
     :meth:`pin`) are exempt from garbage collection along with everything
     they transitively reference.
 
-    Index and pin persistence are **multi-writer safe**: every rewrite is a
-    compare-and-swap retry loop (:meth:`Backend.compare_and_set_ref`) that
-    re-reads the current ref, merges the other writer's entries and
-    access-order updates into ours, and retries if the swap is beaten.
+    Index and pin persistence are **multi-writer safe**: every rewrite goes
+    through :func:`repro.store.backend.cas_merge_ref`, which re-reads the
+    current ref, merges the other writer's entries and access-order
+    updates into ours, and retries if the swap is beaten.
     Two builders racing on one ``FileBackend`` or store server converge
     on the union of their publishes, recency bumps, and pins — never
     last-writer-wins. Keys this process evicted are tracked as tombstone
@@ -247,11 +220,6 @@ class ArtifactCache:
     counters, surfaced per build in ``PipelineStats``. Thread-safe: the
     pipeline's parallel map may look up and publish concurrently.
     """
-
-    #: CAS retry ceiling. Each failed attempt means another writer
-    #: succeeded (the swap is lock-free), so hitting this means the
-    #: backend is lying about CAS semantics, not that the store is busy.
-    CAS_ATTEMPTS = 100
 
     def __init__(self, store: BlobStore | None = None, flush_every: int = 1,
                  registry: "MetricsRegistry | None" = None):
@@ -280,11 +248,9 @@ class ArtifactCache:
         # Tombstone records for keys we evicted: digest+seq let a merge
         # tell "the stale entry we removed" from "a fresh republish".
         self._evicted: dict[str, IndexEntry] = {}
-        # Registry counters behind the `cas_retries` / `pin_cas_retries`
-        # compatibility properties.
         self._cas_retries = self.registry.counter("cache.index_cas_retries")
         self._pin_cas_retries = self.registry.counter("cache.pin_cas_retries")
-        self._persistent = bool(getattr(self.store.backend, "persistent", False))
+        self._persistent = self.store.backend.persistent
         if self._persistent:
             with self._lock:
                 self._load_index_locked()
@@ -301,27 +267,17 @@ class ArtifactCache:
         different namespaces must show zero."""
         return self._cas_retries.value
 
-    @cas_retries.setter
-    def cas_retries(self, value: int) -> None:
-        self._cas_retries.set(value)
-
     @property
     def pin_cas_retries(self) -> int:
         """Lost pin-CAS attempts, counted separately."""
         return self._pin_cas_retries.value
 
-    @pin_cas_retries.setter
-    def pin_cas_retries(self, value: int) -> None:
-        self._pin_cas_retries.set(value)
-
     def _counters_locked(self, namespace: str) -> CacheCounters:
         counters = self._counters.get(namespace)
         if counters is None:
             counters = CacheCounters(
-                _hits=self.registry.counter("cache.hits",
-                                            namespace=namespace),
-                _misses=self.registry.counter("cache.misses",
-                                              namespace=namespace))
+                self.registry.counter("cache.hits", namespace=namespace),
+                self.registry.counter("cache.misses", namespace=namespace))
             self._counters[namespace] = counters
         return counters
 
@@ -412,18 +368,15 @@ class ArtifactCache:
         self._dirty_namespaces.clear()
 
     def _save_shard_locked(self, namespace: str) -> None:
-        """CAS retry-merge loop for one namespace's index shard.
-
-        Read the current ref, merge the other writer's state into ours,
-        and compare-and-swap the union back. A lost swap means someone
-        else published between our read and our write — re-read, re-merge,
-        retry. Both racing writers' entries and access-order updates
-        survive, which a blind ``set_ref`` could never guarantee.
-        """
-        backend = self.store.backend
+        """Rewrite one namespace's index shard through the CAS
+        read-merge-retry loop: each attempt merges the other writer's
+        state into ours and swaps the union back, so both racing writers'
+        entries and access-order updates survive."""
         ref_name = index_ref_name(namespace)
-        for _ in range(self.CAS_ATTEMPTS):
-            raw = backend.get_ref(ref_name)
+        dirty_here: list[str] = []
+
+        def merge(raw: bytes | None) -> bytes:
+            nonlocal dirty_here
             self._merge_index_locked(raw, namespace)
             # Re-stamp the keys we modified *after* the merge raised _seq
             # past everything the index has seen: a publish made by a
@@ -438,22 +391,21 @@ class ArtifactCache:
             for key in sorted(dirty_here,
                               key=lambda k: self._entries[k].seq):
                 self._entries[key].seq = self._next_seq_locked()
-            payload = json.dumps({
+            return json.dumps({
                 "version": 1,
                 "seq": self._seq,
                 "entries": [[key, e.namespace, e.digest, e.seq]
                             for key, e in sorted(self._entries.items())
                             if e.namespace == namespace],
             }, sort_keys=True).encode("utf-8")
-            if raw == payload or backend.compare_and_set_ref(
-                    ref_name, raw, payload):
-                self._dirty_keys.difference_update(dirty_here)
-                return
+
+        def on_retry() -> None:
             self._cas_retries.inc()
             _events.emit("info", "index CAS retry", ref=ref_name,
                          retries=self._cas_retries.value)
-        raise BackendError(
-            f"index CAS did not converge after {self.CAS_ATTEMPTS} attempts")
+
+        cas_merge_ref(self.store.backend, ref_name, merge, on_retry)
+        self._dirty_keys.difference_update(dirty_here)
 
     def _flush_dirty_locked(self) -> None:
         if self._dirty_keys:
@@ -552,28 +504,25 @@ class ArtifactCache:
                 lambda pins: pins.pop(name, None) is not None)
 
     def _update_pins_locked(self, mutate) -> bool:
-        """Apply ``mutate`` to the pin set via a CAS retry loop.
+        """Apply ``mutate`` to the pin set via the CAS retry loop.
 
         ``mutate`` edits the freshly-read dict in place and may return
         False to signal a no-op (e.g. unpinning a name that is not
         pinned); anything else counts as a change. Re-reading inside the
         loop means two processes pinning different names both survive.
         """
-        backend = self.store.backend
-        for _ in range(self.CAS_ATTEMPTS):
-            raw = backend.get_ref(PINS_REF)
+        def merge(raw: bytes | None) -> bytes | None:
             pins = {} if raw is None else json.loads(raw.decode("utf-8"))
             if mutate(pins) is False:
-                return False
-            payload = json.dumps(pins, sort_keys=True).encode("utf-8")
-            if raw == payload or backend.compare_and_set_ref(
-                    PINS_REF, raw, payload):
-                return True
+                return None
+            return json.dumps(pins, sort_keys=True).encode("utf-8")
+
+        def on_retry() -> None:
             self._pin_cas_retries.inc()
             _events.emit("info", "pin CAS retry",
                          retries=self._pin_cas_retries.value)
-        raise BackendError(
-            f"pin CAS did not converge after {self.CAS_ATTEMPTS} attempts")
+
+        return cas_merge_ref(self.store.backend, PINS_REF, merge, on_retry)
 
     def pins(self) -> dict[str, str]:
         with self._lock:

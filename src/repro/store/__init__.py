@@ -5,12 +5,13 @@ immutable artifacts; PR 1's :class:`~repro.containers.store.ArtifactCache`
 keys preprocess/IR/lowered artifacts by input digests but lives and dies
 with one process. This package supplies the missing persistence layer:
 
-* :class:`~repro.store.backend.Backend` — the blob-storage protocol every
-  store speaks: content-addressed blobs (``put``/``get``/``has``/``delete``)
-  plus mutable named *refs* (git-style pointers) for the cache index and
-  pin set.
-* :class:`~repro.store.backend.MemoryBackend` — today's in-process dict
-  semantics, now behind the protocol.
+* :class:`~repro.store.backend.Backend` — the base class of every store:
+  content-addressed blobs (``put``/``get``/``has``/``delete``) plus
+  mutable named *refs* (git-style pointers) for the cache index and pin
+  set. A subclass writes those primitives and inherits the batched,
+  metadata and streaming operations.
+* :class:`~repro.store.backend.MemoryBackend` — in-process dict
+  semantics.
 * :class:`~repro.store.backend.FileBackend` — blobs persisted under a
   sharded ``objects/ab/cdef...`` directory layout with atomic writes, so
   CI runs and fleet builders warm-start from disk.

@@ -30,9 +30,9 @@ running hash for :class:`FileBackend`). A ``get`` header declaring
 
 Ref compare-and-swap rides the fixed-body shape — the body carries the
 expected bytes (``expected_size >= 0``; ``-1`` means "ref must not
-exist") followed by the new bytes, and the server executes the swap
-atomically against its local backend, so N clients hammering one index
-ref serialize correctly::
+exist") followed by the new bytes, and the handler is the backend's own
+atomic ``compare_and_set_ref``, so N clients hammering one index ref
+serialize correctly::
 
     -> {"cmd": "cas_ref", "name": "artifact-index/lower",
         "expected_size": 2, "size": 4}\\n<2 expected bytes><4 new bytes>
@@ -52,18 +52,7 @@ processes. Untraced requests skip span handling entirely.
 
 from __future__ import annotations
 
-import threading
-
-from repro.store.backend import (
-    Backend,
-    BlobNotFound,
-    backend_stat,
-    blob_size_many as _backend_blob_size_many,
-    has_many as _backend_has_many,
-    iter_blob,
-    open_blob_writer,
-    put_many as _backend_put_many,
-)
+from repro.store.backend import Backend, BlobNotFound
 from repro.store.wire import CHUNK_SIZE, json_body
 from repro.store.wire_server import (
     DEFAULT_MAX_BODY_BYTES,
@@ -93,10 +82,6 @@ def store_commands(server: "AsyncStoreServer") -> "dict[str, Command]":
     loop answers those without ending the session."""
     backend = server.backend
 
-    def size_of(digest):
-        probe = getattr(backend, "blob_size", None)
-        return probe(digest) if probe is not None else None
-
     def put(req, body):
         backend.put(req["digest"], body)
         return {"ok": True}, b""
@@ -109,13 +94,16 @@ def store_commands(server: "AsyncStoreServer") -> "dict[str, Command]":
         """Answer a ``get`` chunk by chunk — O(chunk) resident however
         large the blob."""
         digest = req["digest"]
-        size = size_of(digest)
+        size = backend.blob_size(digest)
         if size is None:
-            if not backend.has(digest):
-                raise BlobNotFound(digest)
-            size = -1  # unknown; the chunk terminator delimits the body
-        return ({"ok": True, "chunked": True, "size": size},
-                iter_blob(backend, digest, CHUNK_SIZE))
+            raise BlobNotFound(digest)
+
+        def chunks():
+            with backend.open_blob(digest) as blob:
+                while chunk := blob.read(CHUNK_SIZE):
+                    yield chunk
+
+        return {"ok": True, "chunked": True, "size": size}, chunks()
 
     def has(req, body):
         return {"ok": True, "has": backend.has(req["digest"])}, b""
@@ -127,15 +115,15 @@ def store_commands(server: "AsyncStoreServer") -> "dict[str, Command]":
         return {"ok": True, "digests": backend.digests()}, b""
 
     def blob_age(req, body):
-        age_of = getattr(backend, "blob_age_seconds", None)
-        age = age_of(req["digest"]) if age_of is not None else None
-        return {"ok": True, "age": age}, b""
+        return {"ok": True,
+                "age": backend.blob_age_seconds(req["digest"])}, b""
 
     def blob_size(req, body):
-        return {"ok": True, "blob_size": size_of(req["digest"])}, b""
+        return {"ok": True,
+                "blob_size": backend.blob_size(req["digest"])}, b""
 
     def stat(req, body):
-        count, total = backend_stat(backend)
+        count, total = backend.stat()
         return {"ok": True, "count": count, "total_bytes": total}, b""
 
     def put_many(req, body):
@@ -145,7 +133,7 @@ def store_commands(server: "AsyncStoreServer") -> "dict[str, Command]":
         for digest, size in req.get("blobs", ()):
             blobs[str(digest)] = bytes(view[offset:offset + int(size)])
             offset += int(size)
-        _backend_put_many(backend, blobs)
+        backend.put_many(blobs)
         return {"ok": True, "stored": len(blobs)}, b""
 
     def get_many(req, body):
@@ -164,12 +152,12 @@ def store_commands(server: "AsyncStoreServer") -> "dict[str, Command]":
 
     def has_many(req, body):
         wanted = list(req.get("digests", ()))
-        present = _backend_has_many(backend, wanted)
+        present = backend.has_many(wanted)
         return {"ok": True, "has": [present[d] for d in wanted]}, b""
 
     def blob_size_many(req, body):
         wanted = list(req.get("digests", ()))
-        sized = _backend_blob_size_many(backend, wanted)
+        sized = backend.blob_size_many(wanted)
         return {"ok": True, "blob_sizes": [sized[d] for d in wanted]}, b""
 
     def set_ref(req, body):
@@ -190,8 +178,8 @@ def store_commands(server: "AsyncStoreServer") -> "dict[str, Command]":
         else:
             expected = None
             data = body
-        return {"ok": True,
-                "swapped": server.cas_ref(req["name"], expected, data)}, b""
+        return {"ok": True, "swapped": backend.compare_and_set_ref(
+            req["name"], expected, data)}, b""
 
     def delete_ref(req, body):
         return {"ok": True, "deleted": backend.delete_ref(req["name"])}, b""
@@ -223,8 +211,8 @@ def store_commands(server: "AsyncStoreServer") -> "dict[str, Command]":
 
     return {
         "put": Command(put, size_field,
-                       sink=lambda req: open_blob_writer(backend,
-                                                         req["digest"])),
+                       sink=lambda req: backend.open_blob_writer(
+                           req["digest"])),
         "get": Command(get, source=get_chunked),
         "has": Command(has),
         "delete": Command(delete),
@@ -268,8 +256,7 @@ class AsyncStoreServer(WireServer):
                  history_interval: float = 1.0):
         self.backend = backend
         if executor_workers is None:
-            executor_workers = 4 if getattr(backend, "persistent", False) \
-                else 0
+            executor_workers = 4 if backend.persistent else 0
         super().__init__(store_commands(self), host=host, port=port,
                          name="store.server", max_body_bytes=max_body_bytes,
                          max_outbuf_bytes=max_outbuf_bytes,
@@ -279,23 +266,6 @@ class AsyncStoreServer(WireServer):
         self.history = MetricsHistory()
         self._history_sampler = HistorySampler(
             self.metrics.registry, self.history, interval=history_interval)
-        self._cas_lock = threading.Lock()
-
-    def cas_ref(self, name: str, expected: bytes | None, data: bytes) -> bool:
-        """Execute one ref compare-and-swap atomically on the server side.
-
-        Delegates to the wrapped backend's own CAS when it has one;
-        otherwise emulates it under a server-global lock, so any foreign
-        backend gains correct multi-client semantics for free.
-        """
-        cas = getattr(self.backend, "compare_and_set_ref", None)
-        if cas is not None:
-            return bool(cas(name, expected, data))
-        with self._cas_lock:  # pragma: no cover - all bundled backends CAS
-            if self.backend.get_ref(name) != expected:
-                return False
-            self.backend.set_ref(name, data)
-            return True
 
     def start(self) -> tuple[str, int]:
         address = super().start()

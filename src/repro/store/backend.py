@@ -1,4 +1,5 @@
-"""Blob-store backends: the storage protocol and its local implementations.
+"""Blob-store backends: the :class:`Backend` base class and its local
+implementations.
 
 A backend stores two kinds of state, mirroring git's object model:
 
@@ -16,8 +17,9 @@ writers can trample each other. Every backend therefore implements
 :meth:`Backend.compare_and_set_ref` — an atomic compare-and-swap that
 succeeds only if the ref still holds the bytes the caller last read —
 and higher layers (:class:`~repro.containers.store.ArtifactCache`,
-:func:`repro.store.gc.collect`) build read-merge-retry loops on top of
-it instead of blind ``set_ref`` overwrites.
+:func:`repro.store.transfer.import_store`) rewrite shared refs through
+the one read-merge-retry loop, :func:`cas_merge_ref`, instead of blind
+``set_ref`` overwrites.
 
 Backends are thread-safe: the pipeline's parallel map publishes artifacts
 concurrently, and the socket server serves several clients at once.
@@ -28,13 +30,15 @@ atomic renames, and ref CAS is serialized through per-ref lock files.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import tempfile
 import threading
 import time
+from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Protocol, runtime_checkable
+from typing import Callable, Iterable, Iterator
 
 from repro.util.hashing import content_digest, is_digest
 
@@ -92,147 +96,172 @@ class BlobNotFound(KeyError):
     pass
 
 
-@runtime_checkable
-class Backend(Protocol):
-    """What every blob-store backend must speak."""
+class Backend(ABC):
+    """The base class of every blob store.
+
+    A new backend writes the **primitives** — single-blob
+    ``put``/``get``/``has``/``delete``, enumeration (``digests``,
+    ``__len__``, ``total_bytes``), the ref operations including the
+    atomic :meth:`compare_and_set_ref`, and the ``persistent`` flag — and
+    inherits every **derived** operation below, each written once over
+    those primitives. A subclass overrides a derived operation only where
+    it has a genuinely faster native path (``FileBackend.put_many``: one
+    lock and one stamp for the batch; ``RemoteBackend``: one round-trip
+    per batch). Callers call methods; nothing probes for them.
+    """
 
     #: True when blobs outlive the creating process (file/remote stores).
     persistent: bool
 
-    def put(self, digest: str, data: bytes) -> None: ...
+    # -- primitives --------------------------------------------------------------
 
-    def get(self, digest: str) -> bytes: ...
+    @abstractmethod
+    def put(self, digest: str, data: bytes) -> None:
+        """Store ``data`` under ``digest``, verifying that it hashes to it."""
 
+    @abstractmethod
+    def get(self, digest: str) -> bytes:
+        """The blob's bytes; :class:`BlobNotFound` when absent."""
+
+    @abstractmethod
     def has(self, digest: str) -> bool: ...
 
-    def delete(self, digest: str) -> bool: ...
+    @abstractmethod
+    def delete(self, digest: str) -> bool:
+        """Remove one blob; True if it existed."""
 
+    @abstractmethod
     def digests(self) -> list[str]: ...
 
+    @abstractmethod
     def __len__(self) -> int: ...
 
     @property
+    @abstractmethod
     def total_bytes(self) -> int: ...
 
+    @abstractmethod
     def set_ref(self, name: str, data: bytes) -> None: ...
 
+    @abstractmethod
     def get_ref(self, name: str) -> bytes | None: ...
 
+    @abstractmethod
     def delete_ref(self, name: str) -> bool: ...
 
+    @abstractmethod
     def refs(self) -> list[str]: ...
 
+    @abstractmethod
     def compare_and_set_ref(self, name: str, expected: bytes | None,
                             data: bytes) -> bool:
         """Atomically set ``name`` to ``data`` iff it currently holds
         ``expected`` (``None`` meaning "does not exist"). Returns True on
         success, False if another writer got there first."""
-        ...
 
-    # -- batched operations ----------------------------------------------------
+    # -- derived: batched operations ---------------------------------------------
     # Hot-path amortization: a farm worker probing or transferring many
-    # blobs should pay one round-trip, not N. All bundled backends
-    # implement these natively (RemoteBackend as single wire exchanges);
-    # the module-level helpers of the same names fall back to per-item
-    # loops for any foreign backend that lacks them.
+    # blobs should pay one round-trip, not N.
 
-    def put_many(self, blobs: dict[str, bytes]) -> None: ...
+    def put_many(self, blobs: dict[str, bytes]) -> None:
+        for digest, data in blobs.items():
+            self.put(digest, data)
 
     def get_many(self, digests: Iterable[str]) -> dict[str, bytes]:
         """Fetch many blobs; missing digests are simply absent from the
         result (batched callers tolerate holes, per-blob callers use
         :meth:`get` and its exception)."""
-        ...
+        out: dict[str, bytes] = {}
+        for digest in digests:
+            try:
+                out[digest] = self.get(digest)
+            except BlobNotFound:
+                continue
+        return out
 
-    def has_many(self, digests: Iterable[str]) -> dict[str, bool]: ...
+    def has_many(self, digests: Iterable[str]) -> dict[str, bool]:
+        return {digest: self.has(digest) for digest in digests}
+
+    # -- derived: metadata -------------------------------------------------------
+
+    def blob_size(self, digest: str) -> int | None:
+        """Byte size of one blob, None if absent. Backends with metadata
+        (a file stat, a remote size op) answer without reading content."""
+        try:
+            return len(self.get(digest))
+        except BlobNotFound:
+            return None
 
     def blob_size_many(self, digests: Iterable[str]) -> "dict[str, int | None]":
-        ...
+        return {digest: self.blob_size(digest) for digest in digests}
+
+    def blob_age_seconds(self, digest: str) -> float | None:
+        """Seconds since the blob was stored; None when absent *or when
+        the backend keeps no age data* — GC reads None as "assume young,
+        never delete", so a backend without a clock expires nothing."""
+        return None
 
     def stat(self) -> tuple[int, int]:
         """``(blob_count, total_bytes)`` in one operation — callers that
         need both (``cache stats``, GC reports) must not pay two
         round-trips or two counter syncs."""
-        ...
+        return len(self), self.total_bytes
+
+    # -- derived: streaming blob I/O ---------------------------------------------
+    # The wire layer moves multi-MB bodies as bounded chunks; these let a
+    # server feed those chunks into (and out of) a backend. FileBackend
+    # overrides both (incremental hash into a temp file; the object file
+    # itself), staying O(chunk)-resident; the defaults buffer.
+
+    def open_blob_writer(self, digest: str):
+        """A chunk sink (``write``/``commit``/``abort``) that stores
+        ``digest`` on commit."""
+        return BufferedBlobWriter(self, digest)
+
+    def open_blob(self, digest: str):
+        """A readable binary file over the blob, for chunked reads."""
+        return io.BytesIO(self.get(digest))
 
 
-def put_many(backend, blobs: dict[str, bytes]) -> None:
-    """``backend.put_many`` or a per-blob loop for foreign backends."""
-    native = getattr(backend, "put_many", None)
-    if native is not None:
-        native(blobs)
-        return
-    for digest, data in blobs.items():
-        backend.put(digest, data)
+#: CAS retry ceiling. Each failed attempt means another writer succeeded
+#: (the swap is lock-free), so hitting this means the backend is lying
+#: about CAS semantics, not that the store is busy.
+CAS_ATTEMPTS = 100
 
 
-def get_many(backend, digests: Iterable[str]) -> dict[str, bytes]:
-    """``backend.get_many`` or a per-blob loop; missing digests omitted."""
-    native = getattr(backend, "get_many", None)
-    if native is not None:
-        return native(digests)
-    out: dict[str, bytes] = {}
-    for digest in digests:
-        try:
-            out[digest] = backend.get(digest)
-        except KeyError:  # BlobNotFound is a KeyError
-            continue
-    return out
+def cas_merge_ref(backend: Backend, name: str,
+                  merge: "Callable[[bytes | None], bytes | None]",
+                  on_retry: "Callable[[], None] | None" = None) -> bool:
+    """Land ``merge(current)`` on ref ``name`` through the one
+    read-merge-retry loop every shared ref is rewritten by.
 
-
-def has_many(backend, digests: Iterable[str]) -> dict[str, bool]:
-    """``backend.has_many`` or a per-blob loop."""
-    native = getattr(backend, "has_many", None)
-    if native is not None:
-        return native(digests)
-    return {digest: backend.has(digest) for digest in digests}
-
-
-def blob_size_many(backend, digests: Iterable[str]) -> "dict[str, int | None]":
-    """``backend.blob_size_many`` or a loop over ``blob_size``/``get``."""
-    native = getattr(backend, "blob_size_many", None)
-    if native is not None:
-        return native(digests)
-    size_of = getattr(backend, "blob_size", None)
-    out: dict[str, int | None] = {}
-    for digest in digests:
-        if size_of is not None:
-            out[digest] = size_of(digest)
-        else:
-            try:
-                out[digest] = len(backend.get(digest))
-            except KeyError:
-                out[digest] = None
-    return out
-
-
-def backend_stat(backend) -> tuple[int, int]:
-    """``backend.stat`` or the two legacy properties."""
-    native = getattr(backend, "stat", None)
-    if native is not None:
-        count, total = native()
-        return int(count), int(total)
-    return len(backend), backend.total_bytes
-
-
-# -- streaming blob I/O --------------------------------------------------------
-# The wire layer moves multi-MB bodies as bounded chunks; these helpers
-# let a server feed those chunks into (and out of) a backend without ever
-# staging a whole blob in memory. FileBackend implements both natively
-# (incremental hash into a temp file; chunked reads from the object file);
-# any other backend falls back to buffered equivalents — correct
-# everywhere, O(chunk)-resident where the backend can support it.
-
-#: Chunk size for the buffered/streaming helpers. Kept equal to
-#: :data:`repro.store.wire.CHUNK_SIZE` so a streamed wire body maps 1:1
-#: onto backend reads/writes (backend.py must not import wire.py).
-STREAM_CHUNK_BYTES = 64 * 1024
+    Each attempt re-reads the ref, hands its bytes (None when absent) to
+    ``merge`` and compare-and-swaps the result back; a lost swap means
+    another writer published in between, so ``on_retry`` is told and the
+    loop re-reads — both writers' state survives, which a blind
+    ``set_ref`` could never guarantee. ``merge`` returning None abandons
+    the update (returns False); returning the bytes already there is a
+    no-op that skips the swap. A module function rather than a method so
+    a proxy over a backend still sees the ``get_ref`` and
+    ``compare_and_set_ref`` calls.
+    """
+    for _ in range(CAS_ATTEMPTS):
+        raw = backend.get_ref(name)
+        payload = merge(raw)
+        if payload is None:
+            return False
+        if raw == payload or backend.compare_and_set_ref(name, raw, payload):
+            return True
+        if on_retry is not None:
+            on_retry()
+    raise BackendError(
+        f"ref {name!r} CAS did not converge after {CAS_ATTEMPTS} attempts")
 
 
 class BufferedBlobWriter:
-    """Fallback incremental writer: chunks accumulate in memory and land
-    via one :meth:`Backend.put` on commit. Peak residency is O(blob) —
-    exactly what a memory-backed store costs anyway."""
+    """The default incremental writer: chunks accumulate in memory and
+    land via one :meth:`Backend.put` on commit. Peak residency is O(blob)
+    — exactly what a memory-backed store costs anyway."""
 
     buffered = True
 
@@ -304,41 +333,6 @@ class _FileBlobWriter:
             pass
 
 
-def open_blob_writer(backend, digest: str):
-    """A chunk sink that stores ``digest`` on commit: the backend's
-    native streaming writer when it has one, buffered otherwise."""
-    native = getattr(backend, "open_blob_writer", None)
-    if native is not None:
-        return native(digest)
-    return BufferedBlobWriter(backend, digest)
-
-
-def iter_blob(backend, digest: str,
-              chunk_size: int = STREAM_CHUNK_BYTES) -> Iterator[bytes]:
-    """Yield a blob's bytes in chunks.
-
-    Uses the backend's ``open_blob`` file handle when available (disk
-    reads of ``chunk_size``, O(chunk) resident); otherwise slices one
-    :meth:`Backend.get` through a memoryview — no copies beyond the
-    backend's own storage.
-    """
-    opener = getattr(backend, "open_blob", None)
-    if opener is not None:
-        fh = opener(digest)
-        try:
-            while True:
-                chunk = fh.read(chunk_size)
-                if not chunk:
-                    return
-                yield chunk
-        finally:
-            fh.close()
-        return
-    view = memoryview(backend.get(digest))
-    for start in range(0, len(view), chunk_size):
-        yield view[start:start + chunk_size]
-
-
 def _check_digest(digest: str, data: bytes) -> None:
     if not is_digest(digest):
         raise ValueError(f"malformed digest {digest!r}")
@@ -348,7 +342,7 @@ def _check_digest(digest: str, data: bytes) -> None:
             f"integrity failure: blob addressed {digest} hashes to {actual}")
 
 
-class MemoryBackend:
+class MemoryBackend(Backend):
     """Plain in-process dict semantics — what :class:`BlobStore` always was.
 
     ``total_bytes`` is maintained incrementally (a counter updated on
@@ -399,12 +393,6 @@ class MemoryBackend:
             return None
         return max(0.0, time.time() - created)
 
-    def blob_size(self, digest: str) -> int | None:
-        """Byte size without fetching content; None if absent. Size
-        accounting (GC pricing, `cache stats`) stays O(1) per blob."""
-        data = self._blobs.get(digest)
-        return None if data is None else len(data)
-
     def digests(self) -> list[str]:
         return list(self._blobs)
 
@@ -418,26 +406,6 @@ class MemoryBackend:
     def stat(self) -> tuple[int, int]:
         with self._lock:
             return len(self._blobs), self._total
-
-    # -- batched operations ----------------------------------------------------
-
-    def put_many(self, blobs: dict[str, bytes]) -> None:
-        for digest, data in blobs.items():
-            self.put(digest, data)
-
-    def get_many(self, digests: Iterable[str]) -> dict[str, bytes]:
-        out = {}
-        for digest in digests:
-            data = self._blobs.get(digest)
-            if data is not None:
-                out[digest] = data
-        return out
-
-    def has_many(self, digests: Iterable[str]) -> dict[str, bool]:
-        return {digest: digest in self._blobs for digest in digests}
-
-    def blob_size_many(self, digests: Iterable[str]) -> dict[str, int | None]:
-        return {digest: self.blob_size(digest) for digest in digests}
 
     def set_ref(self, name: str, data: bytes) -> None:
         with self._lock:
@@ -462,7 +430,7 @@ class MemoryBackend:
             return True
 
 
-class FileBackend:
+class FileBackend(Backend):
     """Blobs persisted on disk under a sharded ``objects/`` layout.
 
     Layout (the registry/git convention — two-hex-char fan-out keeps any
@@ -631,8 +599,8 @@ class FileBackend:
         return _FileBlobWriter(self, digest)
 
     def open_blob(self, digest: str):
-        """A readable binary file over the blob — chunked reads for the
-        streaming wire path (:func:`iter_blob`)."""
+        """The object file itself — disk reads of one chunk at a time on
+        the streaming wire path."""
         try:
             return open(self._blob_path(digest), "rb")
         except FileNotFoundError:
@@ -715,8 +683,6 @@ class FileBackend:
             self._sync_counters_locked()
             return self._count, self._total
 
-    # -- batched operations ----------------------------------------------------
-
     def put_many(self, blobs: dict[str, bytes]) -> None:
         """Store many blobs under one mutation-lock acquisition.
 
@@ -739,21 +705,6 @@ class FileBackend:
                 wrote = True
             if wrote:
                 self._bump_stamp_locked()
-
-    def get_many(self, digests: Iterable[str]) -> dict[str, bytes]:
-        out = {}
-        for digest in digests:
-            try:
-                out[digest] = self.get(digest)
-            except BlobNotFound:
-                continue
-        return out
-
-    def has_many(self, digests: Iterable[str]) -> dict[str, bool]:
-        return {digest: self.has(digest) for digest in digests}
-
-    def blob_size_many(self, digests: Iterable[str]) -> dict[str, int | None]:
-        return {digest: self.blob_size(digest) for digest in digests}
 
     # -- refs ------------------------------------------------------------------
 

@@ -13,8 +13,9 @@ machine module, and image blob a build ever produced stays in the store.
    budget* — oldest first, deleting newly-unreferenced blobs exactly like
    an LRU eviction. Age comes from the backend's ``blob_age_seconds``
    (the same clock the grace window reads); a backend without age data
-   expires nothing. This is what keeps a long-lived shared store — or a
-   worker's local tier — bounded in *time* as well as bytes.
+   answers None and expires nothing. This is what keeps a long-lived
+   shared store — or a worker's local tier — bounded in *time* as well
+   as bytes.
 3. **LRU eviction.** While the store still exceeds the budget, evict the
    least-recently-used index entry (the access-ordered index is maintained
    by :class:`~repro.containers.store.ArtifactCache` on every hit and
@@ -191,14 +192,13 @@ def collect(cache, max_bytes: int, grace_seconds: float = 0.0,
                       before_blobs=before_blobs, after_blobs=0,
                       grace_seconds=grace_seconds, dry_run=dry_run,
                       max_age_seconds=max_age_seconds)
-    age_of = getattr(store.backend, "blob_age_seconds", None)
+    age_of = store.backend.blob_age_seconds
 
     def _in_grace(digest: str) -> bool:
         if grace_seconds <= 0:
             return False
-        if age_of is None:
-            return True  # no age data: assume young, never delete
         age = age_of(digest)
+        # None is "no age data": assume young, never delete.
         return age is None or age < grace_seconds
 
     pinned = pin_closure(store, set(cache.pins().values()))
@@ -296,7 +296,7 @@ def collect(cache, max_bytes: int, grace_seconds: float = 0.0,
     # machinery: evict through the cache's CAS merge, drop refcounts,
     # re-protect concurrent publishes, delete newly-unreferenced blobs.
     expired_keys: set[str] = set()
-    if max_age_seconds is not None and age_of is not None:
+    if max_age_seconds is not None:
         by_blob_age = sorted(
             ((age_of(record.digest), key, record)
              for key, record in entries.items()),

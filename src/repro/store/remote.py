@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 from typing import Iterable
 
-from repro.store.backend import BlobNotFound
+from repro.store.backend import Backend, BlobNotFound
 from repro.store.wire import SessionPool, WireError, fold_json_body
 from repro.telemetry import events as _events
 from repro.telemetry import trace as _trace
@@ -68,8 +68,9 @@ DEFAULT_STORE_RETRY = RetryPolicy(max_attempts=6, base_delay=0.1,
                                   max_delay=2.0, deadline=30.0)
 
 
-class RemoteBackend:
-    """Client half of the wire protocol.
+class RemoteBackend(Backend):
+    """Client half of the wire protocol: every operation, batched and
+    metadata ones included, is a native wire op.
 
     Operations flow through a lazily-connected, thread-safe session pool:
     the first operation opens a connection, subsequent ones reuse it, and
@@ -87,12 +88,10 @@ class RemoteBackend:
                  stream_threshold: int = STREAM_THRESHOLD,
                  max_idle_seconds: float = 60.0,
                  registry: "MetricsRegistry | None" = None,
-                 read_timeout: "float | None" = None,
                  retry: "RetryPolicy | None" = None):
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.read_timeout = read_timeout
         self.stream_threshold = stream_threshold
         #: Retry discipline for idempotent operations and connect
         #: failures (see the per-op matrix in docs/architecture.md).
@@ -109,7 +108,6 @@ class RemoteBackend:
                                  max_idle=max_sessions,
                                  max_idle_seconds=max_idle_seconds,
                                  registry=self.registry,
-                                 read_timeout=read_timeout,
                                  connect_retry=(self.retry if self.retry.enabled
                                                 else None))
 

@@ -5,8 +5,7 @@ farm worker keeps a worker-local :class:`~repro.store.backend.FileBackend`
 in front of the shared :class:`~repro.store.remote.RemoteBackend`, so hot
 artifacts are served at local-disk latency and the shared store sees only
 first-miss traffic. :class:`TieredBackend` composes any two backends into
-that hierarchy while still speaking the full
-:class:`~repro.store.backend.Backend` protocol:
+that hierarchy and is itself a :class:`~repro.store.backend.Backend`:
 
 * **Read-through promotion.** ``get``/``get_many`` serve from the local
   tier when possible; a miss fetches from upstream and lands the blob in
@@ -64,14 +63,7 @@ import threading
 import time
 from typing import Iterable
 
-from repro.store.backend import (
-    BlobNotFound,
-    backend_stat,
-    blob_size_many as _blob_size_many,
-    get_many as _get_many,
-    has_many as _has_many,
-    put_many as _put_many,
-)
+from repro.store.backend import Backend, BlobNotFound
 from repro.store.remote import StoreUnavailable
 from repro.telemetry import events as _events
 from repro.telemetry.registry import MetricsRegistry
@@ -117,7 +109,7 @@ class _Flight:
         self.error: BaseException | None = None
 
 
-class TieredBackend:
+class TieredBackend(Backend):
     """A :class:`Backend` composing ``local`` in front of ``upstream``.
 
     ``local`` is typically a worker-private
@@ -133,7 +125,7 @@ class TieredBackend:
     cluster worker report a stable identity for its local tier directory.
     """
 
-    def __init__(self, local, upstream, *,
+    def __init__(self, local: Backend, upstream: Backend, *,
                  flush_max_blobs: int = DEFAULT_FLUSH_MAX_BLOBS,
                  flush_max_bytes: int = DEFAULT_FLUSH_MAX_BYTES,
                  flush_interval: float | None = None,
@@ -191,7 +183,7 @@ class TieredBackend:
     # upstream (a memory-local tier over a file upstream is persistent).
     @property
     def persistent(self) -> bool:
-        return bool(getattr(self.upstream, "persistent", False))
+        return self.upstream.persistent
 
     # -- hit/miss accounting ----------------------------------------------------
 
@@ -343,7 +335,7 @@ class TieredBackend:
             if not batch:
                 return 0
             try:
-                _put_many(self.upstream, batch)
+                self.upstream.put_many(batch)
             except BaseException as exc:
                 with self._lock:
                     for digest, data in batch.items():
@@ -409,7 +401,7 @@ class TieredBackend:
     def put_many(self, blobs: dict[str, bytes]) -> None:
         if not blobs:
             return
-        _put_many(self.local, blobs)
+        self.local.put_many(blobs)
         self._enqueue(dict(blobs))
 
     def get(self, digest: str) -> bytes:
@@ -503,69 +495,55 @@ class TieredBackend:
         ``cache stats`` mean by "the store"; local copies of promoted
         blobs are a cache, not additional inventory."""
         self.flush()
-        return backend_stat(self.upstream)
+        return self.upstream.stat()
 
     def blob_age_seconds(self, digest: str) -> float | None:
         """Age from whichever tier still holds the blob (upstream wins:
         GC windows are about shared-store time, not promotion time)."""
-        age_of = getattr(self.upstream, "blob_age_seconds", None)
-        age = age_of(digest) if age_of is not None else None
+        age = self.upstream.blob_age_seconds(digest)
         if age is not None:
             return age
         with self._lock:
             if digest in self._pending:
                 return 0.0  # accepted moments ago, not yet upstream
-        local_age = getattr(self.local, "blob_age_seconds", None)
-        return local_age(digest) if local_age is not None else None
+        return self.local.blob_age_seconds(digest)
 
     def blob_size(self, digest: str) -> int | None:
-        size_of = getattr(self.local, "blob_size", None)
-        if size_of is not None:
-            size = size_of(digest)
-            if size is not None:
-                return size
-        elif self.local.has(digest):  # pragma: no cover - bundled locals
-            return len(self.local.get(digest))  # all implement blob_size
-        upstream_size = getattr(self.upstream, "blob_size", None)
-        if upstream_size is not None:
-            return upstream_size(digest)
-        try:
-            return len(self.upstream.get(digest))
-        except KeyError:
-            return None
+        size = self.local.blob_size(digest)
+        return size if size is not None else self.upstream.blob_size(digest)
 
     # -- batched blob operations ------------------------------------------------
 
     def get_many(self, digests: Iterable[str]) -> dict[str, bytes]:
         wanted = list(digests)
-        out = _get_many(self.local, wanted)
+        out = self.local.get_many(wanted)
         self._hits.inc(len(out))
         missing = [d for d in wanted if d not in out]
         if missing and not self._upstream_ok():
             return out  # degraded: serve what the tier holds
         if missing:
             self._misses.inc(len(missing))
-            fetched = self._upstream_call(_get_many, self.upstream, missing)
+            fetched = self._upstream_call(self.upstream.get_many, missing)
             if fetched:
-                _put_many(self.local, fetched)
+                self.local.put_many(fetched)
                 self._promotions.inc(len(fetched))
                 out.update(fetched)
         return out
 
     def has_many(self, digests: Iterable[str]) -> dict[str, bool]:
         wanted = list(digests)
-        out = _has_many(self.local, wanted)
+        out = self.local.has_many(wanted)
         missing = [d for d, present in out.items() if not present]
         if missing and self._upstream_ok():
-            out.update(self._upstream_call(_has_many, self.upstream, missing))
+            out.update(self._upstream_call(self.upstream.has_many, missing))
         return out
 
     def blob_size_many(self, digests: Iterable[str]) -> dict[str, int | None]:
         wanted = list(digests)
-        out = _blob_size_many(self.local, wanted)
+        out = self.local.blob_size_many(wanted)
         missing = [d for d, size in out.items() if size is None]
         if missing and self._upstream_ok():
-            out.update(self._upstream_call(_blob_size_many, self.upstream,
+            out.update(self._upstream_call(self.upstream.blob_size_many,
                                            missing))
         return out
 

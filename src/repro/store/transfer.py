@@ -24,7 +24,6 @@ from __future__ import annotations
 import io
 import json
 import tarfile
-from typing import Callable
 
 from repro.store.backend import (
     INDEX_REF_PREFIX,
@@ -33,10 +32,8 @@ from repro.store.backend import (
     BackendError,
     BlobNotFound,
     FileBackend,
-    get_many as _get_many,
-    has_many as _has_many,
+    cas_merge_ref,
     iter_index_payloads,
-    put_many as _put_many,
 )
 
 ARCHIVE_FORMAT = "xaas-store-archive-v1"
@@ -72,7 +69,7 @@ def export_store(backend: Backend, path: str) -> dict:
         }, sort_keys=True).encode("utf-8"))
         for start in range(0, len(blobs), TRANSFER_BATCH):
             chunk = blobs[start:start + TRANSFER_BATCH]
-            datas = _get_many(backend, chunk)
+            datas = backend.get_many(chunk)
             for digest in chunk:
                 data = datas.get(digest)
                 if data is None:
@@ -128,27 +125,6 @@ def _merge_pins(existing: bytes | None, incoming: bytes) -> bytes:
     return json.dumps(pins, sort_keys=True).encode("utf-8")
 
 
-def _cas_merge_ref(backend: Backend, name: str, incoming: bytes,
-                   merge: Callable[[bytes | None, bytes], bytes],
-                   attempts: int = 100) -> None:
-    """Land ``merge(existing, incoming)`` on ``name`` via CAS, retrying
-    against concurrent writers — import must not last-writer-wins a live
-    builder's index entry or pin any more than the cache layer may."""
-    cas = getattr(backend, "compare_and_set_ref", None)
-    for _ in range(attempts):
-        existing = backend.get_ref(name)
-        merged = merge(existing, incoming)
-        if merged == existing:
-            return
-        if cas is None:  # pragma: no cover - all bundled backends CAS
-            backend.set_ref(name, merged)
-            return
-        if cas(name, existing, merged):
-            return
-    raise BackendError(
-        f"ref {name!r} CAS did not converge after {attempts} attempts")
-
-
 def _dest_index_seq_floor(backend: Backend) -> int:
     """The destination's highest index seq across every shard, so
     imported entries enter the LRU order as newest globally, not merely
@@ -177,12 +153,12 @@ def import_store(backend: Backend, path: str) -> dict:
         nonlocal added, skipped, blob_bytes
         if not pending:
             return
-        present = _has_many(backend, list(pending))
+        present = backend.has_many(list(pending))
         to_put = {digest: data for digest, data in pending.items()
                   if not present.get(digest)}
         skipped += len(pending) - len(to_put)
         if to_put:
-            _put_many(backend, to_put)
+            backend.put_many(to_put)
             added += len(to_put)
             blob_bytes += sum(len(data) for data in to_put.values())
         pending.clear()
@@ -213,14 +189,18 @@ def import_store(backend: Backend, path: str) -> dict:
                 else:
                     other_refs.append((name, data))
     _flush_blobs()
+    # Index and pin merges retry against concurrent writers — import must
+    # not last-writer-wins a live builder's index entry or pin any more
+    # than the cache layer may.
     floor = _dest_index_seq_floor(backend)
-    for name in sorted(index_payloads):
-        _cas_merge_ref(backend, name, index_payloads[name],
-                       lambda ex, inc: _merge_index(ex, inc, floor_seq=floor))
+    for name, data in sorted(index_payloads.items()):
+        cas_merge_ref(backend, name, lambda existing:
+                      _merge_index(existing, data, floor_seq=floor))
         refs_merged += 1
     for name, data in other_refs:
         if name == PINS_REF:
-            _cas_merge_ref(backend, name, data, _merge_pins)
+            cas_merge_ref(backend, name,
+                          lambda existing: _merge_pins(existing, data))
         else:
             backend.set_ref(name, data)
         refs_merged += 1

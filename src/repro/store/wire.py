@@ -68,12 +68,9 @@ DEFAULT_CONNECT_TIMEOUT = 10.0
 DEFAULT_READ_TIMEOUT = 120.0
 
 
-def _read_timeout_for(timeout: float, read_timeout: "float | None") -> float:
-    """Resolve the per-read socket timeout: explicit wins; otherwise a
-    large connect timeout widens reads too, but a *small* one never
-    strangles a healthy streamed body."""
-    if read_timeout is not None:
-        return read_timeout
+def _read_timeout_for(timeout: float) -> float:
+    """The per-read socket timeout: a large connect timeout widens reads
+    too, but a *small* one never strangles a healthy streamed body."""
     return max(DEFAULT_READ_TIMEOUT, timeout or 0.0)
 
 #: Default chunk size for streamed bodies: big enough to amortize frame
@@ -248,15 +245,14 @@ class WireSession:
     :class:`SessionPool` retries).
     """
 
-    def __init__(self, host: str, port: int, timeout: float = 10.0,
-                 read_timeout: "float | None" = None):
+    def __init__(self, host: str, port: int, timeout: float = 10.0):
         # ``timeout`` bounds only the connect — fast or dead. Once the
         # connection is up the socket switches to the (wider) read
         # timeout, so a multi-MB streamed body on a slow link paces each
         # read against DEFAULT_READ_TIMEOUT instead of being killed by
         # the 10s connect budget and misread as a stale socket.
         self.sock = socket.create_connection((host, port), timeout=timeout)
-        self.sock.settimeout(_read_timeout_for(timeout, read_timeout))
+        self.sock.settimeout(_read_timeout_for(timeout))
         # Requests are written whole (buffered makefile + flush), but a
         # body crossing the buffer boundary would split into small
         # segments; on a warm connection Nagle would then stall the tail
@@ -331,12 +327,10 @@ class SessionPool:
     def __init__(self, host: str, port: int, timeout: float = 10.0,
                  max_idle: int = 4, max_idle_seconds: float = 60.0,
                  registry: "MetricsRegistry | None" = None,
-                 read_timeout: "float | None" = None,
                  connect_retry: "RetryPolicy | None" = None):
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.read_timeout = read_timeout
         self.max_idle = max_idle
         self.max_idle_seconds = max_idle_seconds
         #: Backoff policy for *connect* failures only. A refused or
@@ -400,8 +394,7 @@ class SessionPool:
             old.close(polite=False)
 
     def _connect(self) -> WireSession:
-        return WireSession(self.host, self.port, timeout=self.timeout,
-                           read_timeout=self.read_timeout)
+        return WireSession(self.host, self.port, timeout=self.timeout)
 
     def _note_connect_retry(self, attempt: int, delay: float, exc) -> None:
         self._retries.inc()

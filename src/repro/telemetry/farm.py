@@ -21,13 +21,13 @@ import threading
 import time
 from collections import deque
 
-from .history import MetricsHistory
+from .history import MetricsHistory, history_lines
 from .registry import (MetricsRegistry, merge_histograms, merge_snapshot,
                        parse_metric_key, sample_process_gauges,
                        summarize_histogram, sync_dropped_counter)
 from .trace import Span, TraceRecorder
 
-__all__ = ["FarmTelemetry"]
+__all__ = ["FarmTelemetry", "format_latency", "render_top"]
 
 #: Histogram families surfaced per worker in `cluster top` (bare metric
 #: name -> summary key). Labeled variants (per-kind, per-cmd) merge into
@@ -215,3 +215,74 @@ class FarmTelemetry:
             "spans_buffered": len(self.recorder),
             "spans_dropped": self.recorder.dropped,
         }
+
+
+def format_latency(summary: dict) -> str:
+    """`p50/p95 ms (n)` from a summarize_histogram dict."""
+    if not summary or not summary.get("count"):
+        return "-"
+    return (f"{summary['p50'] * 1000:.0f}/{summary['p95'] * 1000:.0f}ms "
+            f"(n={summary['count']})")
+
+
+def render_top(info: dict) -> str:
+    """The ``cluster top`` screen from a coordinator ``telemetry``
+    response: job states, throughput, the coordinator's own resource
+    gauges, one row per worker, and sparkline trends from the history."""
+    tel = info["telemetry"]
+    jobs = tel.get("jobs", {})
+    states = jobs.get("states", {})
+    state_line = " ".join(f"{state}={states[state]}"
+                          for state in sorted(states)) or "none"
+    thr = tel.get("throughput", {})
+    lines = [
+        f"jobs: {jobs.get('total', 0)} known ({state_line}); "
+        f"shared queue depth {tel.get('shared_queue_depth', 0)}",
+        f"throughput: {thr.get('completed', 0)} completed in the last "
+        f"{thr.get('window_seconds', 0):.0f}s "
+        f"({thr.get('jobs_per_second', 0.0):.2f}/s); "
+        f"farm job duration "
+        f"{format_latency(tel.get('job_duration_seconds'))}"]
+    gauges = (tel.get("metrics") or {}).get("gauges") or {}
+    if gauges.get("process.rss_bytes"):
+        lines.append(
+            f"coordinator: rss "
+            f"{gauges['process.rss_bytes'] / (1 << 20):.0f} MB, "
+            f"cpu {gauges.get('process.cpu_seconds', 0.0):.1f}s, "
+            f"{int(gauges.get('process.open_fds', 0))} fds; "
+            f"{tel.get('spans_buffered', 0)} spans buffered "
+            f"({tel.get('spans_dropped', 0)} dropped)")
+    workers = tel.get("workers", {})
+    if not workers:
+        lines.append("no workers seen")
+    else:
+        lines.append(
+            f"{'worker':<16} {'queue':>5} {'run':>4} {'done':>6} "
+            f"{'fail':>5} {'rss':>7} {'tier h/m':>12} {'flush':>6} "
+            f"{'retry':>6} {'job p50/p95':>18} {'store p50/p95':>18} "
+            f"{'seen':>8}")
+        for worker_id in sorted(workers):
+            w = workers[worker_id]
+            seen = w.get("last_seen_seconds")
+            tier = (f"{w.get('tier_hits', 0)}/{w.get('tier_misses', 0)}"
+                    if w.get("tier_hits", 0) or w.get("tier_misses", 0)
+                    else "-")
+            rss = w.get("rss_bytes", 0)
+            # Store retries and coordinator reconnects in one health
+            # column: zero on a clean farm, so any number here is signal.
+            retries = (w.get("store_retries", 0) or 0) + \
+                (w.get("reconnects", 0) or 0)
+            lines.append(
+                f"{worker_id:<16} {w.get('queue_depth', 0):>5} "
+                f"{w.get('running', 0):>4} {w.get('jobs_done', 0):>6} "
+                f"{w.get('jobs_failed', 0):>5} "
+                f"{f'{rss / (1 << 20):.0f}MB' if rss else '-':>7} "
+                f"{tier:>12} {w.get('tier_flushed', 0) or '-':>6} "
+                f"{retries or '-':>6} "
+                f"{format_latency(w.get('job_seconds')):>18} "
+                f"{format_latency(w.get('store_request_seconds')):>18} "
+                f"{'' if seen is None else f'{seen:.1f}s ago':>8}")
+    trend = history_lines(info.get("history") or {})
+    if trend:
+        lines += ["history:", *trend]
+    return "\n".join(lines)

@@ -31,7 +31,7 @@ import time
 
 __all__ = [
     "DEFAULT_MAX_SAMPLES", "MetricsHistory", "HistorySampler",
-    "sparkline", "rate",
+    "sparkline", "rate", "history_lines",
 ]
 
 #: Default per-series capacity. At a 1 s sampling interval this covers
@@ -216,3 +216,39 @@ def sparkline(values, width: int = 32) -> str:
             _SPARK_BLOCKS[int(round((v - lo) / span * top))]
             for v in values)
     return line.rjust(width)
+
+
+#: Series a trend view leads with, when present.
+_PREFERRED_SERIES = ("farm.jobs_per_second", "cluster.jobs.completed",
+                     "cluster.job.seconds", "process.rss_bytes",
+                     "process.cpu_seconds")
+
+
+def history_lines(history: dict, width: int = 32,
+                  max_series: int = 8) -> list[str]:
+    """Sparkline rows from a ``history`` wire payload. Cumulative farm
+    counters render as per-second rates; gauges and ready-made rates
+    render raw. A trend view wants few, legible rows — the preferred
+    series lead and the rest fill up to ``max_series``."""
+    series = (history or {}).get("series") or {}
+    names = [n for n in _PREFERRED_SERIES if n in series]
+    names += [n for n in sorted(series) if n not in names]
+    lines: list[str] = []
+    for name in names:
+        if len(lines) >= max_series:
+            break
+        samples = [(float(ts), float(v)) for ts, v in series[name]]
+        if not samples:
+            continue
+        if (name.startswith(("cluster.jobs.", "store.", "cluster.worker."))
+                and len(samples) > 1):
+            values = [v for _, v in rate(samples)]
+            label = f"{name}/s"
+        else:
+            values = [v for _, v in samples]
+            label = name
+        if not values or not any(values):
+            continue
+        lines.append(f"  {label:<36} {sparkline(values, width)} "
+                     f"latest={values[-1]:g} (n={len(values)})")
+    return lines

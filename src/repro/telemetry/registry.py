@@ -80,9 +80,7 @@ def parse_metric_key(key: str) -> tuple[str, dict]:
 
 
 class Counter:
-    """Monotonic count. ``set`` exists only for compatibility views that
-    historically supported assignment (``cache.cas_retries = 0`` in
-    tests); real instrumentation should only :meth:`inc`."""
+    """Monotonic count: instrumentation only ever :meth:`inc`s."""
 
     __slots__ = ("_lock", "_value")
 
@@ -93,10 +91,6 @@ class Counter:
     def inc(self, n: int = 1) -> None:
         with self._lock:
             self._value += n
-
-    def set(self, value: int) -> None:
-        with self._lock:
-            self._value = value
 
     @property
     def value(self) -> int:

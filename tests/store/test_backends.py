@@ -5,10 +5,28 @@ import threading
 
 import pytest
 
-from repro.containers.store import BlobStore
-from repro.store import (BackendError, BlobNotFound, FileBackend,
+from repro.containers.store import ArtifactCache, BlobStore
+from repro.store import (Backend, BackendError, BlobNotFound, FileBackend,
                          MemoryBackend, TieredBackend)
 from repro.util.hashing import content_digest
+
+
+class PrimitivesOnlyBackend(Backend):
+    """What a new backend must write and nothing more — here borrowed
+    from MemoryBackend, function by function: every batched, metadata and
+    streaming operation is the base class's."""
+
+    persistent = True
+    __init__ = MemoryBackend.__init__
+    put, get, has, delete = (MemoryBackend.put, MemoryBackend.get,
+                             MemoryBackend.has, MemoryBackend.delete)
+    digests, __len__, total_bytes = (MemoryBackend.digests,
+                                     MemoryBackend.__len__,
+                                     MemoryBackend.total_bytes)
+    set_ref, get_ref, delete_ref, refs, compare_and_set_ref = (
+        MemoryBackend.set_ref, MemoryBackend.get_ref,
+        MemoryBackend.delete_ref, MemoryBackend.refs,
+        MemoryBackend.compare_and_set_ref)
 
 
 def backends(tmp_path):
@@ -16,6 +34,7 @@ def backends(tmp_path):
     # of a backend must be observationally equivalent to the backend.
     return [
         MemoryBackend(),
+        PrimitivesOnlyBackend(),
         FileBackend(tmp_path / "file-store"),
         TieredBackend(MemoryBackend(), MemoryBackend()),
         TieredBackend(FileBackend(tmp_path / "tier-local"),
@@ -100,6 +119,49 @@ class TestBackendContract:
                 assert backend.has(bad) is False
                 assert backend.delete(bad) is False
 
+    def test_derived_ops_need_only_the_primitives(self, tmp_path):
+        """Batched, metadata and streaming operations answer the same on
+        every backend — inherited from the base class or native."""
+        missing = "sha256:" + "f" * 64
+        for backend in backends(tmp_path):
+            blobs = {content_digest(p): p for p in (b"alpha", b"be")}
+            backend.put_many(blobs)
+            wanted = list(blobs) + [missing]
+            assert backend.get_many(wanted) == blobs
+            assert backend.has_many(wanted) == \
+                {**dict.fromkeys(blobs, True), missing: False}
+            assert backend.blob_size_many(wanted) == \
+                {**{d: len(p) for d, p in blobs.items()}, missing: None}
+            assert backend.blob_size(missing) is None
+            assert backend.blob_age_seconds(missing) is None
+            assert backend.stat() == (2, 7)
+            streamed = content_digest(b"streamed")
+            writer = backend.open_blob_writer(streamed)
+            writer.write(b"stre")
+            writer.write(b"amed")
+            writer.commit()
+            with backend.open_blob(streamed) as fh:
+                assert fh.read() == b"streamed"
+
+    def test_a_primitives_only_backend_is_abstract_until_complete(self):
+        class Partial(Backend):
+            persistent = False
+
+        with pytest.raises(TypeError):
+            Partial()
+
+    def test_gc_collects_through_inherited_ops(self):
+        """GC prices and sweeps (get_many, blob_size_many, stat) against
+        a backend that wrote only the primitives; with no age data every
+        blob is young under a grace window and none is deleted."""
+        cache = ArtifactCache(BlobStore(PrimitivesOnlyBackend()))
+        for i in range(5):
+            cache.put("ns", {"i": i}, f"payload-{i}-" + "y" * 40)
+        assert cache.gc(100, grace_seconds=60).deleted_blobs == 0
+        report = cache.gc(100)
+        assert report.within_budget
+        assert report.deleted_blobs > 0
+
 
 class TestCompareAndSetRef:
     """The CAS primitive every multi-writer loop is built on."""
@@ -155,6 +217,32 @@ class TestCompareAndSetRef:
         assert not b.compare_and_set_ref("idx", None, b"from-b")
         assert b.compare_and_set_ref("idx", b"from-a", b"from-b")
         assert a.get_ref("idx") == b"from-b"
+
+    def test_merge_loop_retries_short_circuits_and_gives_up(self):
+        """`cas_merge_ref`, the loop every shared ref is rewritten by."""
+        from repro.store.backend import CAS_ATTEMPTS, cas_merge_ref
+
+        class LosesTheFirstSwaps(MemoryBackend):
+            swaps = 0
+
+            def compare_and_set_ref(self, name, expected, data):
+                self.swaps += 1
+                return self.swaps > self.lost and \
+                    super().compare_and_set_ref(name, expected, data)
+
+        backend, retries = LosesTheFirstSwaps(), []
+        backend.lost = 2
+        assert cas_merge_ref(backend, "r", lambda raw: (raw or b"") + b"x",
+                             lambda: retries.append(1))
+        assert (backend.get_ref("r"), len(retries)) == (b"x", 2)
+        # Merging to the bytes already there skips the swap; None abandons.
+        assert cas_merge_ref(backend, "r", lambda raw: raw)
+        assert not cas_merge_ref(backend, "r", lambda raw: None)
+        assert backend.swaps == 3
+        backend.lost = 10 ** 6
+        with pytest.raises(BackendError, match="did not converge"):
+            cas_merge_ref(backend, "r", lambda raw: raw + b"y")
+        assert backend.swaps == 3 + CAS_ATTEMPTS
 
 
 class TestRefNameEscaping:

@@ -194,38 +194,6 @@ class TestBatchedConsumers:
             assert all(d["bytes"] > 0 for d in report.deletions)
             remote.close()
 
-    def test_gc_pricing_against_legacy_loop_fallback(self, tmp_path):
-        """A backend with no batched ops at all (protocol minimum) still
-        collects correctly via the module-level loop fallbacks."""
-
-        class MinimalBackend:
-            """Only the original protocol surface."""
-
-            persistent = True
-
-            def __init__(self):
-                self._inner = MemoryBackend()
-
-            def __getattr__(self, name):
-                if name in ("put_many", "get_many", "has_many",
-                            "blob_size_many", "stat"):
-                    raise AttributeError(name)
-                return getattr(self._inner, name)
-
-            def __len__(self):
-                return len(self._inner)
-
-            @property
-            def total_bytes(self):
-                return self._inner.total_bytes
-
-        cache = ArtifactCache(BlobStore(MinimalBackend()))
-        for i in range(5):
-            cache.put("ns", {"i": i}, f"payload-{i}-" + "y" * 40)
-        report = cache.gc(100)
-        assert report.within_budget
-        assert report.deleted_blobs > 0
-
     def test_transfer_round_trip_uses_batches(self, tmp_path):
         """Export from and import into a store server — both directions
         move blobs through the batched wire ops and still round-trip."""

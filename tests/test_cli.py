@@ -414,3 +414,98 @@ class TestTelemetryCli:
         counters = server_blob["metrics"]["counters"]
         assert counters["store.server.requests"] == \
             server_blob["stats"]["requests_served"]
+
+
+def _flat_options(command):
+    for item in command.options:
+        yield from getattr(item, "options", (item,))
+
+
+def _store_rows():
+    from repro import cli
+    return [path for path, command in cli.COMMANDS.items()
+            if any(item in (cli.STORE_GROUP, cli.STORE_REQUIRED)
+                   for item in command.options)]
+
+
+def _address_flags():
+    from repro import cli
+    return [(path, flag) for path, command in cli.COMMANDS.items()
+            for option in _flat_options(command)
+            if option.kwargs.get("type") is cli._address
+            for flag in option.flags]
+
+
+class TestCommandTable:
+    """Properties of every row of ``cli.COMMANDS`` at once."""
+
+    def test_every_row_answers_help(self, capsys):
+        from repro.cli import COMMANDS
+        for path in COMMANDS:
+            with pytest.raises(SystemExit) as exit_info:
+                main([*path, "--help"])
+            assert exit_info.value.code == 0
+            assert " ".join(path) in capsys.readouterr().out
+
+    def test_store_rows_take_one_spelling_of_the_store(self, capsys):
+        rows = _store_rows()
+        assert len(rows) == 10  # every store-opening row but `cache serve`
+        for path in rows:
+            with pytest.raises(SystemExit) as exit_info:
+                main([*path, "--store", "dir",
+                      "--store-server", "127.0.0.1:1"])
+            assert exit_info.value.code == 2
+            assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path,flag", _address_flags())
+    def test_address_errors_name_their_own_flag(self, capsys, path, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*path, flag, "nonsense"])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: wants HOST:PORT" in capsys.readouterr().err
+
+    def test_deploy_batch_is_the_same_under_either_store_spelling(
+            self, capsys, tmp_path):
+        """The `remote_warm` shape through main(): identical tags and
+        image digest, and the images pinned, whether the store is a
+        directory or a served one."""
+        from repro.store import AsyncStoreServer, FileBackend
+
+        def batch_and_pins(*store_args):
+            _, out = run_cli(capsys, "deploy-batch", "--app", "lulesh",
+                             "--systems", "ault23,ault25", "--json",
+                             *store_args)
+            tags = {d["system"]: d["tag"]
+                    for d in json.loads(out)["deployments"]}
+            _, out = run_cli(capsys, "cache", "stats", "--json", *store_args)
+            return tags, json.loads(out)["pins"]
+
+        local = batch_and_pins("--store", str(tmp_path / "local"))
+        with AsyncStoreServer(FileBackend(tmp_path / "served")) as server:
+            host, port = server.address
+            served = batch_and_pins("--store-server", f"{host}:{port}")
+        assert served == local
+        assert local[1]["image/lulesh"].startswith("sha256:")
+
+    def test_handlers_close_the_clients_they_open(self, capsys, tmp_path,
+                                                  monkeypatch):
+        """Pooled clients are released when the handler exits, not
+        dropped with live sessions."""
+        from repro.cluster import Coordinator, CoordinatorClient
+        from repro.store import AsyncStoreServer, MemoryBackend, RemoteBackend
+        closed = []
+        for cls in (RemoteBackend, CoordinatorClient):
+            real = cls.close
+            monkeypatch.setattr(
+                cls, "close", lambda self, real=real:
+                (closed.append(type(self).__name__), real(self))[1])
+        with AsyncStoreServer(MemoryBackend()) as server, \
+                Coordinator() as coordinator:
+            store = "%s:%d" % server.address
+            farm = "%s:%d" % coordinator.address
+            run_cli(capsys, "cache", "stats", "--store-server", store)
+            assert closed == ["RemoteBackend"]
+            run_cli(capsys, "cluster", "status", "--coordinator", farm)
+            run_cli(capsys, "cluster", "top", "--coordinator", farm)
+            run_cli(capsys, "telemetry", "history", "--coordinator", farm)
+        assert closed == ["RemoteBackend"] + ["CoordinatorClient"] * 3
