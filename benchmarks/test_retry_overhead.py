@@ -9,6 +9,12 @@ run must land within 5% of the bare run (a noise floor absorbs the
 sub-millisecond cells), and its retry counters must read zero — proof
 the fast path never entered the backoff machinery.
 
+The two modes run as back-to-back pairs, alternating which goes first,
+and the verdict is the median of the per-pair differences: this machine
+switches between a fast and a 2.5x slower phase for seconds at a time
+(benchmarks/e2e/README.md, "Noise rules"), and a phase that covers the
+trials of one mode only must not read as the retry layer's cost.
+
 Results land in ``benchmarks/BENCH_retry_overhead.json``.
 """
 
@@ -27,7 +33,7 @@ CLIENTS = 4
 PUTS = 50          # artifacts published per client
 PROBES = 80        # existence probes per client
 GETS = 12          # peer-blob pulls per client
-TRIALS = 5         # best-of, to shave scheduler noise off both modes
+TRIALS = 5         # back-to-back pairs; odd, so the median is a pair
 
 #: The acceptance bar, plus an absolute floor so a 2 ms jitter on a
 #: 40 ms run cannot fail a policy that provably adds zero wire work.
@@ -74,19 +80,22 @@ def _farm_workload(host: str, port: int, retry, registry) -> float:
 
 def test_retry_layer_is_free_when_nothing_fails(bench_json):
     """DEFAULT_STORE_RETRY vs NO_RETRY on identical healthy-server runs:
-    within 5% (best-of-5), and zero retries actually taken."""
-    results = {}
-    registries = {"no_retry": MetricsRegistry(),
-                  "retried": MetricsRegistry()}
-    for mode, retry in (("no_retry", NO_RETRY),
-                        ("retried", DEFAULT_STORE_RETRY)):
-        trials = []
-        for _ in range(TRIALS):
+    within 5% (median of 5 paired differences), and zero retries
+    actually taken."""
+    modes = (("no_retry", NO_RETRY), ("retried", DEFAULT_STORE_RETRY))
+    registries = {mode: MetricsRegistry() for mode, _ in modes}
+    trials = {mode: [] for mode, _ in modes}
+    for trial in range(TRIALS):
+        for mode, retry in (modes if trial % 2 == 0 else modes[::-1]):
             with AsyncStoreServer(MemoryBackend()) as server:
                 host, port = server.address
-                trials.append(_farm_workload(host, port, retry,
-                                             registries[mode]))
-        results[mode] = {"best": min(trials), "trials": trials}
+                trials[mode].append(_farm_workload(host, port, retry,
+                                                   registries[mode]))
+    results = {mode: {"best": min(runs), "trials": runs}
+               for mode, runs in trials.items()}
+    pair_overheads = sorted(retried - bare for bare, retried
+                            in zip(trials["no_retry"], trials["retried"]))
+    median_overhead = pair_overheads[TRIALS // 2]
 
     retries_taken = sum(
         value for key, value in
@@ -96,12 +105,13 @@ def test_retry_layer_is_free_when_nothing_fails(bench_json):
 
     print_table(
         "Retry layer overhead: fault-free farm workload "
-        f"({CLIENTS} clients, best of {TRIALS})",
+        f"({CLIENTS} clients, {TRIALS} alternated pairs)",
         ("mode", "best seconds", "trials"),
         [(mode, f"{run['best']:.3f}",
           " ".join(f"{s:.3f}" for s in run["trials"]))
          for mode, run in results.items()]
-        + [("ratio", f"{ratio:.3f}x", f"retries taken: {retries_taken}")])
+        + [("ratio", f"{ratio:.3f}x", f"retries taken: {retries_taken}"),
+           ("median pair overhead", f"{median_overhead:.3f}", "")])
     bench_json("retry_overhead", {
         "clients": CLIENTS,
         "ops_per_client": PUTS + PROBES + 1 + GETS,
@@ -109,6 +119,7 @@ def test_retry_layer_is_free_when_nothing_fails(bench_json):
         "no_retry": results["no_retry"],
         "retried": results["retried"],
         "overhead_ratio": ratio,
+        "median_pair_overhead_seconds": median_overhead,
         "retries_taken": retries_taken,
     })
 
@@ -118,5 +129,4 @@ def test_retry_layer_is_free_when_nothing_fails(bench_json):
     # absolute noise floor when the whole run is a few dozen ms.
     slack = max(results["no_retry"]["best"] * (MAX_OVERHEAD_RATIO - 1),
                 NOISE_FLOOR_SECONDS)
-    assert results["retried"]["best"] <= results["no_retry"]["best"] + slack, \
-        results
+    assert median_overhead <= slack, results

@@ -57,15 +57,19 @@ def parse_script(text: str, filename: str = "<script>") -> list[Command]:
         if not m:
             raise BuildScriptError(f"{filename}:{i + 1}: expected a command, got {line.strip()!r}")
         name = m.group(1).lower()
-        # Accumulate text until the parenthesis balance closes.
-        buffer = line[m.end() - 1:]
+        # Accumulate lines until the parenthesis balance closes; balance
+        # and quote state carry from line to line, so a long source list
+        # is scanned once rather than once per continuation line.
+        pieces = [line[m.end() - 1:]]
         start_line = i + 1
-        while _paren_balance(buffer) > 0:
+        balance, in_quote = _paren_balance(pieces[0], 0, False)
+        while balance > 0:
             i += 1
             if i >= len(lines):
                 raise BuildScriptError(f"{filename}:{start_line}: unterminated command {name!r}")
-            buffer += "\n" + _strip_comment(lines[i])
-        args, quoted = _parse_args(buffer, filename, start_line)
+            pieces.append(_strip_comment(lines[i]))
+            balance, in_quote = _paren_balance(pieces[-1], balance, in_quote)
+        args, quoted = _parse_args("\n".join(pieces), filename, start_line)
         commands.append(Command(name, tuple(args), start_line, tuple(quoted)))
         i += 1
     return commands
@@ -83,9 +87,10 @@ def _strip_comment(line: str) -> str:
     return "".join(out)
 
 
-def _paren_balance(text: str) -> int:
-    balance = 0
-    in_quote = False
+def _paren_balance(text: str, balance: int,
+                   in_quote: bool) -> tuple[int, bool]:
+    """Parenthesis balance and quote state after ``text``, continuing
+    from the state the preceding text of the command left."""
     for ch in text:
         if ch == '"':
             in_quote = not in_quote
@@ -94,7 +99,7 @@ def _paren_balance(text: str) -> int:
                 balance += 1
             elif ch == ")":
                 balance -= 1
-    return balance
+    return balance, in_quote
 
 
 def _parse_args(buffer: str, filename: str, line: int) -> tuple[list[str], list[bool]]:

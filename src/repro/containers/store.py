@@ -82,6 +82,15 @@ class BlobStore:
 
     # -- batched operations (one round-trip on a remote backend) ---------------
 
+    def put_many(self, blobs) -> list[str]:
+        """Store many blobs in one backend batch; returns their digests
+        in the order given."""
+        datas = [data.encode("utf-8") if isinstance(data, str) else data
+                 for data in blobs]
+        digests = [content_digest(data) for data in datas]
+        self.backend.put_many(dict(zip(digests, datas)))
+        return digests
+
     def get_many(self, digests) -> dict[str, bytes]:
         """Fetch many blobs at once; missing digests are omitted."""
         return self.backend.get_many(digests)
@@ -233,13 +242,15 @@ class ArtifactCache:
         self._counters: dict[str, CacheCounters] = {}
         self._lock = threading.Lock()
         self._seq = 0
-        #: Publishes per index save. 1 (the default) persists on every
-        #: put — maximum durability and cross-process visibility. Bulk
-        #: publishers (cluster workers) raise it: each save CAS-rewrites
-        #: the whole namespace shard, so a thousand-entry preprocess job
-        #: at flush_every=1 is O(n^2) index bytes on disk. Batched writers
-        #: must :meth:`flush_index` before *announcing* their artifacts
-        #: (the cluster does, before reporting job completion).
+        #: Single :meth:`put` calls per index save (a :meth:`put_many`
+        #: batch is always saved once, when it returns). 1 (the default)
+        #: persists on every put — maximum durability and cross-process
+        #: visibility. Bulk publishers (cluster workers) raise it: each
+        #: save CAS-rewrites the whole namespace shard, so a job making a
+        #: thousand single puts at flush_every=1 writes O(n^2) index
+        #: bytes. Batched writers must :meth:`flush_index` before
+        #: *announcing* their artifacts (the cluster does, before
+        #: reporting job completion).
         self.flush_every = max(1, flush_every)
         self._dirty_keys: set[str] = set()  # locally modified since last save
         # Namespaces whose shard must be rewritten even without a dirty
@@ -435,17 +446,22 @@ class ArtifactCache:
             counters = self._counters_locked(namespace)
             record = self._entries.get(key)
             obj = self._objects.get(key)
-            if record is None or not self.store.has(record.digest) \
-                    or (require_obj and obj is None):
+            payload = None
+            if record is not None and not (require_obj and obj is None):
+                # One read, under the lock, is the existence check too: an
+                # index entry whose blob another writer's GC collected is
+                # a miss, not an error.
+                try:
+                    payload = self.store.get_text(record.digest)
+                except BlobNotFound:
+                    pass
+            if payload is None:
                 counters._misses.inc()
                 return None
             counters._hits.inc()
-            # Read under the lock: the index said the blob exists, and
-            # nothing in-process may evict it between that check and this
-            # read. A hit refreshes the entry's position in the LRU order;
-            # the bump is persisted at the next operation boundary (put,
+            # A hit refreshes the entry's position in the LRU order; the
+            # bump is persisted at the next operation boundary (put,
             # snapshot, stats, GC) rather than per lookup.
-            payload = self.store.get_text(record.digest)
             record.seq = self._next_seq_locked()
             if self._persistent:
                 self._dirty_keys.add(key)
@@ -457,21 +473,58 @@ class ArtifactCache:
         key = self.cache_key(namespace, parts)
         with self._lock:
             digest = self.store.put(payload)
-            self._entries[key] = IndexEntry(namespace, digest,
-                                            self._next_seq_locked())
-            # A republish of a key we once evicted is a fresh entry; the
-            # tombstone must not swallow it at the next merge.
-            self._evicted.pop(key, None)
-            self._dirty_keys.add(key)
-            if obj is not None:
-                self._objects[key] = obj
-            else:
-                # Re-publishing without an object must not leave a stale
-                # live object paired with the new payload.
-                self._objects.pop(key, None)
+            self._index_locked(key, namespace, digest, obj)
             if len(self._dirty_keys) >= self.flush_every:
                 self._save_index_locked()
         return CacheEntry(digest, payload, obj)
+
+    def put_many(self, namespace: str, items, blobs=()) -> list[CacheEntry]:
+        """Publish a batch of artifacts: ``items`` are ``(parts, payload)``
+        pairs, ``blobs`` the bulk bodies those payloads name by digest
+        (see :meth:`put_blob`). Equivalent to ``put_blob`` per blob and
+        ``put`` per item, in order — a key named twice keeps its last
+        payload — but all blobs land in one backend batch (one mutation
+        lock and stamp on a file store, one round trip per
+        ``BATCH_DIGESTS`` on a remote one) and the index is saved once,
+        whatever ``flush_every`` says: the batch is durable and visible
+        to other processes when this returns. The blobs are stored before
+        the index names them, so no reader or GC ever sees an entry whose
+        bulk body is missing. An empty batch touches nothing.
+
+        For publishers that hold a whole stage's results at once. Results
+        that appear one at a time inside a parallel map keep using
+        :meth:`put`: its per-item persistence is what a killed build
+        resumes from.
+        """
+        items = list(items)
+        if not items:
+            return []
+        payloads = [payload for _parts, payload in items]
+        with self._lock:
+            digests = self.store.put_many([*payloads, *blobs])[:len(items)]
+            for (parts, _payload), digest in zip(items, digests):
+                self._index_locked(self.cache_key(namespace, parts),
+                                   namespace, digest, None)
+            self._save_index_locked()
+        return [CacheEntry(digest, payload)
+                for digest, payload in zip(digests, payloads)]
+
+    def _index_locked(self, key: str, namespace: str, digest: str,
+                      obj: Any) -> None:
+        """Point ``key`` at a freshly stored payload blob and mark it
+        dirty for the next index save."""
+        self._entries[key] = IndexEntry(namespace, digest,
+                                        self._next_seq_locked())
+        # A republish of a key we once evicted is a fresh entry; the
+        # tombstone must not swallow it at the next merge.
+        self._evicted.pop(key, None)
+        self._dirty_keys.add(key)
+        if obj is not None:
+            self._objects[key] = obj
+        else:
+            # Re-publishing without an object must not leave a stale
+            # live object paired with the new payload.
+            self._objects.pop(key, None)
 
     def put_blob(self, payload: str) -> str:
         """Store a raw content-addressed blob with no index entry.

@@ -225,16 +225,22 @@ class PreprocessStage(Stage):
 
         results = parallel_map(_preprocess, missing, ctx.require("max_workers"))
         stats.preprocess_ops += len(missing)
+        # The canonical text goes in its own content-addressed blob —
+        # this is what lets a cold process on a persistent/remote store
+        # (repro.store backends) replay it via text_digest; the indexed
+        # payload stays small so warm hits are O(1) in text size. Every
+        # result exists by now and none was durable before, so the stage
+        # publishes them as one batch: one blob write and one index save
+        # instead of one of each per translation unit.
+        items = []
         for (key, parts, _tu), (text, has_omp) in zip(missing, results):
-            # The canonical text goes in its own content-addressed blob —
-            # this is what lets a cold process on a persistent/remote store
-            # (repro.store backends) replay it via text_digest; the
-            # indexed payload stays small so warm hits are O(1) in text size.
-            text_digest = cache.put_blob(text)
+            text_digest = content_digest(text)
             resolved[key] = (text_digest, has_omp)
-            cache.put("preprocess", parts, json.dumps(
+            items.append((parts, json.dumps(
                 {"text_digest": text_digest, "has_omp": has_omp},
-                sort_keys=True))
+                sort_keys=True)))
+        cache.put_many("preprocess", items,
+                       blobs=(text for text, _has_omp in results))
 
         groups: dict[str, list[TranslationUnit]] = {}
         for tu, attrs in zip(tus, per_tu):

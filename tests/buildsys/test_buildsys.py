@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.apps import APP_MODELS, app_model
 from repro.buildsys import (
     BuildEnvironment,
     BuildScriptError,
+    Command,
     ConfigureError,
     SourceTree,
     configure,
@@ -62,6 +64,82 @@ class TestParser:
         cmds = parse_script("project(x)\n\noption(A \"d\" ON)")
         assert cmds[0].line == 1
         assert cmds[1].line == 3
+
+
+def _rescanning_parse(text, filename="<script>"):
+    """The continuation rule as first written: after every appended line
+    the whole accumulated command is rescanned for its parenthesis
+    balance. Quadratic in the command's length, and the definition the
+    line-at-a-time scan in ``parse_script`` must keep agreeing with."""
+    from repro.buildsys.parser import (_COMMAND_START, _parse_args,
+                                       _strip_comment)
+
+    def balance_of(buffer):
+        balance, in_quote = 0, False
+        for ch in buffer:
+            if ch == '"':
+                in_quote = not in_quote
+            elif not in_quote:
+                balance += {"(": 1, ")": -1}.get(ch, 0)
+        return balance
+
+    commands, lines, i = [], text.split("\n"), 0
+    while i < len(lines):
+        line = _strip_comment(lines[i])
+        if not line.strip():
+            i += 1
+            continue
+        m = _COMMAND_START.match(line)
+        name = m.group(1).lower()
+        buffer, start_line = line[m.end() - 1:], i + 1
+        while balance_of(buffer) > 0:
+            i += 1
+            if i >= len(lines):
+                raise BuildScriptError(
+                    f"{filename}:{start_line}: unterminated command {name!r}")
+            buffer += "\n" + _strip_comment(lines[i])
+        args, quoted = _parse_args(buffer, filename, start_line)
+        commands.append(Command(name, tuple(args), start_line, tuple(quoted)))
+        i += 1
+    return commands
+
+
+class TestContinuationScan:
+    """``parse_script`` carries balance and quote state across the lines
+    of a multi-line command instead of rescanning it; the commands it
+    yields must not have changed."""
+
+    @pytest.mark.parametrize("app", sorted(APP_MODELS))
+    def test_every_app_script_parses_as_before(self, app):
+        tree = app_model(app, scale=0.1).tree
+        scripts = [path for path in tree.paths()
+                   if path.endswith(("CMakeLists.txt", ".cmake"))]
+        assert scripts
+        for path in scripts:
+            text = tree.read(path)
+            assert parse_script(text, path) == _rescanning_parse(text, path)
+
+    @pytest.mark.parametrize("text", [
+        'set(X "a (b"\n  c)\nproject(y)',        # paren inside a quote
+        'message("two\nlines ) here" z)',         # quote open across lines
+        "if((A AND B)\n   OR (C))\nendif()",      # nested, closes on line 2
+        "f(a) trailing ) text\ng(b)",             # balance below zero
+        "add_library(core # sources (many\n  a.c)",  # paren in a comment
+    ])
+    def test_tricky_commands_parse_as_before(self, text):
+        assert parse_script(text) == _rescanning_parse(text)
+
+    @pytest.mark.parametrize("text", [
+        "project(x\n", "add_library(core\n  a.c\n  b.c\n",
+        'set(X "never closed )\n)\n',
+    ])
+    def test_unterminated_command_message_unchanged(self, text):
+        with pytest.raises(BuildScriptError) as old:
+            _rescanning_parse(text, "CMakeLists.txt")
+        with pytest.raises(BuildScriptError) as new:
+            parse_script(text, "CMakeLists.txt")
+        assert str(new.value) == str(old.value)
+        assert "unterminated" in str(new.value)
 
 
 class TestTruthiness:
