@@ -27,7 +27,7 @@ import time
 import uuid
 from dataclasses import dataclass, field, replace
 
-from repro.cluster.coordinator import Coordinator
+from repro.cluster.coordinator import PARK_SECONDS, Coordinator
 from repro.cluster.jobs import (
     BuildSpec,
     ClusterError,
@@ -63,10 +63,10 @@ DEFAULT_COORDINATOR_RETRY = RetryPolicy(max_attempts=6, base_delay=0.1,
 
 class CoordinatorClient:
     """One round-trip per operation against a coordinator server, over a
-    pooled session (:class:`~repro.store.wire.SessionPool`): a polling
-    worker or a waiting submitter holds one warm connection instead of
-    connecting per request, and a socket a restarted coordinator dropped
-    is detected and replaced transparently.
+    pooled session (:class:`~repro.store.wire.SessionPool`): a worker
+    blocked in ``fetch`` or a submitter blocked in ``wait`` holds one
+    warm connection instead of connecting per request, and a socket a
+    restarted coordinator dropped is detected and replaced transparently.
 
     Every operation the coordinator applies idempotently retries through
     ``retry`` on wire-level failures: reads trivially, ``renew`` (lease
@@ -177,8 +177,14 @@ class CoordinatorClient:
                 return len(jobs)
             raise
 
-    def fetch(self, worker_id: str, metrics: dict | None = None) -> Job | None:
+    def fetch(self, worker_id: str, metrics: dict | None = None,
+              park_seconds: float = 0.0) -> Job | None:
+        """Claim a job. With ``park_seconds`` the coordinator holds the
+        request until a job is eligible for this worker or that long has
+        passed (None then); 0 answers at once."""
         header: dict = {"cmd": "fetch", "worker": worker_id}
+        if park_seconds > 0:
+            header["park_seconds"] = park_seconds
         if metrics:
             header["metrics"] = metrics
         resp = self._call(header, retryable=True)
@@ -248,30 +254,40 @@ class CoordinatorClient:
         return int(self._call({"cmd": "goodbye",
                                "worker": worker_id})["requeued"])
 
-    #: wait() polling backs off geometrically to this cap — a multi-minute
-    #: farm build should not cost 50 status round-trips a second.
-    MAX_WAIT_POLL_SECONDS = 0.5
+    def release(self, worker_id: str) -> None:
+        """Have ``worker_id``'s parked (or next) fetch answered idle. Not
+        retried: a coordinator that cannot be reached holds no park."""
+        self._call({"cmd": "release", "worker": worker_id})
 
-    def wait(self, job_ids: list[str], timeout: float = 300.0,
-             poll_seconds: float = 0.02) -> dict[str, dict]:
+    def wait(self, job_ids: list[str],
+             timeout: float = 300.0) -> dict[str, dict]:
         """Block until every job is done; raise on any terminal failure.
 
-        ``timeout`` is a *stall* timeout, not a wall-clock budget: the
-        deadline resets every time another job completes, so an
-        arbitrarily large healthy wave never trips it — only a wave in
-        which nothing finishes for ``timeout`` seconds does.
+        Each round trip is parked by the coordinator until another job
+        is done or one has failed — nothing is polled. ``timeout`` is a
+        *stall* timeout, not a wall-clock budget: the deadline resets
+        every time another job completes, so an arbitrarily large healthy
+        wave never trips it — only a wave in which nothing finishes for
+        ``timeout`` seconds does.
 
-        A coordinator outage mid-wait does not raise: the poll keeps
-        reconnecting with backoff (on top of each status call's own
-        retries) until the stall deadline — a restarted-and-resumed
-        coordinator picks the build back up transparently.
+        A coordinator outage mid-wait does not raise: the call keeps
+        reconnecting with backoff (on top of each call's own retries)
+        until the stall deadline — a restarted-and-resumed coordinator
+        picks the build back up transparently.
         """
+        job_ids = list(job_ids)
         deadline = time.monotonic() + timeout
-        delay = poll_seconds
-        done_count = -1
+        done_count = 0
+        outage = 0
         while True:
             try:
-                jobs = self.status(job_ids)
+                jobs = self._call({
+                    "cmd": "wait", "job_ids": job_ids,
+                    "seen_done": done_count,
+                    "park_seconds": max(0.0, min(
+                        PARK_SECONDS, deadline - time.monotonic()))},
+                    retryable=True)["jobs"]
+                outage = 0
             except CoordinatorUnreachable as exc:
                 if time.monotonic() > deadline:
                     raise ClusterError(
@@ -279,11 +295,12 @@ class CoordinatorClient:
                         f"while waiting on {len(job_ids)} job(s): {exc}"
                     ) from exc
                 self._reconnects.inc()
+                outage += 1
+                delay = self.retry.backoff(outage)
                 _events.emit("warn", "coordinator unreachable; "
                              "waiting to reconnect", error=str(exc),
                              retry_in=round(delay, 3))
-                time.sleep(delay)
-                delay = min(delay * 2, self.MAX_WAIT_POLL_SECONDS)
+                self.retry.sleep(delay)
                 continue
             failed = {job_id: rec for job_id, rec in jobs.items()
                       if rec["state"] == "failed"}
@@ -307,8 +324,6 @@ class CoordinatorClient:
                     for job_id, rec in pending[:5])
                 raise ClusterError(
                     f"timed out waiting for {len(pending)} job(s): {details}")
-            time.sleep(delay)
-            delay = min(delay * 2, self.MAX_WAIT_POLL_SECONDS)
 
 
 # -- cluster build -------------------------------------------------------------
@@ -543,8 +558,9 @@ def cluster_build(client: CoordinatorClient, app_name: str,
         lowerings_reused=reused,
         lower_entries_created=_lower_entry_count(cache) - lower_entries_before,
         build_stats=result.stats.to_json(),
-        jobs={job_id: {"state": rec["state"], "worker": rec["worker"],
-                       "attempts": rec["attempts"], "result": rec["result"]}
+        jobs={job_id: {key: rec[key] for key in (
+                  "state", "worker", "attempts", "result",
+                  "blocked_s", "queued_s", "run_s")}
               for job_id, rec in job_results.items()},
     )
 

@@ -12,9 +12,15 @@ The scheduler is a work-stealing queue over artifact-key dependencies:
   first, then the shared one, then **steals** from the back of the longest
   other deque — affinity is a hint, saturation wins.
 * A fetched job is **leased**: if the worker neither completes nor fails
-  it before the lease expires (crash, hang, dropped connection), the next
-  request re-queues it with the dead worker excluded, so a poisoned
-  worker cannot re-claim the job it just lost.
+  it before the lease expires (crash, hang, dropped connection), it is
+  re-queued with the dead worker excluded, so a poisoned worker cannot
+  re-claim the job it just lost. Expiry is timer-driven: the nearest
+  lease deadline is a wake-up of every parked request.
+* ``fetch`` and ``wait`` **block**: an idle worker's ``fetch`` is parked
+  on the wire loop until a job is eligible for it, a submitter's ``wait``
+  until another of its jobs is done or one has failed. Every transition
+  that can make a job claimable or terminal fires
+  :attr:`JobQueue.on_change`, which wakes them — nobody polls.
 * Completions are **idempotent**: a lease-expired worker that comes back
   and reports a result the coordinator already has is acknowledged and
   ignored — artifact publishes went through the content-addressed store,
@@ -32,6 +38,7 @@ import os
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from repro.cluster.jobs import ClusterError, Job
@@ -46,6 +53,12 @@ from repro.telemetry.trace import Span, new_span_id, service_name
 DEFAULT_LEASE_SECONDS = 60.0
 #: A job is abandoned after failing on this many distinct attempts.
 DEFAULT_MAX_ATTEMPTS = 3
+#: How long a blocking ``fetch`` or ``wait`` asks to be parked before it
+#: is answered empty-handed and asked again. The requester sends it in
+#: the request (``park_seconds``), clipped to whatever budget of its own
+#: is shorter; it sits below the client's socket timeouts, so a park is
+#: never mistaken for a dead coordinator.
+PARK_SECONDS = 20.0
 
 BLOCKED, READY, RUNNING, DONE, FAILED = \
     "blocked", "ready", "running", "done", "failed"
@@ -65,21 +78,34 @@ class JobRecord:
     # Telemetry stamps (epoch seconds — comparable across processes) and
     # the span id the coordinator minted for the current execution; the
     # lifecycle spans are recorded when the job reaches a terminal state.
+    # ``ready_at``/``started_at``/``ended_at`` are the latest attempt's.
     submitted_at: float = 0.0
+    ready_at: float = 0.0
     started_at: float = 0.0
+    ended_at: float = 0.0
+    #: Submission to first READY: waiting on ``requires``, when nothing
+    #: could have claimed the job — not the scheduler's doing.
+    blocked_s: float = 0.0
     run_span_id: str = ""
 
     def to_json(self) -> dict:
         return {"state": self.state, "attempts": self.attempts,
                 "worker": self.worker, "result": self.result,
                 "error": self.error,
-                "excluded": sorted(self.excluded)}
+                "excluded": sorted(self.excluded),
+                "blocked_s": round(self.blocked_s, 6),
+                # READY to claimed: the scheduler's own latency.
+                "queued_s": round(max(0.0, self.started_at - self.ready_at)
+                                  if self.started_at else 0.0, 6),
+                "run_s": round(max(0.0, self.ended_at - self.started_at)
+                               if self.ended_at else 0.0, 6)}
 
 
 @dataclass
 class _WorkerInfo:
     last_seen: float = 0.0
     queue: deque = field(default_factory=deque)  # job ids with affinity here
+    leaving: bool = False  # its next (or parked) fetch is answered idle
 
 
 class JobQueue:
@@ -111,10 +137,33 @@ class JobQueue:
         #: coordinator *after* any restore, so replaying old state never
         #: re-checkpoints itself mid-restore.
         self.journal: Journal | None = None
+        #: Called with no arguments — outside the lock, on whichever
+        #: thread made the change — after every transition that can make
+        #: a job claimable or terminal (submit, complete, fail, requeue,
+        #: goodbye, lease expiry) and after :meth:`release`. The
+        #: coordinator points it at :meth:`WireServer.wake`, so parked
+        #: ``fetch``/``wait`` requests look again exactly then.
+        self.on_change = None
+        self._transitioned = False  # under the lock: on_change is owed
         #: Farm-wide aggregates: worker heartbeat metric deltas, pushed
         #: spans, job durations/throughput. Fed by the request handlers,
         #: read by the ``telemetry`` wire op (`repro cluster top`).
         self.telemetry = FarmTelemetry()
+
+    @contextmanager
+    def _transition(self):
+        """Hold the lock; once it is released, fire :attr:`on_change` if
+        anything inside turned a job READY or terminal."""
+        owed = False
+        try:
+            with self._lock:
+                try:
+                    yield
+                finally:
+                    owed, self._transitioned = self._transitioned, False
+        finally:
+            if owed and self.on_change is not None:
+                self.on_change()
 
     # -- submission ------------------------------------------------------------
 
@@ -124,14 +173,14 @@ class JobQueue:
     #: records, records whose batch (the ``<id>/`` job-id prefix) still
     #: has non-terminal siblings, and records finished more recently than
     #: the grace window — a submitter that just saw its last job finish
-    #: must still be able to poll the result.
+    #: must still be able to collect the result.
     PRUNE_THRESHOLD = 4096
     PRUNE_GRACE_SECONDS = 600.0
 
     def submit(self, jobs: list[Job], done_keys: tuple[str, ...] = ()) -> int:
         """Register jobs; ``done_keys`` marks artifacts already in the store."""
         now_epoch = time.time()
-        with self._lock:
+        with self._transition():
             self._prune_finished_locked()
             self._published.update(done_keys)
             for job in jobs:
@@ -168,7 +217,7 @@ class JobQueue:
             if record.state not in (DONE, FAILED):
                 continue
             if self._batch_of(job_id) in active_batches:
-                continue  # a sibling is in flight; its submitter polls us
+                continue  # a sibling is in flight; its submitter waits on us
             if now - record.finished_at < self.PRUNE_GRACE_SECONDS:
                 continue  # its submitter may not have seen the result yet
             for key in record.job.produces:
@@ -200,7 +249,10 @@ class JobQueue:
             return
         if all(key in self._published for key in record.job.requires):
             record.state = READY
+            record.ready_at = time.time()
+            record.blocked_s = max(0.0, record.ready_at - record.submitted_at)
             self._enqueue_locked(record)
+            self._transitioned = True
 
     def _enqueue_locked(self, record: JobRecord) -> None:
         owner = self._affinity_owner.get(record.job.affinity, "")
@@ -213,7 +265,7 @@ class JobQueue:
 
     def fetch(self, worker_id: str, now: float | None = None) -> Job | None:
         now = time.monotonic() if now is None else now
-        with self._lock:
+        with self._transition():
             info = self._touch_locked(worker_id, now)
             self._expire_leases_locked(now)
             job_id = (self._pop_eligible_locked(info.queue, worker_id)
@@ -280,7 +332,7 @@ class JobQueue:
         re-queued past a dead lease, both executions published the same
         content-addressed artifacts, and only the first result is kept.
         """
-        with self._lock:
+        with self._transition():
             self._touch_locked(worker_id, time.monotonic())
             record = self._require_locked(job_id)
             if record.state in (DONE, FAILED):
@@ -297,6 +349,7 @@ class JobQueue:
             record.finished_at = time.monotonic()
             self._note_finished_locked(record, failed=False)
             self._published.update(record.job.produces)
+            self._transitioned = True
             if self.journal is not None:
                 self.journal.mark_dirty()  # folded in by autosave
             # Locality claim: the worker that just *published* these keys
@@ -330,7 +383,7 @@ class JobQueue:
         """Feed one terminal job into the farm aggregates and — when the
         job carried a trace — record its lifecycle spans (queue wait and
         execution) into the telemetry recorder."""
-        now = time.time()
+        now = record.ended_at = time.time()
         duration = max(0.0, now - record.started_at) \
             if record.started_at else 0.0
         self.telemetry.note_job(duration, failed=failed,
@@ -343,12 +396,14 @@ class JobQueue:
         attrs = {"job_id": record.job.job_id, "kind": record.job.kind,
                  "worker": record.worker, "state": record.state}
         recorder = self.telemetry.recorder
-        if record.submitted_at and record.started_at:
+        if record.ready_at and record.started_at:
+            # From READY, not from submission: time spent blocked on
+            # ``requires`` is not queue wait (``blocked_s`` carries it).
             recorder.record(Span(
                 name="cluster.job.queued", trace_id=trace_id,
                 span_id=new_span_id(), parent_id=parent,
-                start=record.submitted_at,
-                duration=max(0.0, record.started_at - record.submitted_at),
+                start=record.ready_at,
+                duration=max(0.0, record.started_at - record.ready_at),
                 process=service_name() or "coordinator", pid=os.getpid(),
                 attrs=attrs))
         if record.started_at:
@@ -364,7 +419,7 @@ class JobQueue:
 
     def fail(self, job_id: str, worker_id: str, error: str) -> str:
         """A worker reported failure; re-queue without it, or give up."""
-        with self._lock:
+        with self._transition():
             self._touch_locked(worker_id, time.monotonic())
             record = self._require_locked(job_id)
             if record.state != RUNNING or record.worker != worker_id:
@@ -377,7 +432,7 @@ class JobQueue:
             # fleet must be known-registered first: 2+ workers seen, or
             # the full expected fleet of a fixed-size cluster (covers
             # ``--workers 1``) — with fewer, peers may simply not have
-            # polled yet, and the job must wait for them.
+            # asked yet, and the job must wait for them.
             fleet_known = len(self._workers) >= 2 or (
                 self.expected_workers is not None
                 and len(self._workers) >= self.expected_workers)
@@ -397,6 +452,7 @@ class JobQueue:
         record.attempts += 1
         record.error = error
         record.worker = ""
+        self._transitioned = True  # READY again, or terminally FAILED
         if self._affinity_owner.get(record.job.affinity) == worker_id:
             del self._affinity_owner[record.job.affinity]  # let another adopt
         if record.attempts >= self.max_attempts:
@@ -408,6 +464,7 @@ class JobQueue:
                          attempts=record.attempts, error=error)
         else:
             record.state = READY
+            record.ready_at = time.time()
             self._enqueue_locked(record)
             _events.emit("warn", "job requeued",
                          job_id=record.job.job_id, worker=worker_id,
@@ -416,7 +473,7 @@ class JobQueue:
 
     def _expire_leases_locked(self, now: float) -> None:
         for record in self._records.values():
-            if record.state == RUNNING and record.lease_deadline < now:
+            if record.state == RUNNING and record.lease_deadline <= now:
                 _events.emit("warn", "lease expired",
                              job_id=record.job.job_id, worker=record.worker,
                              attempts=record.attempts,
@@ -443,7 +500,7 @@ class JobQueue:
 
     def goodbye(self, worker_id: str) -> int:
         """A worker is leaving: re-queue its running jobs immediately."""
-        with self._lock:
+        with self._transition():
             requeued = 0
             for record in self._records.values():
                 if record.state == RUNNING and record.worker == worker_id:
@@ -451,14 +508,34 @@ class JobQueue:
                                          f"worker {worker_id!r} disconnected")
                     requeued += 1
             info = self._workers.pop(worker_id, None)
-            if info is not None:
+            if info is not None and info.queue:
                 self._shared.extend(info.queue)
+                self._transitioned = True
             for affinity in [a for a, w in self._affinity_owner.items()
                              if w == worker_id]:
                 del self._affinity_owner[affinity]
             if requeued and self.journal is not None:
                 self.journal.mark_dirty()
             return requeued
+
+    def release(self, worker_id: str) -> None:
+        """The worker is about to leave (its stop event was set): its
+        parked fetch — or, should the two cross on the wire, its next
+        one — is answered ``idle`` instead of waiting out the park.
+        Unlike :meth:`goodbye` this touches no job: a worker released
+        mid-job finishes it."""
+        with self._transition():
+            self._workers.setdefault(worker_id, _WorkerInfo()).leaving = True
+            self._transitioned = True
+
+    def take_release(self, worker_id: str) -> bool:
+        """Whether ``worker_id`` was released; asking clears it."""
+        with self._lock:
+            info = self._workers.get(worker_id)
+            leaving = info is not None and info.leaving
+            if leaving:
+                info.leaving = False
+            return leaving
 
     # -- introspection ---------------------------------------------------------
 
@@ -470,14 +547,27 @@ class JobQueue:
 
     def status(self, job_ids: list[str] | None = None,
                now: float | None = None) -> dict[str, dict]:
-        """Job states; doubles as the liveness tick — a polling submitter
-        expires dead workers' leases even when no worker is polling."""
-        with self._lock:
+        """Job states. Like every request it expires overdue leases
+        first — a parked ``wait`` looks again at the nearest lease
+        deadline (:meth:`lease_wait`), so a dead worker's jobs are
+        re-queued on time even when no worker is asking."""
+        with self._transition():
             self._expire_leases_locked(time.monotonic() if now is None
                                        else now)
             ids = list(self._records) if job_ids is None else job_ids
             return {job_id: self._require_locked(job_id).to_json()
                     for job_id in ids}
+
+    def lease_wait(self, now: float | None = None) -> float | None:
+        """Seconds until the nearest lease deadline — when a parked
+        request must look again although nothing else changed — or None
+        while nothing is running."""
+        now = time.monotonic() if now is None else now
+        with self._lock:
+            deadlines = [record.lease_deadline
+                         for record in self._records.values()
+                         if record.state == RUNNING]
+        return max(0.0, min(deadlines) - now) if deadlines else None
 
     def stats(self) -> dict:
         with self._lock:
@@ -497,7 +587,7 @@ class JobQueue:
         queue depth / running count / liveness from the scheduler joined
         with the heartbeat-fed :class:`FarmTelemetry` aggregates."""
         now = time.monotonic()
-        with self._lock:
+        with self._transition():
             self._expire_leases_locked(now)
             workers = {
                 worker_id: {
@@ -548,7 +638,7 @@ class JobQueue:
     def restore(self, state: dict) -> dict:
         """Rebuild scheduler state from a :meth:`checkpoint_state` snapshot.
 
-        Terminal jobs come back with their results so polling submitters
+        Terminal jobs come back with their results so waiting submitters
         can still collect them. Non-terminal jobs — including ones that
         were *running* when the old process died — re-enter as blocked and
         are promoted through the normal readiness check, so a mid-crash
@@ -558,7 +648,7 @@ class JobQueue:
         counts = {"jobs": 0, "done": 0, "failed": 0, "requeued": 0,
                   "pending": 0}
         now = time.monotonic()
-        with self._lock:
+        with self._transition():
             self._published.update(state.get("published", ()))
             for token, owner in dict(state.get("affinity_owner",
                                                {})).items():
@@ -605,14 +695,16 @@ class JobQueue:
 MAX_REQUEST_BODY_BYTES = 16 * 1024 * 1024
 
 
-def _json_command(handler) -> Command:
+def _json_command(handler, timeout=None) -> Command:
     """Every coordinator command declares its body the same way: bulk
     optional fields (worker span batches, metric deltas) ride a JSON body
     declared by ``size`` + ``body_json`` so a chatty traced job can never
     overflow the one-line header frame; the decoded object extends the
-    header before ``handler(req) -> (header, payload)`` sees it."""
-    return Command(lambda req, body: handler(fold_json_body(req, body)),
-                   size_field)
+    header before ``handler(req) -> (header, payload)`` sees it. With a
+    ``timeout(req)`` the row may park (see :class:`Command`)."""
+    return Command(
+        lambda req, body: handler(fold_json_body(req, body)), size_field,
+        timeout=timeout and (lambda req, body: timeout(req)))
 
 
 def coordinator_commands(queue: JobQueue) -> "dict[str, Command]":
@@ -623,8 +715,10 @@ def coordinator_commands(queue: JobQueue) -> "dict[str, Command]":
         # Heartbeats double as the telemetry channel: ``metrics`` carries
         # the worker's registry delta since its last successful send (see
         # repro.telemetry.farm), ``spans`` its finished job's trace.
-        telemetry.absorb_metrics(req.get("worker", ""), req.get("metrics"))
-        telemetry.absorb_spans(req.get("spans"))
+        # Popped: a parked fetch runs again and must not count twice.
+        telemetry.absorb_metrics(req.get("worker", ""),
+                                 req.pop("metrics", None))
+        telemetry.absorb_spans(req.pop("spans", None))
 
     def ping(req):
         return {"ok": True, "server": "cluster-coordinator"}, b""
@@ -634,11 +728,20 @@ def coordinator_commands(queue: JobQueue) -> "dict[str, Command]":
         return {"ok": True, "submitted": queue.submit(
             jobs, tuple(req.get("done_keys", ())))}, b""
 
+    def idle(req):
+        return {"ok": True, "idle": True}, b""
+
     def fetch(req):
+        """Parks until a job is eligible for this worker. The claim
+        happens here, on the loop thread, in the step that buffers the
+        answer on a connection known to be open — a worker that died
+        while parked was dropped from the park table and owns nothing."""
         absorb(req)
+        if queue.take_release(req["worker"]):
+            return idle(req)
         job = queue.fetch(req["worker"])
         if job is None:
-            return {"ok": True, "idle": True}, b""
+            return queue.lease_wait()
         # lease_seconds rides along so the worker can pace its renewal
         # heartbeat without a config channel.
         return {"ok": True, "job": job.to_json(),
@@ -662,6 +765,20 @@ def coordinator_commands(queue: JobQueue) -> "dict[str, Command]":
     def status(req):
         return {"ok": True, "jobs": queue.status(req.get("job_ids"))}, b""
 
+    def wait(req):
+        """Parks until more of ``job_ids`` are done than the ``seen_done``
+        the caller already knows of, or one has failed."""
+        jobs = queue.status(list(req.get("job_ids") or ()))
+        done = sum(rec["state"] == DONE for rec in jobs.values())
+        if done == len(jobs) or done > int(req.get("seen_done") or 0) \
+                or any(rec["state"] == FAILED for rec in jobs.values()):
+            return {"ok": True, "jobs": jobs}, b""
+        return queue.lease_wait()
+
+    def release(req):
+        queue.release(req["worker"])
+        return {"ok": True}, b""
+
     def stats(req):
         return {"ok": True, "stats": queue.stats()}, b""
 
@@ -680,12 +797,16 @@ def coordinator_commands(queue: JobQueue) -> "dict[str, Command]":
     def goodbye(req):
         return {"ok": True, "requeued": queue.goodbye(req["worker"])}, b""
 
-    handlers = {"ping": ping, "submit": submit, "fetch": fetch,
+    handlers = {"ping": ping, "submit": submit,
                 "renew": renew, "complete": complete, "fail": fail,
-                "status": status, "stats": stats,
+                "status": status, "stats": stats, "release": release,
                 "telemetry": farm_telemetry, "goodbye": goodbye}
-    return {name: _json_command(handler)
-            for name, handler in handlers.items()}
+    table = {name: _json_command(handler)
+             for name, handler in handlers.items()}
+    # The two blocking calls: what they answer when the park runs out.
+    table["fetch"] = _json_command(fetch, timeout=idle)
+    table["wait"] = _json_command(wait, timeout=status)
+    return table
 
 
 class Coordinator:
@@ -696,7 +817,9 @@ class Coordinator:
     ``stop()`` shuts the serve loop down, and the instance doubles as a
     context manager. Handlers run on the loop's executor exactly when a
     journal is attached (a submit then blocks on a store checkpoint);
-    inline otherwise — the scheduler ops are microseconds.
+    inline otherwise — the scheduler ops are microseconds. The two rows
+    that park (``fetch``, ``wait``) touch only the queue and always run
+    on the loop thread; :attr:`JobQueue.on_change` wakes them.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -727,6 +850,7 @@ class Coordinator:
             name="cluster.server", max_body_bytes=MAX_REQUEST_BODY_BYTES,
             executor_workers=4 if journal is not None else 0,
             recorder=self.queue.telemetry.recorder)
+        self.queue.on_change = self.server.wake
 
     @property
     def address(self) -> tuple[str, int]:
@@ -736,7 +860,7 @@ class Coordinator:
         return self.server.start()
 
     def stop(self) -> None:
-        self.server.stop()
+        self.server.stop()  # answers what is parked: idle / current status
         if self.journal is not None:
             self.journal.stop()  # final zero-lag checkpoint
 

@@ -24,12 +24,12 @@ Stage execution reuses the pipeline verbatim:
 from __future__ import annotations
 
 import os
-import random
 import re
 import threading
 import time
 from collections import OrderedDict
 
+from repro.cluster.coordinator import DEFAULT_LEASE_SECONDS, PARK_SECONDS
 from repro.cluster.jobs import BuildSpec, ClusterError, Job
 from repro.containers.store import BULK_FLUSH_EVERY, ArtifactCache, BlobStore
 from repro.store.backend import FileBackend
@@ -53,6 +53,7 @@ from repro.telemetry.registry import (
     snapshot_delta,
     sync_dropped_counter,
 )
+from repro.util.retry import RetryPolicy
 
 #: Live IR-container results memoized per worker (keyed by build spec).
 #: Two is enough for one build plus a straggler from a previous one.
@@ -60,11 +61,16 @@ RESULT_MEMO_SIZE = 2
 
 #: A worker exits after the coordinator has been unreachable for this
 #: long — wall clock, not a strike count, so the tolerance is independent
-#: of how fast polls fail. Long enough to ride out a coordinator restart
+#: of how fast calls fail. Long enough to ride out a coordinator restart
 #: plus ``cluster serve --resume``; short enough that an orphaned
 #: subprocess worker terminates instead of spinning forever.
 #: ``cluster worker --max-coordinator-downtime`` overrides it.
 DEFAULT_MAX_COORDINATOR_DOWNTIME = 10.0
+
+#: Pauses between attempts to reach a coordinator that is down (on top
+#: of each call's own retries): full jitter, so a fleet whose calls
+#: failed together does not return in lockstep to a just-restarted one.
+OUTAGE_BACKOFF = RetryPolicy(base_delay=0.02, max_delay=1.0)
 
 
 def _snapshot_delta(before: dict, after: dict, namespace: str) -> dict:
@@ -187,10 +193,12 @@ class ClusterWorker:
 
     # -- loop ------------------------------------------------------------------
 
-    def run_one(self) -> bool:
-        """Fetch and execute one job; False when the queue had none."""
+    def run_one(self, park_seconds: float = 0.0) -> bool:
+        """Fetch and execute one job; False when the queue had none
+        (after blocking in the coordinator for up to ``park_seconds``)."""
         job = self.client.fetch(self.worker_id,
-                                metrics=self._pop_metrics_delta())
+                                metrics=self._pop_metrics_delta(),
+                                park_seconds=park_seconds)
         if job is None:
             return False
         stop_renewal = self._start_lease_renewal(job.job_id)
@@ -264,7 +272,6 @@ class ClusterWorker:
         just stops the heartbeat — completion reporting handles the rest
         idempotently. Returns a stop function.
         """
-        from repro.cluster.coordinator import DEFAULT_LEASE_SECONDS
         lease = (getattr(self.client, "lease_seconds", None)
                  or DEFAULT_LEASE_SECONDS)
         interval = min(max(0.05, lease / 3.0), 15.0)
@@ -310,36 +317,49 @@ class ClusterWorker:
 
         return _stop
 
-    #: Idle polling backs off geometrically from ``poll_seconds`` up to
-    #: this cap, and snaps back on the first job — a long-lived service
-    #: worker costs ~1 request/second at rest, not 50.
-    MAX_POLL_SECONDS = 1.0
-
     def run(self, stop: threading.Event | None = None,
-            poll_seconds: float = 0.02,
             max_idle_seconds: float | None = None) -> None:
         """Pull until stopped (or idle past ``max_idle_seconds``).
 
-        The idle cutoff is how subprocess workers terminate in tests and
-        CI; a service deployment runs without one and lives until the
-        coordinator goes away.
+        An idle worker blocks in ``fetch``: the coordinator parks the
+        request and answers the moment a job is eligible, so nothing is
+        polled. The idle cutoff is how subprocess workers terminate in
+        tests and CI; a service deployment runs without one and lives
+        until the coordinator goes away.
         """
+        if stop is None:
+            stop = threading.Event()  # never set: the waits below just time out
+        else:
+            # A parked fetch cannot watch an event; setting it has the
+            # coordinator answer the fetch at once.
+            threading.Thread(target=self._release_on, args=(stop,),
+                             name=f"release-{self.worker_id}",
+                             daemon=True).start()
         idle_since: float | None = None
         down_since: float | None = None
-        delay = poll_seconds
-        while stop is None or not stop.is_set():
+        outage = 0
+        while not stop.is_set():
+            now = time.monotonic()
+            if idle_since is None:
+                idle_since = now
+            park = PARK_SECONDS
+            if max_idle_seconds is not None:
+                park = min(park, max_idle_seconds - (now - idle_since))
+                if park <= 0:
+                    break
             try:
-                busy = self.run_one()
+                busy = self.run_one(park_seconds=park)
                 if down_since is not None:
                     _events.emit("info", "coordinator link restored",
                                  worker=self.worker_id,
                                  downtime=round(time.monotonic() - down_since,
                                                 2))
                 down_since = None
+                outage = 0
             except ClusterError as exc:
                 # Coordinator unreachable (restarting, or gone for good).
                 # The client already retried each call with backoff; the
-                # loop-level policy is *time-based*: keep re-polling until
+                # loop-level policy is *time-based*: keep trying until
                 # the coordinator has been down max_coordinator_downtime
                 # seconds — long enough for a restart + --resume — then
                 # exit so an orphaned worker terminates instead of
@@ -353,26 +373,11 @@ class ClusterWorker:
                                  limit=self.max_coordinator_downtime,
                                  error=str(exc))
                     return
-                busy = False
+                outage += 1
+                stop.wait(OUTAGE_BACKOFF.backoff(outage))
+                continue
             if busy:
                 idle_since = None
-                delay = poll_seconds
-                continue
-            now = time.monotonic()
-            idle_since = idle_since if idle_since is not None else now
-            if max_idle_seconds is not None \
-                    and now - idle_since >= max_idle_seconds:
-                break
-            # Jitter the reconnect backoff when the coordinator is down:
-            # a fleet whose polls failed together must not retry in
-            # lockstep against a just-restarted coordinator.
-            wait_for = delay if down_since is None \
-                else delay * (0.5 + random.random())
-            if stop is not None and stop.wait(wait_for):
-                break
-            if stop is None:
-                time.sleep(wait_for)
-            delay = min(delay * 2, self.MAX_POLL_SECONDS)
         try:
             self.client.goodbye(self.worker_id)
         except ClusterError:  # pragma: no cover - coordinator already gone
@@ -385,6 +390,13 @@ class ClusterWorker:
             close = getattr(owner, "close", None)
             if close is not None:
                 close()
+
+    def _release_on(self, stop: threading.Event) -> None:
+        stop.wait()
+        try:
+            self.client.release(self.worker_id)
+        except ClusterError:  # coordinator already gone: nothing is parked
+            pass
 
     # -- job execution ---------------------------------------------------------
 

@@ -53,10 +53,20 @@ Design:
   that connection. None reaches the event loop — a single poisoned
   packet must never take down the daemon.
 
+* **Parked requests.** A row with a ``timeout`` is a *parking* row: its
+  handler may answer "not yet", and the loop then holds the request —
+  the connection stays ``busy`` exactly as during an executor hand-off,
+  but no thread and no executor slot is held — and runs the handler
+  again whenever :meth:`WireServer.wake` is called (from any thread)
+  and when the request's own deadline passes; ``select()`` sleeps until
+  the nearest deadline. Blocking calls (a worker's ``fetch``, a
+  submitter's ``wait``) are built on this instead of client-side
+  polling. See :class:`Command` for the contract.
+
 Ordering: responses must leave in request order, so while a chunked
-response is being pumped (or a request is executing) the loop parses no
-further requests from that connection — pipelined input simply waits in
-the buffer. A peer that half-closes its write side is honored:
+response is being pumped (or a request is executing or parked) the loop
+parses no further requests from that connection — pipelined input simply
+waits in the buffer. A peer that half-closes its write side is honored:
 everything already buffered is parsed and answered, the output flushed,
 then the connection closed.
 
@@ -75,6 +85,7 @@ import json
 import selectors
 import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -124,6 +135,8 @@ _SEND_BYTES = 1 << 20
 
 _ACCEPT = "accept"
 _WAKER = "waker"
+#: `_done` entry queued by :meth:`WireServer.wake`.
+_WAKE = (None, None)
 
 
 def _no_body(req: dict) -> int:
@@ -154,6 +167,24 @@ class Command:
     #: ``source(req) -> (header, chunk iterator)`` answers a request that
     #: asked for a chunked response. None: the command never streams.
     source: "Callable[[dict], tuple[dict, object]] | None" = None
+    #: ``timeout(req, body) -> (header, payload)`` makes this a *parking*
+    #: row. Its ``handler`` may then return, instead of a response,
+    #: ``None`` ("not yet") or a number ("not yet; look again within
+    #: this many seconds"), and the loop parks the request: the handler
+    #: runs again on every :meth:`WireServer.wake`, when that number of
+    #: seconds is up, and when the park ends — ``"park_seconds"`` in the
+    #: request header after its arrival (absent or 0: at once), or the
+    #: server stopping — where ``timeout`` answers if the handler still
+    #: does not. The deadline rides the request because only the
+    #: requester knows how long it may block (its socket timeout, its own
+    #: idle budget). Both callables run on the *loop thread*, never the
+    #: executor — they must only read and update in-memory state, and in
+    #: exchange a handler that claims something does so in the same step
+    #: that buffers its answer on a connection known to be open. They
+    #: must be repeatable until they answer. A peer that closes (or half-closes)
+    #: while parked is dropped unanswered and its handler never runs
+    #: again; a request pipelined behind a parked one waits its turn.
+    timeout: "Callable[[dict, bytes], tuple[dict, bytes]] | None" = None
 
 
 def error_response(exc: Exception) -> dict:
@@ -292,6 +323,20 @@ class _Connection:
         self.paused = False     # reads suspended by write-side backpressure
 
 
+class _Parked:
+    """One parked request: what to run again, and by when."""
+
+    __slots__ = ("command", "req", "body", "deadline", "due")
+
+    def __init__(self, command: Command, req: dict, body: bytes,
+                 deadline: float):
+        self.command = command
+        self.req = req
+        self.body = body
+        self.deadline = deadline  # monotonic: the park ends, `timeout` answers
+        self.due = deadline       # monotonic: run the handler again by then
+
+
 class WireServer:
     """Serve ``commands`` over line-framed JSON sessions on ``127.0.0.1``.
 
@@ -331,6 +376,9 @@ class WireServer:
             thread_name_prefix=f"{name}-io") if executor_workers else None
         self._done: collections.deque = collections.deque()
         self._conns: dict[int, _Connection] = {}
+        #: Parked requests in arrival order, so a wake serves the longest
+        #: waiter first. Loop-thread only.
+        self._parked: dict[_Connection, _Parked] = {}
         self._selector = selectors.DefaultSelector()
         # create_server sets SO_REUSEADDR: a restarted server rebinds the
         # port its predecessor held while those sockets drain TIME_WAIT.
@@ -375,7 +423,14 @@ class WireServer:
         self._thread.start()
         return self.address
 
+    def wake(self) -> None:
+        """Run every parked request's handler again (any thread; cheap
+        and idempotent — call it whenever what they wait on changed)."""
+        self._done.append(_WAKE)
+        self._wakeup()
+
     def stop(self) -> None:
+        """Answer what is parked (``timeout``), then close everything."""
         self._stopping = True
         self._wakeup()
         if self._thread is not None:
@@ -412,7 +467,7 @@ class WireServer:
 
     def _run(self) -> None:
         while not self._stopping:
-            for key, mask in self._selector.select():
+            for key, mask in self._selector.select(self._park_timeout()):
                 if key.data is _ACCEPT:
                     self._accept()
                 elif key.data is _WAKER:
@@ -433,8 +488,17 @@ class WireServer:
                             self._on_writable(conn)
                     except Exception:  # a handler bug costs one connection,
                         self._close(conn)  # never the loop
-            self._drain_done()
+            # After the socket events: a peer found closed this sweep
+            # has left the park table before any handler can claim for it.
+            self._service_parked(self._drain_done())
+        for conn in list(self._parked):
+            self._try_parked(conn, stopping=True)
         for conn in list(self._conns.values()):
+            if conn.outbuf:  # the parked answers: small, one send
+                try:
+                    conn.sock.send(conn.outbuf)
+                except OSError:
+                    pass
             self._close(conn)
 
     def _accept(self) -> None:
@@ -458,6 +522,7 @@ class WireServer:
     def _close(self, conn: _Connection) -> None:
         if self._conns.get(conn.fd) is conn:
             del self._conns[conn.fd]
+        self._parked.pop(conn, None)
         if conn.registered:
             try:
                 self._selector.unregister(conn.sock)
@@ -504,10 +569,15 @@ class WireServer:
                 self._close(conn)
                 return
         events = 0
-        want_read = (not conn.eof and not conn.closing and not conn.busy
-                     and conn.stream is None)
+        # A parked connection is still read — that is how its peer's
+        # close is seen — but what it pipelines meanwhile is bounded.
+        parked = conn in self._parked
+        want_read = (not conn.eof and not conn.closing
+                     and (not conn.busy or parked) and conn.stream is None)
         buffer_full = (len(conn.outbuf) >= self.max_outbuf_bytes
-                       or conn.pending_bytes >= self.max_outbuf_bytes)
+                       or conn.pending_bytes >= self.max_outbuf_bytes
+                       or (parked
+                           and len(conn.inbuf) >= self.max_outbuf_bytes))
         if want_read and not buffer_full:
             events |= selectors.EVENT_READ
         if want_read and buffer_full:
@@ -547,6 +617,10 @@ class WireServer:
             return
         if not data:
             conn.eof = True
+            if conn in self._parked:
+                # The requester is gone: nothing is claimed on its behalf.
+                self._close(conn)
+                return
         else:
             self.metrics.add_in(len(data))
             conn.inbuf += data
@@ -770,7 +844,20 @@ class WireServer:
     # -- executing -------------------------------------------------------------
 
     def _dispatch(self, conn: _Connection, req: dict, body: bytes) -> None:
-        self._submit(conn, lambda: self._run_command(req, body), self._finish)
+        command = self.commands.get(req.get("cmd"))
+        if command is None or command.timeout is None:
+            self._submit(conn, lambda: self._run_command(req, body),
+                         self._finish)
+            return
+        try:
+            deadline = time.monotonic() + float(
+                req.get("park_seconds") or 0.0)
+        except (TypeError, ValueError) as exc:
+            self._finish(conn, (error_response(exc), b""))
+            return
+        conn.busy = True
+        self._parked[conn] = _Parked(command, req, body, deadline)
+        self._try_parked(conn)
 
     def _run_command(self, req: dict, body: bytes) -> tuple[dict, bytes]:
         command = self.commands.get(req.get("cmd"))
@@ -821,9 +908,14 @@ class WireServer:
 
         self._executor.submit(fn).add_done_callback(completed)
 
-    def _drain_done(self) -> None:
+    def _drain_done(self) -> bool:
+        """Run queued completions; whether :meth:`wake` was among them."""
+        woken = False
         while self._done:
             conn, fn = self._done.popleft()
+            if fn is None:
+                woken = True
+                continue
             try:
                 fn(conn)
                 if self._live(conn):
@@ -831,6 +923,7 @@ class WireServer:
                     self._update(conn)
             except Exception:  # pragma: no cover - completions clean up
                 self._close(conn)
+        return woken
 
     def _finish(self, conn: _Connection, result: tuple[dict, bytes]) -> None:
         conn.busy = False
@@ -838,6 +931,49 @@ class WireServer:
             return
         header, payload = result
         self._respond(conn, header, payload)
+
+    # -- parked requests -------------------------------------------------------
+
+    def _park_timeout(self) -> "float | None":
+        """How long ``select()`` may sleep: until the nearest moment a
+        parked request wants its handler run again."""
+        if not self._parked:
+            return None
+        nearest = min(entry.due for entry in self._parked.values())
+        return max(0.0, nearest - time.monotonic())
+
+    def _service_parked(self, woken: bool) -> None:
+        now = time.monotonic()
+        for conn, entry in list(self._parked.items()):
+            if (woken or now >= entry.due) and self._try_parked(conn):
+                try:  # what was pipelined behind it gets its turn
+                    self._process(conn)
+                    self._update(conn)
+                except Exception:  # pragma: no cover - costs one connection
+                    self._close(conn)
+
+    def _try_parked(self, conn: _Connection, stopping: bool = False) -> bool:
+        """Run a parked request's handler; True when it was answered,
+        False when it stays parked (or was dropped earlier this sweep)."""
+        entry = self._parked.get(conn)
+        if entry is None:
+            return False
+        command, req, body = entry.command, entry.req, entry.body
+        now = time.monotonic()
+        try:
+            result = None if stopping else command.handler(req, body)
+            if not isinstance(result, tuple) and (
+                    stopping or now >= entry.deadline):
+                result = command.timeout(req, body)
+        except Exception as exc:  # answered; the session continues
+            result = error_response(exc), b""
+        if not isinstance(result, tuple):
+            entry.due = entry.deadline if result is None \
+                else min(entry.deadline, now + result)
+            return False
+        del self._parked[conn]
+        self._finish(conn, result)
+        return True
 
     # -- executor-routed streamed I/O ------------------------------------------
 

@@ -48,7 +48,10 @@ class RetryPolicy:
         self.max_delay = max_delay
         self.deadline = deadline
         self._rng = rng if rng is not None else random
-        self._sleep = sleep
+        #: The sleeper (injectable). Callers whose retry loop is not a
+        #: single :meth:`call` — riding out an outage across many calls —
+        #: pause with ``policy.sleep(policy.backoff(n))``.
+        self.sleep = sleep
 
     @property
     def enabled(self) -> bool:
@@ -83,7 +86,7 @@ class RetryPolicy:
                     raise
                 if on_retry is not None:
                     on_retry(attempt, delay, exc)
-                self._sleep(delay)
+                self.sleep(delay)
                 attempt += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

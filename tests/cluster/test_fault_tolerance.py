@@ -406,7 +406,7 @@ class TestWorkerDowntimePolicy:
         worker = ClusterWorker(client, BlobStore(), worker_id="w-exit",
                                max_coordinator_downtime=0.3)
         started = time.monotonic()
-        worker.run(poll_seconds=0.01)  # returns instead of looping forever
+        worker.run()  # returns instead of looping forever
         elapsed = time.monotonic() - started
         assert 0.3 <= elapsed < 10.0
 
@@ -425,8 +425,7 @@ class TestWorkerDowntimePolicy:
         worker.execute = lambda j: {"echo": j.job_id}
         stop = threading.Event()
         thread = threading.Thread(target=worker.run,
-                                  kwargs={"stop": stop,
-                                          "poll_seconds": 0.02},
+                                  kwargs={"stop": stop},
                                   daemon=True)
         thread.start()
         time.sleep(0.3)  # the worker is polling a dead address
