@@ -190,10 +190,11 @@ def _open_store(args, farm: bool = False) -> tuple[BlobStore, ArtifactCache]:
 
     On a persistent backend the ArtifactCache loads its access-ordered
     index — a fresh process starts warm from whatever earlier builds
-    persisted. ``farm=True`` batches index saves the way cluster workers
-    do (the cache is about to be shared with bulk publishers, and per-put
-    index rewrites are O(n^2) at scale); the cluster flushes at every job
-    boundary, so nothing is lost on a clean exit.
+    persisted. ``farm=True`` batches publishes — payload blobs and index
+    saves — the way cluster workers do (the cache is about to be shared
+    with bulk publishers, and per-put index rewrites are O(n^2) at
+    scale); the cluster flushes at every job boundary, so nothing is
+    lost on a clean exit.
     """
     store = BlobStore(_open_backend(args))
     return store, ArtifactCache(
@@ -530,6 +531,8 @@ def _farm_build(args, scale: float | None, job_timeout: float = 300.0,
             f"{report.lowerings_reused} reused, "
             f"{report.duplicate_lowerings} duplicated")
     print(line + (f" ({note})" if note else ""))
+    print(f"ir compiles: {report.duplicate_ir_compiles} duplicated "
+          f"across jobs")
     return 0
 
 

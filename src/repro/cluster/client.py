@@ -356,6 +356,16 @@ class ClusterBuildReport:
     def duplicate_lowerings(self) -> int:
         return self.lowerings_performed - self.lower_entries_created
 
+    @property
+    def duplicate_ir_compiles(self) -> int:
+        """IR compiles the jobs performed beyond one per distinct IR of
+        the image: per-configuration ``ir-compile`` jobs that run side by
+        side each compile the identities they share before either has
+        published them. 0 when every IR was already on the store."""
+        compiled = sum(rec["result"].get("ir_compile_ops", 0)
+                       for rec in self.jobs.values() if rec.get("result"))
+        return max(0, compiled - self.build_stats.get("final_irs", 0))
+
     def to_json(self) -> dict:
         return {
             "app": self.app,
@@ -374,6 +384,7 @@ class ClusterBuildReport:
             "lowerings_reused": self.lowerings_reused,
             "lower_entries_created": self.lower_entries_created,
             "duplicate_lowerings": self.duplicate_lowerings,
+            "duplicate_ir_compiles": self.duplicate_ir_compiles,
             "build_stats": self.build_stats,
             "jobs": self.jobs,
         }
@@ -448,8 +459,12 @@ def cluster_build(client: CoordinatorClient, app_name: str,
                 for job in jobs]
 
     # Phase 1+2: sharded configure/preprocess/ir-compile, one job pair per
-    # configuration. The shared store dedups cross-config work: the first
-    # worker to publish an artifact wins, everyone else hits.
+    # configuration. The shared store dedups cross-config work between
+    # jobs that run one after the other: whatever an earlier job published
+    # (a preprocessed text by source, headers and defines; an IR by
+    # preprocessed text and frontend flags) is a hit. Jobs running side
+    # by side publish only when they finish, so each compiles what they
+    # share — the report's duplicate_ir_compiles.
     with _trace.span("cluster.build.stage_wave",
                      attrs={"app": app_name, "configs": len(configs)}):
         stage_jobs = _batched([preprocess_job(build, cfg) for cfg in configs]
@@ -476,18 +491,21 @@ def cluster_build(client: CoordinatorClient, app_name: str,
     # group; warm groups' deploy jobs are born ready (their lower key is
     # declared done), cold groups get one lower job each and their deploys
     # gate on it — cold compiles overlap with warm deploys.
-    index_entries = cache.entries()
-    index_keys = set(index_entries)
-    needed_by_group = [
-        (group, lowering_cache_keys(result, options, group.simd_name, cache))
-        for group in plan.groups]
-    # One batched existence probe covers every digest warm routing relies
-    # on (N per-key `has` round-trips become one `has_many`): an index
-    # entry whose blob a GC since removed must route its group cold, not
-    # fail mid-deploy.
-    present = store.has_many(sorted({
-        index_entries[key].digest for _, needed in needed_by_group
-        for key in needed if key in index_entries}))
+    with _trace.span("cluster.build.probe",
+                     attrs={"app": app_name, "groups": len(plan.groups)}):
+        index_entries = cache.entries()
+        index_keys = set(index_entries)
+        needed_by_group = [
+            (group,
+             lowering_cache_keys(result, options, group.simd_name, cache))
+            for group in plan.groups]
+        # One batched existence probe covers every digest warm routing
+        # relies on (N per-key `has` round-trips become one `has_many`):
+        # an index entry whose blob a GC since removed must route its
+        # group cold, not fail mid-deploy.
+        present = store.has_many(sorted({
+            index_entries[key].digest for _, needed in needed_by_group
+            for key in needed if key in index_entries}))
     warm_groups: list[str] = []
     cold_groups: list[str] = []
     done_keys: list[str] = []
@@ -749,33 +767,36 @@ class LocalCluster:
                                  workers=len(live) - 1, retired=idle[-1])
 
     def start(self) -> "LocalCluster":
-        host, port = self.coordinator.start()
-        self.client = CoordinatorClient(host, port)
-        if self.mode == "thread":
-            initial = self.min_workers if self.elastic else self.n_workers
-            for _ in range(initial):
-                self._spawn_worker(host, port)
-            if self.elastic:
-                self._scaler = threading.Thread(
-                    target=self._autoscale_loop, args=(host, port),
-                    name="cluster-autoscaler", daemon=True)
-                self._scaler.start()
-        else:
-            env = dict(os.environ)
-            src_dir = os.path.dirname(os.path.dirname(
-                os.path.dirname(os.path.abspath(__file__))))
-            env["PYTHONPATH"] = src_dir + (
-                os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-            for i in range(self.n_workers):
-                argv = [sys.executable, "-m", "repro.cli", "cluster",
-                        "worker", "--coordinator", f"{host}:{port}",
-                        "--store", self.store_dir,
-                        "--worker-id", f"proc-{i}"]
-                if self.local_tier_dir:
-                    argv += ["--local-tier", self.local_tier_dir]
-                self._procs.append(subprocess.Popen(
-                    argv, env=env, stdout=subprocess.DEVNULL,
-                    stderr=subprocess.DEVNULL))
+        with _trace.span("cluster.local.start",
+                         attrs={"mode": self.mode, "workers": self.n_workers}):
+            host, port = self.coordinator.start()
+            self.client = CoordinatorClient(host, port)
+            if self.mode == "thread":
+                initial = self.min_workers if self.elastic else self.n_workers
+                for _ in range(initial):
+                    self._spawn_worker(host, port)
+                if self.elastic:
+                    self._scaler = threading.Thread(
+                        target=self._autoscale_loop, args=(host, port),
+                        name="cluster-autoscaler", daemon=True)
+                    self._scaler.start()
+            else:
+                env = dict(os.environ)
+                src_dir = os.path.dirname(os.path.dirname(
+                    os.path.dirname(os.path.abspath(__file__))))
+                env["PYTHONPATH"] = src_dir + (
+                    os.pathsep + env["PYTHONPATH"]
+                    if env.get("PYTHONPATH") else "")
+                for i in range(self.n_workers):
+                    argv = [sys.executable, "-m", "repro.cli", "cluster",
+                            "worker", "--coordinator", f"{host}:{port}",
+                            "--store", self.store_dir,
+                            "--worker-id", f"proc-{i}"]
+                    if self.local_tier_dir:
+                        argv += ["--local-tier", self.local_tier_dir]
+                    self._procs.append(subprocess.Popen(
+                        argv, env=env, stdout=subprocess.DEVNULL,
+                        stderr=subprocess.DEVNULL))
         return self
 
     def build(self, app_name: str, system_names: list[str],
@@ -796,26 +817,27 @@ class LocalCluster:
         return spans
 
     def stop(self) -> None:
-        self._stop.set()
-        # Quiesce the autoscaler before signalling workers: it can be
-        # mid-decision, and a worker spawned after this loop would never
-        # see its stop event.
-        if self._scaler is not None:
-            self._scaler.join(timeout=10)
-        for event in self._worker_stops.values():
-            event.set()
-        for thread in self._threads:
-            thread.join(timeout=10)
-        for proc in self._procs:
-            proc.terminate()
-        for proc in self._procs:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                proc.kill()
-        if self.client is not None:
-            self.client.close()
-        self.coordinator.stop()
+        with _trace.span("cluster.local.stop"):
+            self._stop.set()
+            # Quiesce the autoscaler before signalling workers: it can be
+            # mid-decision, and a worker spawned after this loop would never
+            # see its stop event.
+            if self._scaler is not None:
+                self._scaler.join(timeout=10)
+            for event in self._worker_stops.values():
+                event.set()
+            for thread in self._threads:
+                thread.join(timeout=10)
+            for proc in self._procs:
+                proc.terminate()
+            for proc in self._procs:
+                try:
+                    proc.wait(timeout=10)
+                except subprocess.TimeoutExpired:  # pragma: no cover
+                    proc.kill()
+            if self.client is not None:
+                self.client.close()
+            self.coordinator.stop()
 
     def __enter__(self) -> "LocalCluster":
         return self.start()

@@ -137,13 +137,13 @@ class ClusterWorker:
                 registry=self.registry, tier_id=self.worker_tier_id)
             store = BlobStore(self.tier)
         self.store = store
-        # Worker-owned caches batch index saves at BULK_FLUSH_EVERY: a
-        # thousand-publish preprocess job costs O(n) index bytes instead
-        # of O(n^2). Safe because run_one flushes before announcing
-        # completion — no artifact key is published before its artifacts
-        # — and the lease-renewal heartbeat flushes mid-job, bounding how
-        # long a concurrent GC could see the job's blobs as unindexed
-        # orphans.
+        # Worker-owned caches batch their publishes at BULK_FLUSH_EVERY,
+        # payload blobs and index entries alike: a thousand-publish job
+        # costs one backend batch and O(n) index bytes instead of a
+        # locked write per blob and O(n^2). Safe because a job publishes
+        # before its completion is announced — no artifact key is
+        # published before its artifacts — and the lease-renewal
+        # heartbeat flushes mid-job.
         self.cache = cache if cache is not None \
             else ArtifactCache(store, flush_every=BULK_FLUSH_EVERY)
         self.jobs_done = 0
@@ -205,16 +205,6 @@ class ClusterWorker:
         started = time.perf_counter()
         try:
             result = self._execute_traced(job)
-            if self.cache.persistent:
-                # Publish-before-announce: the completion report releases
-                # jobs that *require* this one's artifact keys, so every
-                # batched index entry must be on the shared store first.
-                self.cache.flush_index()
-            if self.tier is not None:
-                # And every blob behind those entries: an index save with
-                # no dirty keys never touches a ref, so the tier's
-                # ref-write flush hook cannot be relied on here.
-                self.tier.flush()
         except Exception as exc:
             self.registry.histogram("cluster.worker.job_seconds",
                                     kind=job.kind).observe(
@@ -250,18 +240,37 @@ class ClusterWorker:
             return self._execute_logged(job)
 
     def _execute_logged(self, job: Job):
-        """Run :meth:`execute`; any escape — handled failure or crash —
-        leaves an error event behind. Emitted inside the still-active job
-        span, so the event carries the failing execution's trace/span ids
-        (what a crash dump cross-links against the Chrome export)."""
+        """Run :meth:`execute` and publish what it produced; any escape —
+        handled failure or crash — leaves an error event behind. Emitted
+        inside the still-active job span, so the event carries the failing
+        execution's trace/span ids (what a crash dump cross-links against
+        the Chrome export)."""
         try:
-            return self.execute(job)
+            result = self.execute(job)
+            self._publish()
+            return result
         except BaseException as exc:
             _events.emit("error", "job execution failed",
                          job_id=job.job_id, kind=job.kind,
                          worker=self.worker_id,
                          error=f"{type(exc).__name__}: {exc}")
             raise
+
+    def _publish(self) -> None:
+        """Publish-before-announce: the completion report releases jobs
+        that *require* this one's artifact keys, so every batched blob and
+        index entry must be on the shared store first. Runs inside the
+        job's span — a bulk cache lands a whole job's blobs here."""
+        blobs, size = self.cache.pending_blobs
+        with _trace.span("cluster.publish",
+                         attrs={"blobs": blobs, "bytes": size}):
+            if self.cache.persistent:
+                self.cache.flush_index()
+            if self.tier is not None:
+                # And every blob behind those entries: an index save with
+                # no dirty keys never touches a ref, so the tier's
+                # ref-write flush hook cannot be relied on here.
+                self.tier.flush()
 
     def _start_lease_renewal(self, job_id: str):
         """Heartbeat the lease while a long job executes.

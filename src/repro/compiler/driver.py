@@ -161,14 +161,23 @@ class Compiler:
         Only frontend-relevant flags are baked into the module; the
         classification is recorded so later stages can audit it.
         """
-        opts = CompileOptions.from_flags(flags)
         pre = self.preprocess(source, flags, name)
-        unit = parse(pre.text)
+        module, uses_openmp = self.compile_preprocessed(pre.text, flags, name)
+        return CompileResult(name, pre, module, uses_openmp)
+
+    def compile_preprocessed(self, text: str, flags: list[str],
+                             name: str = "unit") -> tuple[ir.Module, bool]:
+        """:meth:`compile_to_ir` from text that is already preprocessed:
+        ``(module, uses OpenMP)``. The include resolver is never
+        consulted, so the text and the frontend flags are the whole input.
+        """
+        opts = CompileOptions.from_flags(flags)
+        unit = parse(text)
         classification = classify_flags(flags)
         module = lower_unit(unit, name=name, fopenmp=opts.fopenmp,
                             frontend_flags=classification.frontend)
         from repro.compiler.passes import detect_openmp
-        return CompileResult(name, pre, module, detect_openmp(unit))
+        return module, detect_openmp(unit)
 
     def lower(self, module: ir.Module, flags: list[str]) -> MachineModule:
         """Backend half — run at deployment time in IR containers."""
@@ -185,14 +194,18 @@ class Compiler:
 
 def compile_to_ir_cached(compiler: Compiler, source: str, flags: list[str],
                          name: str = "unit", cache=None,
-                         context_key=None) -> tuple[str, ir.Module, bool]:
+                         text_digest: str | None = None,
+                         ) -> tuple[str, ir.Module, bool]:
     """Cache-aware frontend: ``(canonical IR text, module, freshly compiled)``.
 
-    The cache key covers the source text, the frontend-relevant flags, and a
-    caller-supplied ``context_key`` capturing everything the include
-    resolver can reach (source-tree and generated-header digests) — the
-    parts of compilation state the compiler itself cannot see. Entries are
-    payload-only artifacts (``cache`` is an
+    The cache key is what the frontend consumes: the digest of the
+    preprocessed text, the unit name and the frontend-relevant flags —
+    the paper's sharing rule (Sec. 4.2-4.3), so two configurations whose
+    headers differ elsewhere still share the IR of a unit they preprocess
+    alike. ``text_digest`` names that text in ``cache.store`` (the
+    preprocess stage stores it); without one, or when the blob is gone,
+    ``source`` is preprocessed here and yields the same digest. Entries
+    are payload-only artifacts (``cache`` is an
     :class:`~repro.containers.store.ArtifactCache`): the payload *is* the
     canonical IR text, and :func:`repro.compiler.ir.parse_module` rebuilds
     the live module when the hit comes from a persistent store another
@@ -201,10 +214,14 @@ def compile_to_ir_cached(compiler: Compiler, source: str, flags: list[str],
     if cache is None:
         result = compiler.compile_to_ir(source, flags, name)
         return result.module.render(), result.module, True
+    from repro.store.backend import BlobNotFound
     from repro.util.hashing import content_digest
-    parts = {"src": content_digest(source), "name": name,
-             "fe": sorted(classify_flags(list(flags)).frontend),
-             "ctx": context_key}
+    pre_text = None
+    if text_digest is None:
+        pre_text = compiler.preprocess(source, flags, name).text
+        text_digest = content_digest(pre_text)
+    parts = {"pp": text_digest, "name": name,
+             "fe": sorted(classify_flags(list(flags)).frontend)}
     entry = cache.get("ir", parts)
     if entry is not None:
         module = entry.obj
@@ -214,10 +231,15 @@ def compile_to_ir_cached(compiler: Compiler, source: str, flags: list[str],
             # one live identity (deployments compare modules by object).
             cache.put("ir", parts, entry.payload, obj=module)
         return entry.payload, module, False
-    result = compiler.compile_to_ir(source, flags, name)
-    text = result.module.render()
-    cache.put("ir", parts, text, obj=result.module)
-    return text, result.module, True
+    if pre_text is None:
+        try:
+            pre_text = cache.store.get_text(text_digest)
+        except BlobNotFound:
+            pre_text = compiler.preprocess(source, flags, name).text
+    module, _uses_openmp = compiler.compile_preprocessed(pre_text, flags, name)
+    text = module.render()
+    cache.put("ir", parts, text, obj=module)
+    return text, module, True
 
 
 def make_resolver(headers: dict[str, str]) -> IncludeResolver:

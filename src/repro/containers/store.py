@@ -44,9 +44,12 @@ __all__ = [
 ]
 
 #: ``flush_every`` for bulk publishers (cluster workers, farm-backed CLI
-#: paths): thousand-entry jobs write O(n) index bytes instead of O(n^2).
-#: Callers batching this hard must flush before announcing their
-#: artifacts to anyone who will look for them.
+#: paths): thousand-entry jobs write O(n) index bytes instead of O(n^2),
+#: and their payload blobs in one backend batch ahead of the index that
+#: names them. Nothing such a cache publishes — blob or index entry — is
+#: on the store before its next flush, so callers batching this hard must
+#: flush before announcing their artifacts to anyone who will look for
+#: them.
 BULK_FLUSH_EVERY = 1024
 
 
@@ -248,9 +251,11 @@ class ArtifactCache:
         #: visibility. Bulk publishers (cluster workers) raise it: each
         #: save CAS-rewrites the whole namespace shard, so a job making a
         #: thousand single puts at flush_every=1 writes O(n^2) index
-        #: bytes. Batched writers must :meth:`flush_index` before
-        #: *announcing* their artifacts (the cluster does, before
-        #: reporting job completion).
+        #: bytes. A cache that defers its index on a persistent backend
+        #: defers the payload blobs with it (see ``_pending_blobs``).
+        #: Batched writers must :meth:`flush_index` before *announcing*
+        #: their artifacts (the cluster does, before reporting job
+        #: completion).
         self.flush_every = max(1, flush_every)
         self._dirty_keys: set[str] = set()  # locally modified since last save
         # Namespaces whose shard must be rewritten even without a dirty
@@ -262,6 +267,14 @@ class ArtifactCache:
         self._cas_retries = self.registry.counter("cache.index_cas_retries")
         self._pin_cas_retries = self.registry.counter("cache.pin_cas_retries")
         self._persistent = self.store.backend.persistent
+        # Payload blobs :meth:`put` has hashed but not yet stored
+        # (digest -> bytes). Nobody else can find a blob before the index
+        # names it, so a cache that batches index saves keeps the blobs
+        # too and every save lands them first, as one backend batch: one
+        # mutation lock and one stamp per flush instead of one per
+        # artifact, and no blob-without-entry window for a concurrent GC.
+        self._defer_blobs = self._persistent and self.flush_every > 1
+        self._pending_blobs: dict[str, bytes] = {}
         if self._persistent:
             with self._lock:
                 self._load_index_locked()
@@ -270,6 +283,15 @@ class ArtifactCache:
     def persistent(self) -> bool:
         """True when the backing store outlives this process (file/remote)."""
         return self._persistent
+
+    @property
+    def pending_blobs(self) -> tuple[int, int]:
+        """``(count, bytes)`` of payload blobs the next index save will
+        land — always ``(0, 0)`` unless this cache defers its index on a
+        persistent backend."""
+        with self._lock:
+            return (len(self._pending_blobs),
+                    sum(len(data) for data in self._pending_blobs.values()))
 
     @property
     def cas_retries(self) -> int:
@@ -368,9 +390,14 @@ class ArtifactCache:
         with local changes (dirty keys, evictions) are rewritten, each
         through its own CAS retry-merge loop — writers in different
         namespaces touch different refs and never conflict, and each
-        payload is O(namespace)."""
+        payload is O(namespace). Deferred payload blobs go first — an
+        entry must never be visible before its blob — and stay pending
+        when the backend refuses them, so the next save retries both."""
         if not self._persistent and not force:
             return
+        if self._pending_blobs:
+            self.store.backend.put_many(self._pending_blobs)
+            self._pending_blobs = {}
         dirty = {self._entries[key].namespace
                  for key in self._dirty_keys if key in self._entries}
         dirty |= self._dirty_namespaces
@@ -451,8 +478,10 @@ class ArtifactCache:
                 # One read, under the lock, is the existence check too: an
                 # index entry whose blob another writer's GC collected is
                 # a miss, not an error.
+                pending = self._pending_blobs.get(record.digest)
                 try:
-                    payload = self.store.get_text(record.digest)
+                    payload = pending.decode("utf-8") if pending is not None \
+                        else self.store.get_text(record.digest)
                 except BlobNotFound:
                     pass
             if payload is None:
@@ -472,7 +501,10 @@ class ArtifactCache:
         """Publish an artifact; idempotent, does not touch the counters."""
         key = self.cache_key(namespace, parts)
         with self._lock:
-            digest = self.store.put(payload)
+            if self._defer_blobs:
+                digest, = self._defer_locked([payload])
+            else:
+                digest = self.store.put(payload)
             self._index_locked(key, namespace, digest, obj)
             if len(self._dirty_keys) >= self.flush_every:
                 self._save_index_locked()
@@ -501,13 +533,27 @@ class ArtifactCache:
             return []
         payloads = [payload for _parts, payload in items]
         with self._lock:
-            digests = self.store.put_many([*payloads, *blobs])[:len(items)]
+            if self._defer_blobs:
+                # Through the same queue as put()'s blobs, so the save
+                # below lands this batch and whatever was pending as one.
+                digests = self._defer_locked([*payloads, *blobs])
+            else:
+                digests = self.store.put_many([*payloads, *blobs])
             for (parts, _payload), digest in zip(items, digests):
                 self._index_locked(self.cache_key(namespace, parts),
                                    namespace, digest, None)
             self._save_index_locked()
         return [CacheEntry(digest, payload)
                 for digest, payload in zip(digests, payloads)]
+
+    def _defer_locked(self, blobs) -> list[str]:
+        """Hash ``blobs`` (text or bytes) and keep them for the next index
+        save to land; their digests, in order."""
+        datas = [data.encode("utf-8") if isinstance(data, str) else data
+                 for data in blobs]
+        digests = [content_digest(data) for data in datas]
+        self._pending_blobs.update(zip(digests, datas))
+        return digests
 
     def _index_locked(self, key: str, namespace: str, digest: str,
                       obj: Any) -> None:

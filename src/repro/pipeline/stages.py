@@ -316,19 +316,21 @@ class IRCompileStage(Stage):
     """Compile one IR per equivalence class — cache-aware and parallel."""
 
     name = "ir-compile"
-    consumes = ("app", "configurations", "gen_digest", "tree_digest",
-                "groups", "cache", "stats", "max_workers")
+    consumes = ("app", "configurations", "tus", "groups", "cache", "stats",
+                "max_workers")
     produces = ("ir_files", "ir_modules", "group_to_ir")
 
     def run(self, ctx) -> None:
         app = ctx.require("app")
         configurations = ctx.require("configurations")
-        gen_digest = ctx.require("gen_digest")
-        tree_digest = ctx.require("tree_digest")
         groups = ctx.require("groups")
         cache = ctx.require("cache")
         stats = ctx.require("stats")
         stats.final_irs = len(groups)
+        # The preprocess stage already stored each TU's text; without it
+        # (the stages=() ablation) compile_to_ir_cached preprocesses.
+        text_digest = {tu: attrs["pp"] for tu, attrs
+                       in zip(ctx.require("tus"), ctx.get("tu_attrs", ()))}
 
         def _compile_one(item):
             _key, members = item
@@ -339,8 +341,7 @@ class IRCompileStage(Stage):
             compiler = Compiler(make_include_resolver(app.tree, cfg))
             return compile_to_ir_cached(
                 compiler, app.tree.read(rep.source), frontend_flags, rep.source,
-                cache=cache,
-                context_key={"tree": tree_digest, "gen": gen_digest[rep.config]})
+                cache=cache, text_digest=text_digest.get(rep))
 
         items = list(groups.items())
         compiled = parallel_map(_compile_one, items,

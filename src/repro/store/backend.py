@@ -505,8 +505,13 @@ class FileBackend(Backend):
 
     @staticmethod
     def _atomic_write(path: str, data: bytes) -> None:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-")
+        dirname = os.path.dirname(path)
+        try:
+            fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".tmp-")
+        except FileNotFoundError:
+            # First blob of this shard directory: create it, retry once.
+            os.makedirs(dirname, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".tmp-")
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)

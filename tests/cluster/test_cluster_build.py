@@ -96,6 +96,22 @@ class TestStoreAwareRouting:
         assert report.duplicate_lowerings == 0
 
 
+class TestDuplicateIRCompiles:
+    def test_counts_compiles_beyond_the_images_distinct_irs(self):
+        """One worker runs the jobs one after the other, so the count is
+        exact: LULESH's 20 per-configuration IRs for an image of 14 (the
+        six OpenMP-free units compiled once more under -fopenmp)."""
+        with LocalCluster(workers=1) as cluster:
+            cold = cluster.build("lulesh", SYSTEMS)
+            warm = cluster.build("lulesh", SYSTEMS)
+        compiled = sum(rec["result"].get("ir_compile_ops", 0)
+                       for rec in cold.jobs.values())
+        assert (compiled, cold.build_stats["final_irs"]) == (20, 14)
+        assert cold.duplicate_ir_compiles == 6
+        assert cold.to_json()["duplicate_ir_compiles"] == 6
+        assert warm.duplicate_ir_compiles == 0  # nothing compiled at all
+
+
 class TestFileBackedCluster:
     def test_thread_workers_share_a_file_store(self, tmp_path):
         store_dir = str(tmp_path / "store")

@@ -81,3 +81,60 @@ class TestCompileOptions:
     def test_include_dirs_collected_in_order(self):
         opts = CompileOptions.from_flags(["-Ia", "-I", "b", "-Ic"])
         assert opts.include_dirs == ["a", "b", "c"]
+
+
+class TestIRCacheIdentity:
+    """``compile_to_ir_cached`` keys an IR by the preprocessed text's
+    digest, whoever did the preprocessing."""
+
+    SOURCE = ("#include \"scale.h\"\n"
+              "double f(double* x, int n) { double s = 0.0;\n"
+              "for (int i = 0; i < n; i++) { s = s + SCALE * x[i]; }\n"
+              "return s; }\n")
+    FLAGS = ["-DUNUSED=1", "-fopenmp"]
+
+    def _compile(self, cache, **kwargs):
+        from repro.compiler import Compiler
+        from repro.compiler.driver import compile_to_ir_cached, make_resolver
+        compiler = Compiler(make_resolver({"scale.h": "#define SCALE 2.0\n"}))
+        return compiler, compile_to_ir_cached(
+            compiler, self.SOURCE, self.FLAGS, "f.c", cache=cache, **kwargs)
+
+    def test_same_key_payload_and_module_with_and_without_stored_text(self):
+        from repro.containers import ArtifactCache
+        from repro.util.hashing import content_digest
+
+        plain = ArtifactCache()
+        compiler, (text, module, fresh) = self._compile(plain)
+        assert fresh
+
+        stored = ArtifactCache()
+        pre = compiler.preprocess(self.SOURCE, self.FLAGS, "f.c").text
+        assert stored.put_blob(pre) == content_digest(pre)
+        # A text digest whose blob is absent falls back to the source too.
+        missing = ArtifactCache()
+        for cache in (stored, missing):
+            _, (other_text, other_module, other_fresh) = self._compile(
+                cache, text_digest=content_digest(pre))
+            assert other_fresh and other_text == text
+            assert other_module.render() == module.render()
+            assert set(cache.entries()) == set(plain.entries())
+            assert [e.digest for e in cache.entries().values()] == \
+                [e.digest for e in plain.entries().values()]
+
+        # Either spelling hits what the other published.
+        _, (hit_text, hit_module, hit_fresh) = self._compile(stored)
+        assert not hit_fresh and hit_text == text
+        assert hit_module is stored.get(
+            "ir", {"pp": content_digest(pre), "name": "f.c",
+                   "fe": sorted(self.FLAGS)}).obj
+
+    def test_compile_preprocessed_is_compile_to_ir_minus_preprocessing(self):
+        from repro.compiler import Compiler
+        from repro.compiler.driver import make_resolver
+        compiler = Compiler(make_resolver({"scale.h": "#define SCALE 2.0\n"}))
+        whole = compiler.compile_to_ir(self.SOURCE, self.FLAGS, "f.c")
+        module, uses_openmp = Compiler().compile_preprocessed(
+            whole.preprocessed.text, self.FLAGS, "f.c")
+        assert module.render() == whole.module.render()
+        assert uses_openmp == whole.uses_openmp

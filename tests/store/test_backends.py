@@ -326,6 +326,29 @@ class TestFileBackend:
                      if f.startswith(".tmp-")]
         assert leftovers == []
 
+    def test_shard_directory_is_created_once_not_per_write(
+            self, tmp_path, monkeypatch):
+        backend = FileBackend(tmp_path / "store")
+        created = []
+        real_makedirs = os.makedirs
+
+        def counting_makedirs(path, *args, **kwargs):
+            created.append(os.fspath(path))
+            return real_makedirs(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "makedirs", counting_makedirs)
+        payloads = [f"blob-{i}".encode() for i in range(600)]
+        backend.put_many({content_digest(p): p for p in payloads[:300]})
+        for payload in payloads[300:]:
+            backend.put(content_digest(payload), payload)
+        backend.set_ref("r", b"v")
+        shards = {content_digest(p).split(":", 1)[1][:2] for p in payloads}
+        # 600 blobs over at most 256 shards: many writes find theirs made.
+        assert len(payloads) > len(shards)
+        assert sorted(created) == sorted(
+            str(tmp_path / "store" / "objects" / shard) for shard in shards)
+        assert len(backend) == len(payloads)
+
     def test_concurrent_puts_are_safe(self, tmp_path):
         backend = FileBackend(tmp_path / "store")
         payloads = [f"blob-{i}".encode() for i in range(32)]
