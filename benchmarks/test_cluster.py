@@ -92,7 +92,9 @@ def test_cluster_matches_single_process_byte_for_byte(tmp_path):
 
 def test_store_aware_rerun_is_nearly_free(tmp_path):
     """Second batch against the same store: every ISA routes warm, no
-    lower jobs exist, and the wall-clock collapses."""
+    lower jobs exist, and fewer jobs than the cold batch ran. Counts
+    only: both timings are printed, neither is asserted (a two-core box
+    that changes CPU phase mid-test can make the warm batch the slower)."""
     app = gromacs_model(scale=BENCH_SCALE)
     del app  # the workers build their own; constructed here only to warm OS caches
 
@@ -124,4 +126,4 @@ def test_store_aware_rerun_is_nearly_free(tmp_path):
     assert warm.lowerings_performed == 0
     # No lower job was even submitted on the warm run.
     assert not any("/lower/" in job_id for job_id in warm.jobs)
-    assert warm_seconds < cold_seconds
+    assert len(warm.jobs) < len(cold.jobs)

@@ -690,36 +690,18 @@ def cmd_cluster_serve(args) -> int:
 
 def cmd_cluster_worker(args) -> int:
     """Run one worker: pull jobs, publish artifacts through the store."""
-    from repro.cluster import ClusterWorker
-    from repro.telemetry import flightrec as _flightrec
-    from repro.telemetry import trace as _trace
+    from repro.cluster.worker import run_worker
     from repro.telemetry.registry import MetricsRegistry
-    from repro.testing.faults import arm_fault_injection
     # One registry spans the worker and its store client, so heartbeat
     # deltas carry wire-request latencies alongside job counters.
     registry = MetricsRegistry()
-    worker = ClusterWorker(
-        _coordinator_client(args),
-        BlobStore(_open_backend(args, registry=registry)),
-        worker_id=args.worker_id, registry=registry,
-        local_tier_dir=args.local_tier,
-        tier_flush_interval=args.flush_interval,
-        max_coordinator_downtime=args.max_coordinator_downtime)
-    _trace.set_service(worker.worker_id)
-    # Anything that escapes run() — including an injected fault — dumps
-    # the worker's span buffer, event ring, and registry before dying.
-    _flightrec.install(recorder=worker.recorder, registry=registry)
-    fault = os.environ.get("REPRO_FAULT_INJECT", "")
-    if fault:
-        arm_fault_injection(worker, fault)
-    worker.run(max_idle_seconds=args.max_idle_seconds)
-    line = (f"worker {worker.worker_id}: {worker.jobs_done} jobs done, "
-            f"{worker.jobs_failed} failed")
-    if worker.tier is not None:
-        line += (f", tier {worker.tier.tier_hits} hits / "
-                 f"{worker.tier.tier_misses} misses / "
-                 f"{worker.tier.flushed_blobs} flushed")
-    print(line, flush=True)
+    run_worker(_coordinator_client(args),
+               BlobStore(_open_backend(args, registry=registry)),
+               worker_id=args.worker_id, registry=registry,
+               local_tier_dir=args.local_tier,
+               tier_flush_interval=args.flush_interval,
+               max_coordinator_downtime=args.max_coordinator_downtime,
+               max_idle_seconds=args.max_idle_seconds)
     return 0
 
 

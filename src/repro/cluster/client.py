@@ -13,14 +13,17 @@ immediately and run at the front, overlapping with the cold ISAs' compiles.
 
 :class:`LocalCluster` packages coordinator + N workers for tests, the
 ``deploy-batch --workers N`` CLI path (worker threads sharing one
-in-process store), and the benchmarks (worker subprocesses sharing one
-file-backed store — real multi-core parallelism).
+in-process store), and the benchmarks (worker processes forked from the
+caller, each with its own handle on one file-backed store — real
+multi-core parallelism without starting another interpreter). Workers on
+other machines are not its business: they run ``repro.cli cluster
+worker`` against a ``cluster serve`` coordinator.
 """
 
 from __future__ import annotations
 
 import os
-import subprocess
+import signal
 import sys
 import threading
 import time
@@ -38,8 +41,9 @@ from repro.cluster.jobs import (
     lower_key,
     preprocess_job,
 )
-from repro.cluster.worker import ClusterWorker
+from repro.cluster.worker import ClusterWorker, run_worker
 from repro.containers.store import BULK_FLUSH_EVERY, ArtifactCache, BlobStore
+from repro.store.backend import FileBackend
 from repro.store.wire import SessionPool, WireError, fold_json_body, json_body
 from repro.telemetry import events as _events
 from repro.telemetry import trace as _trace
@@ -616,10 +620,22 @@ class LocalCluster:
     ``mode="thread"`` spawns worker threads sharing one in-process
     store/cache — the default for tests and ``deploy-batch --workers N``
     (any :class:`BlobStore` works, including a plain memory-backed one).
-    ``mode="process"`` spawns ``repro.cli cluster worker`` subprocesses
-    that open their own handle on ``store_dir`` (a
-    :class:`~repro.store.backend.FileBackend` directory) — real multi-core
-    parallelism, used by the cluster benchmark and CI.
+    ``mode="process"`` forks the workers from the calling process — real
+    multi-core parallelism (the cluster benchmark, CI) for the price of a
+    ``fork()``: a child holds every module the caller imported, where a
+    launched interpreter compiles and imports the program again.
+    :meth:`start` forks before the coordinator's loop thread exists, so
+    the cluster never forks with a thread of its own alive. A child
+    shares nothing live with the caller: it closes its copies of the
+    coordinator's sockets and selector (an orphaned worker's
+    ``max_coordinator_downtime`` waits for a *refused* connection), sends
+    stdout/stderr to ``/dev/null``, takes default signal handlers and
+    fresh process-global telemetry, opens its own ``FileBackend`` on
+    ``store_dir`` (and tier under ``local_tier_dir``) and runs
+    :func:`~repro.cluster.worker.run_worker`. It leaves only through
+    ``os._exit``: the caller's ``finally`` blocks, ``atexit`` handlers
+    and buffered output are the caller's and must not run twice.
+    ``worker_pids`` lists the children; :meth:`stop` kills and reaps them.
 
     ``elastic=True`` (thread mode) starts ``min_workers`` and lets a
     monitor thread drive the fleet against coordinator queue depth: scale
@@ -659,7 +675,6 @@ class LocalCluster:
                                "would sit behind it unused)")
         if store is None:
             if store_dir:
-                from repro.store import FileBackend
                 store = BlobStore(FileBackend(store_dir))
             else:
                 store = BlobStore()
@@ -691,7 +706,8 @@ class LocalCluster:
         self.client: CoordinatorClient | None = None
         self.workers: list[ClusterWorker] = []
         self._threads: list[threading.Thread] = []
-        self._procs: list[subprocess.Popen] = []
+        #: Process mode: the forked workers, in ``proc-<i>`` order.
+        self.worker_pids: list[int] = []
         self._stop = threading.Event()
         # Per-worker stop events (global stop sets them all) — what lets
         # the autoscaler retire exactly one worker.
@@ -766,10 +782,55 @@ class LocalCluster:
                     _events.emit("info", "autoscale down",
                                  workers=len(live) - 1, retired=idle[-1])
 
+    def _fork_worker(self, host: str, port: int, worker_id: str) -> int:
+        """Fork one process-mode worker; returns its pid to the caller.
+        The child never returns: see the class docstring for what it
+        drops, and why ``os._exit`` is its only way out."""
+        pid = os.fork()
+        if pid:
+            return pid
+        status = 1
+        try:
+            self.coordinator.server.abandon()
+            devnull = os.open(os.devnull, os.O_RDWR)
+            os.dup2(devnull, 1)
+            os.dup2(devnull, 2)
+            # New objects, not just new descriptors: the caller's may be
+            # a capture buffer, hold unflushed text, or be locked by a
+            # thread that did not survive the fork.
+            sys.stdout = sys.stderr = open(devnull, "w")
+            # Handlers and profilers the caller installed serve the caller.
+            for signum in signal.valid_signals():
+                if callable(signal.getsignal(signum)):
+                    signal.signal(signum, signal.SIG_DFL)
+            sys.setprofile(None)
+            threading.setprofile(None)
+            run_worker(CoordinatorClient(host, port),
+                       BlobStore(FileBackend(self.store_dir)),
+                       worker_id=worker_id,
+                       local_tier_dir=self.local_tier_dir)
+            status = 0
+        except BaseException:
+            # What the interpreter would do on the way down — the flight
+            # recorder run_worker installed hangs off this hook.
+            sys.excepthook(*sys.exc_info())
+        finally:
+            os._exit(status)
+
     def start(self) -> "LocalCluster":
         with _trace.span("cluster.local.start",
                          attrs={"mode": self.mode, "workers": self.n_workers}):
-            host, port = self.coordinator.start()
+            # The server has been bound and listening since __init__: the
+            # address exists, and its backlog holds a worker's connection
+            # until the loop runs.
+            host, port = self.coordinator.address
+            if self.mode == "process":
+                # Before the loop thread exists: a fork copies only the
+                # calling thread, and this way none of ours is lost.
+                for i in range(self.n_workers):
+                    self.worker_pids.append(
+                        self._fork_worker(host, port, f"proc-{i}"))
+            self.coordinator.start()
             self.client = CoordinatorClient(host, port)
             if self.mode == "thread":
                 initial = self.min_workers if self.elastic else self.n_workers
@@ -780,23 +841,6 @@ class LocalCluster:
                         target=self._autoscale_loop, args=(host, port),
                         name="cluster-autoscaler", daemon=True)
                     self._scaler.start()
-            else:
-                env = dict(os.environ)
-                src_dir = os.path.dirname(os.path.dirname(
-                    os.path.dirname(os.path.abspath(__file__))))
-                env["PYTHONPATH"] = src_dir + (
-                    os.pathsep + env["PYTHONPATH"]
-                    if env.get("PYTHONPATH") else "")
-                for i in range(self.n_workers):
-                    argv = [sys.executable, "-m", "repro.cli", "cluster",
-                            "worker", "--coordinator", f"{host}:{port}",
-                            "--store", self.store_dir,
-                            "--worker-id", f"proc-{i}"]
-                    if self.local_tier_dir:
-                        argv += ["--local-tier", self.local_tier_dir]
-                    self._procs.append(subprocess.Popen(
-                        argv, env=env, stdout=subprocess.DEVNULL,
-                        stderr=subprocess.DEVNULL))
         return self
 
     def build(self, app_name: str, system_names: list[str],
@@ -828,13 +872,14 @@ class LocalCluster:
                 event.set()
             for thread in self._threads:
                 thread.join(timeout=10)
-            for proc in self._procs:
-                proc.terminate()
-            for proc in self._procs:
-                try:
-                    proc.wait(timeout=10)
-                except subprocess.TimeoutExpired:  # pragma: no cover
-                    proc.kill()
+            # SIGKILL, not SIGTERM: a worker has nothing to tidy (what it
+            # announced is published, what it holds re-queues), and this
+            # one no inherited handler can swallow, so the wait returns.
+            pids, self.worker_pids = self.worker_pids, []
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            for pid in pids:
+                os.waitpid(pid, 0)
             if self.client is not None:
                 self.client.close()
             self.coordinator.stop()

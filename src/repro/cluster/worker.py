@@ -44,6 +44,7 @@ from repro.pipeline.stages import (
 )
 from repro.pipeline.stats import PipelineStats
 from repro.telemetry import events as _events
+from repro.telemetry import flightrec as _flightrec
 from repro.telemetry import trace as _trace
 from repro.telemetry.registry import (
     MetricsRegistry,
@@ -63,7 +64,7 @@ RESULT_MEMO_SIZE = 2
 #: long — wall clock, not a strike count, so the tolerance is independent
 #: of how fast calls fail. Long enough to ride out a coordinator restart
 #: plus ``cluster serve --resume``; short enough that an orphaned
-#: subprocess worker terminates instead of spinning forever.
+#: worker process terminates instead of spinning forever.
 #: ``cluster worker --max-coordinator-downtime`` overrides it.
 DEFAULT_MAX_COORDINATOR_DOWNTIME = 10.0
 
@@ -73,19 +74,15 @@ DEFAULT_MAX_COORDINATOR_DOWNTIME = 10.0
 OUTAGE_BACKOFF = RetryPolicy(base_delay=0.02, max_delay=1.0)
 
 
-def _snapshot_delta(before: dict, after: dict, namespace: str) -> dict:
-    hits_before, misses_before = before.get(namespace, (0, 0))
-    hits, misses = after.get(namespace, (0, 0))
-    return {"hits": hits - hits_before, "misses": misses - misses_before}
-
-
 class ClusterWorker:
     """Executes jobs against a shared store; one instance per process/thread.
 
     ``store``/``cache`` may be shared with other in-process workers (the
-    :class:`ArtifactCache` is thread-safe); subprocess workers open their
-    own over the same persistent backend and converge through the store's
-    CAS index instead.
+    :class:`ArtifactCache` is thread-safe). A worker with a process to
+    itself — ``cluster worker`` on any machine, or a child a process-mode
+    :class:`~repro.cluster.client.LocalCluster` forked — opens its own
+    over the same persistent backend (:func:`run_worker`) and converges
+    with the others through the store's CAS index instead.
     """
 
     #: Thread-pool width for per-TU loops *inside* a job: cluster
@@ -105,9 +102,9 @@ class ClusterWorker:
             DEFAULT_MAX_COORDINATOR_DOWNTIME
             if max_coordinator_downtime is None else max_coordinator_downtime)
         #: Per-worker metrics, shipped to the coordinator as heartbeat
-        #: deltas. Subprocess workers (``cluster worker``) share this
-        #: registry with their store backend so wire-client latencies ride
-        #: along; thread-mode LocalCluster workers own one each.
+        #: deltas. ``cluster worker`` shares this registry with its
+        #: store backend so wire-client latencies ride along; LocalCluster
+        #: workers own one each.
         self.registry = registry if registry is not None else MetricsRegistry()
         # The client counts its coordinator reconnects; rebinding it onto
         # this registry puts them on the heartbeat channel (`cluster top`
@@ -332,8 +329,8 @@ class ClusterWorker:
 
         An idle worker blocks in ``fetch``: the coordinator parks the
         request and answers the moment a job is eligible, so nothing is
-        polled. The idle cutoff is how subprocess workers terminate in
-        tests and CI; a service deployment runs without one and lives
+        polled. The idle cutoff is how ``cluster worker`` processes end
+        in tests and CI; a service deployment runs without one and lives
         until the coordinator goes away.
         """
         if stop is None:
@@ -514,14 +511,16 @@ class ClusterWorker:
         from repro.core import lower_configuration
         build = BuildSpec.from_json(spec["build"])
         _app, result = self._build_result(build)
-        before = self.cache.snapshot()
+        # The live counters, not cache.snapshot(): that one flushes, and
+        # what a job wrote lands in _publish, inside the span that says so.
+        lower = self.cache.counters("lower")
+        hits, misses = lower.hits, lower.misses
         count = lower_configuration(result, dict(spec["options"]),
                                     spec["simd"], cache=self.cache)
-        delta = _snapshot_delta(before, self.cache.snapshot(), "lower")
         return {"simd": spec["simd"], "family": spec.get("family", ""),
                 "lowerings": count,
-                "lowerings_performed": delta["misses"],
-                "lowerings_reused": delta["hits"]}
+                "lowerings_performed": lower.misses - misses,
+                "lowerings_reused": lower.hits - hits}
 
     def _run_deploy(self, spec: dict) -> dict:
         from repro.core import deploy_ir_container
@@ -529,14 +528,55 @@ class ClusterWorker:
         build = BuildSpec.from_json(spec["build"])
         app, result = self._build_result(build)
         system = get_system(spec["system"])
-        before = self.cache.snapshot()
+        lower = self.cache.counters("lower")  # live, as in _run_lower
+        hits, misses = lower.hits, lower.misses
         dep = deploy_ir_container(result, app, dict(spec["options"]), system,
                                   self.store,
                                   simd_override=spec.get("simd_override"),
                                   cache=self.cache)
-        delta = _snapshot_delta(before, self.cache.snapshot(), "lower")
         return {"system": system.name, "tag": dep.tag,
                 "simd": dep.simd_name, "lowered_count": dep.lowered_count,
                 "image_digest": dep.image.digest,
-                "lowerings_performed": delta["misses"],
-                "lowerings_reused": delta["hits"]}
+                "lowerings_performed": lower.misses - misses,
+                "lowerings_reused": lower.hits - hits}
+
+
+# -- the worker entry ----------------------------------------------------------
+
+
+def run_worker(client, store: BlobStore, worker_id: str = "",
+               registry: MetricsRegistry | None = None,
+               local_tier_dir: str = "",
+               tier_flush_interval: float | None = None,
+               max_coordinator_downtime: float | None = None,
+               max_idle_seconds: float | None = None) -> None:
+    """One worker process from its first fetch to its goodbye: the body
+    of the ``cluster worker`` command, and of each child a process-mode
+    :class:`~repro.cluster.client.LocalCluster` forks.
+
+    The process takes the worker's identity — its id labels every span
+    and event — and whatever escapes the loop, an injected fault
+    (``REPRO_FAULT_INJECT``) included, reaches the flight recorder, which
+    dumps the worker's spans, events and registry. A ``registry`` shared
+    with a served store's client puts its wire latencies on the
+    heartbeat beside the job counters.
+    """
+    worker = ClusterWorker(
+        client, store, worker_id=worker_id, registry=registry,
+        local_tier_dir=local_tier_dir,
+        tier_flush_interval=tier_flush_interval,
+        max_coordinator_downtime=max_coordinator_downtime)
+    _trace.set_service(worker.worker_id)
+    _flightrec.install(recorder=worker.recorder, registry=worker.registry)
+    fault = os.environ.get("REPRO_FAULT_INJECT", "")
+    if fault:
+        from repro.testing.faults import arm_fault_injection
+        arm_fault_injection(worker, fault)
+    worker.run(max_idle_seconds=max_idle_seconds)
+    line = (f"worker {worker.worker_id}: {worker.jobs_done} jobs done, "
+            f"{worker.jobs_failed} failed")
+    if worker.tier is not None:
+        line += (f", tier {worker.tier.tier_hits} hits / "
+                 f"{worker.tier.tier_misses} misses / "
+                 f"{worker.tier.flushed_blobs} flushed")
+    print(line, flush=True)

@@ -438,11 +438,21 @@ class WireServer:
             self._thread = None
         if self._executor is not None:
             self._executor.shutdown(wait=False)
+        self.abandon()
+
+    def abandon(self) -> None:
+        """Close this process's handles on the listening socket, the wake
+        pair and the selector, and tell nobody. The end of :meth:`stop` —
+        and all a forked child does with the server it inherited: the
+        parent's loop keeps its own descriptors, and once the parent has
+        closed them no process is left holding the port open."""
         for sock in (self._listen, self._wake_recv, self._wake_send):
             try:
                 sock.close()
             except OSError:  # pragma: no cover
                 pass
+        # Closes the descriptor only; unregistering would edit the epoll
+        # set a forked child shares with its parent.
         self._selector.close()
 
     def __enter__(self):

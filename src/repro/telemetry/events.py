@@ -185,6 +185,16 @@ _global_log = EventLog()
 _global_lock = threading.Lock()
 
 
+def _fresh_after_fork() -> None:
+    # A forked child narrates its own life: the parent's events, sink
+    # and possibly-held locks stay the parent's.
+    global _global_log, _global_lock
+    _global_log, _global_lock = EventLog(), threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_after_fork)
+
+
 def get_event_log() -> EventLog:
     """The process-wide event log every :func:`emit` lands in."""
     return _global_log

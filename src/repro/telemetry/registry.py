@@ -34,6 +34,7 @@ lock acquire and one add.
 
 from __future__ import annotations
 
+import os
 import threading
 
 __all__ = [
@@ -378,7 +379,6 @@ def sample_process_gauges(registry: "MetricsRegistry | None" = None) -> dict:
     (server ``telemetry`` op, worker heartbeat delta, history sampler
     tick, crash dump) so resource trends ride the same pipes as every
     other metric. Returns what was sampled."""
-    import os
     if registry is None:
         registry = get_registry()
     if not registry.enabled:
@@ -420,6 +420,16 @@ def sync_dropped_counter(registry: "MetricsRegistry | None", name: str,
 
 _default_registry = MetricsRegistry()
 _default_lock = threading.Lock()
+
+
+def _fresh_after_fork() -> None:
+    # A forked child counts for itself, behind a lock nobody holds (a
+    # thread of the parent that held it did not survive the fork).
+    global _default_registry, _default_lock
+    _default_registry, _default_lock = MetricsRegistry(), threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_after_fork)
 
 
 def get_registry() -> MetricsRegistry:

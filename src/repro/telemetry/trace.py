@@ -154,6 +154,19 @@ _global_recorder: TraceRecorder | None = None
 _service = ""
 
 
+def _fresh_after_fork() -> None:
+    # A forked child records nothing until it says so: a span written to
+    # its copy of the parent's recorder reaches nobody, and the parent's
+    # open span is not its ancestor.
+    global _global_recorder, _service
+    _global_recorder, _service = None, ""
+    _ctx.set(None)
+    _ctx_recorder.set(None)
+
+
+os.register_at_fork(after_in_child=_fresh_after_fork)
+
+
 def set_service(name: str) -> None:
     """Label spans recorded by this process (shown as the Perfetto track
     name: ``client``, ``coordinator``, ``worker proc-0``, ...)."""

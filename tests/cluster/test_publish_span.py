@@ -6,7 +6,10 @@ from dataclasses import replace
 
 from test_flight_recorder_crash import _traced_job
 
-from repro.cluster import ClusterWorker, Coordinator, CoordinatorClient
+from repro.apps import lulesh_configs
+from repro.cluster import (BuildSpec, ClusterWorker, Coordinator,
+                           CoordinatorClient)
+from repro.cluster.jobs import lower_job
 from repro.containers.store import (ArtifactCache, BlobStore,
                                     BULK_FLUSH_EVERY)
 from repro.store import FileBackend
@@ -45,6 +48,30 @@ def test_publish_is_a_child_span_of_the_job_and_precedes_completion(tmp_path):
     # Announced means published: a second handle resolves the entries.
     reader = ArtifactCache(BlobStore(FileBackend(tmp_path / "store")))
     assert reader.stats()["entries_by_namespace"]["ir"] == 5
+
+
+def test_a_lower_jobs_publish_span_carries_its_machine_modules(tmp_path):
+    """Counting a job's lowerings must not flush them: the machine
+    modules land in the publish, and its span says how many."""
+    build = BuildSpec(app="lulesh", configs=tuple(lulesh_configs()))
+    options = {"WITH_MPI": "OFF", "WITH_OPENMP": "ON"}
+    job = replace(lower_job(build, options, "x86_64", "AVX2_256"),
+                  requires=(), trace=_traced_job().trace)
+    with Coordinator() as coordinator:
+        host, port = coordinator.address
+        CoordinatorClient(host, port).submit([job])
+        worker = _worker(host, port, FileBackend(tmp_path / "store"))
+        assert worker.run_one() is True
+        record = coordinator.queue.status([job.job_id])[job.job_id]
+        assert record["state"] == "done"
+        lowered = record["result"]["lowerings_performed"]
+        assert lowered == record["result"]["lowerings"] > 0
+        [publish] = [span for span
+                     in coordinator.queue.telemetry.recorder.spans()
+                     if span.name == "cluster.publish"]
+        assert publish.attrs["blobs"] == lowered
+        assert publish.attrs["bytes"] > 0
+        assert worker.cache.pending_blobs == (0, 0)
 
 
 def test_a_refused_publish_fails_the_job(tmp_path):
