@@ -1,7 +1,7 @@
 """Build-farm cluster: multi-worker batch builds vs the single-process path.
 
 Not a paper figure — this benchmarks the ISSUE 4 machinery: a coordinator
-sharding one GROMACS batch (preprocess / IR-compile per configuration,
+sharding one GROMACS batch (one stage job per configuration,
 lower per ISA, deploy per system) across worker *processes* that share one
 file-backed store must (a) produce byte-identical deployments with zero
 duplicate lowerings and (b) make a warm rerun — every ISA already lowered

@@ -4,8 +4,8 @@ Walks the cluster subsystem ISSUE 4 adds on top of the staged pipeline
 and the persistent store:
 
 1. **Cold farm build** — a `LocalCluster` (coordinator + 2 workers)
-   decomposes a LULESH batch into stage-level jobs (preprocess and
-   IR-compile per configuration, lower per ISA, deploy per system) and
+   decomposes a LULESH batch into jobs (one stage job per
+   configuration, lower per ISA, deploy per system) and
    runs it against a file-backed store. Workers exchange *artifact keys*
    over the wire; every artifact moves through the store. Zero duplicate
    lowerings, byte-identical to a single-process `deploy_batch`.
@@ -81,8 +81,7 @@ def crash_recovery(root: str) -> None:
             thread.start()
         try:
             report = cluster_build(CoordinatorClient(host, port), "lulesh",
-                                   ["ault23"], store, cache=cache,
-                                   counters_shared_with_workers=True)
+                                   ["ault23"], store, cache=cache)
         finally:
             stop.set()
             for thread in threads:

@@ -45,10 +45,6 @@ class SourceTree:
     def paths(self) -> list[str]:
         return sorted(self.files)
 
-    def subtree(self, prefix: str) -> list[str]:
-        prefix = prefix.rstrip("/") + "/"
-        return sorted(p for p in self.files if p.startswith(prefix))
-
     def copy(self) -> "SourceTree":
         return SourceTree(dict(self.files))
 

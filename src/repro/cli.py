@@ -85,6 +85,11 @@ CLI_APP_SCALE = {"gromacs": GROMACS_CLI_SCALE}
 APPS = {name: (lambda n=name: app_model(n, CLI_APP_SCALE.get(n)))
         for name in ("gromacs", "lulesh", "llama.cpp")}
 
+#: OpenMP threads of a predicted workload run (`deploy --workload`, `bench`).
+WORKLOAD_THREADS = 16
+#: Refresh period of `cluster top --watch`.
+TOP_REFRESH_SECONDS = 2.0
+
 
 def _app(name: str):
     try:
@@ -140,7 +145,6 @@ SYSTEM = Option("--system", required=True, choices=sorted(SYSTEMS))
 SYSTEM_LIST = Option("--systems", required=True,
                      help="comma-separated system names (e.g. ault23,ault25)")
 WORKLOAD = Option("--workload", default="")
-THREADS = Option("--threads", type=int, default=16)
 JSON = Option("--json", action="store_true", help="machine-readable output")
 TRACE = Option("--trace", default="", metavar="OUT.json",
                help="write a Chrome trace-event file of the command (load "
@@ -162,8 +166,9 @@ PORT = Option("--port", type=int, default=0,
 SKIP_INCOMPATIBLE = Option("--skip-incompatible", action="store_true",
                            help="skip systems the IR container cannot run on")
 WORKERS = Option("--workers", type=int, default=0,
-                 help="route the batch through N in-process cluster "
-                      "workers (0 = classic single-process path)")
+                 help="route the batch through a self-hosted farm of N "
+                      "workers — forked processes with --store DIR, "
+                      "threads otherwise (0 = classic single-process path)")
 
 
 # -- what a handler opens, and how it lets go of it ----------------------------
@@ -276,17 +281,6 @@ def _print_json(blob) -> int:
     return 0
 
 
-def _cache_delta(before: dict, after: dict) -> dict:
-    """Per-namespace {hits, misses} traffic between two cache snapshots."""
-    out: dict[str, dict[str, int]] = {}
-    for namespace, (hits, misses) in after.items():
-        prev_hits, prev_misses = before.get(namespace, (0, 0))
-        if hits - prev_hits or misses - prev_misses:
-            out[namespace] = {"hits": hits - prev_hits,
-                              "misses": misses - prev_misses}
-    return out
-
-
 def _parse_systems(spec: str) -> list:
     systems = []
     for name in spec.split(","):
@@ -356,7 +350,7 @@ def cmd_deploy(args) -> int:
     system = get_system(args.system)
     store, cache = _open_store(args)
     build_stats = None
-    deploy_delta: dict = {}
+    deploy_cache: dict = {}
     if args.mode == "source":
         arch = "arm64" if system.architecture == "arm64" else "amd64"
         sc = build_source_image(app, store, arch=arch)
@@ -369,25 +363,26 @@ def cmd_deploy(args) -> int:
     else:
         configs, chosen = default_ir_sweep(args.app)
         result = build_ir_container(app, configs, store=store, cache=cache)
-        before = cache.snapshot()
         dep = deploy_ir_container(result, app, chosen, system, store,
                                   cache=cache)
-        deploy_delta = _cache_delta(before, cache.snapshot())
+        deploy_cache = {"lower": {"hits": dep.lowerings_reused,
+                                  "misses": dep.lowerings_performed}}
         build_stats = result.stats.to_json()
         if cache.persistent:
+            cache.flush_index()  # the deploy's hits bumped recency in memory
             cache.pin(f"image/{args.app}", result.image.digest)
             cache.pin(f"deploy/{args.app}@{system.name}", dep.image.digest)
         if not args.json:
             print(f"lowered ISA: {dep.simd_name}")
     report = run_workload(dep.artifact, system, args.workload,
-                          threads=args.threads) if args.workload else None
+                          threads=WORKLOAD_THREADS) if args.workload else None
     if args.json:
         blob = {
             "app": args.app, "system": system.name, "mode": args.mode,
             "tag": dep.tag,
             # The cold-start acceptance check: a warm persistent store
             # makes every build op zero and every deploy lookup a hit.
-            "deploy_cache": deploy_delta,
+            "deploy_cache": deploy_cache,
         }
         if build_stats is not None:
             blob["build_stats"] = build_stats
@@ -412,13 +407,10 @@ def cmd_deploy_batch(args) -> int:
     """Build one IR container and deploy it to many systems in one batch."""
     from repro.core import IRDeploymentError
     if args.workers > 0:
-        # Route the batch through an in-process build farm: N worker
-        # threads pulling stage-level jobs from a LocalCluster
-        # coordinator, all publishing through this command's store.
-        fleet = {"elastic": True, "min_workers": args.min_workers,
-                 "max_workers": args.workers} if args.elastic else {}
-        return _farm_build(args, CLI_APP_SCALE.get(args.app), fleet=fleet,
-                           note=f"{args.workers} workers")
+        # Route the batch through a self-hosted build farm: N workers
+        # pulling jobs from a LocalCluster coordinator, all publishing
+        # through this command's store.
+        return _farm_build(args, note=f"{args.workers} workers")
     app = _app(args.app)
     systems = _parse_systems(args.systems)
     configs, chosen = default_ir_sweep(args.app)
@@ -468,28 +460,39 @@ def cmd_cluster_build(args) -> int:
         raise SystemExit("cluster build against an external coordinator "
                          "needs --store DIR or --store-server HOST:PORT "
                          "(the store the workers share)")
-    # Without --scale, size the app the way every other command does.
-    scale = args.scale if args.scale is not None \
-        else CLI_APP_SCALE.get(args.app)
-    return _farm_build(args, scale, job_timeout=args.job_timeout,
-                       routing=True)
+    return _farm_build(args, routing=True)
 
 
-def _farm_build(args, scale: float | None, job_timeout: float = 300.0,
-                fleet: dict | None = None, note: str = "",
-                routing: bool = False) -> int:
+def _local_fleet(args) -> dict:
+    """How a self-hosted farm runs its ``--workers``. With ``--store DIR``
+    they are forked processes, each opening the directory itself — real
+    cores, and the shape the benchmarks measure. A fork cannot share an
+    in-memory store or a served store's pooled connection, and the
+    autoscaler (``--elastic``) drives threads, so those farms run worker
+    threads over this command's own store handle."""
+    if getattr(args, "elastic", False):
+        return {"elastic": True, "min_workers": args.min_workers,
+                "max_workers": args.workers}
+    if args.store:
+        return {"mode": "process", "store_dir": args.store}
+    return {}
+
+
+def _farm_build(args, note: str = "", routing: bool = False) -> int:
     """The farm run behind ``deploy-batch --workers`` and ``cluster
     build``: open the store, build through ``--coordinator`` (an external
     one with its own workers) or a self-hosted LocalCluster of
-    ``--workers`` threads (``fleet``: its elastic-scaling arguments), pin
+    ``--workers`` (:func:`_local_fleet` picks processes or threads), pin
     the image, print the report. Under ``--trace`` the farm's half of the
     trace — coordinator job lifecycle plus worker-pushed spans — joins
     the client's."""
     from repro.cluster import ClusterError, LocalCluster, cluster_build
     from repro.core import IRDeploymentError
     systems = [s.name for s in _parse_systems(args.systems)]
-    build = {"scale": scale, "skip_incompatible": args.skip_incompatible,
-             "job_timeout": job_timeout}
+    # The same tree every other command sizes: deployments stay
+    # byte-identical across the single-process and farm paths.
+    build = {"scale": CLI_APP_SCALE.get(args.app),
+             "skip_incompatible": args.skip_incompatible}
     store, cache = _open_store(args, farm=True)
     with _tracing(args, store, app=args.app, systems=len(systems)) as spans:
         try:
@@ -505,7 +508,7 @@ def _farm_build(args, scale: float | None, job_timeout: float = 300.0,
                         pass
             else:
                 with LocalCluster(workers=args.workers, store=store,
-                                  cache=cache, **(fleet or {})) as cluster:
+                                  cache=cache, **_local_fleet(args)) as cluster:
                     report = cluster.build(args.app, systems, **build)
                     if spans is not None:
                         spans.extend(cluster.drain_spans())
@@ -708,7 +711,7 @@ def cmd_cluster_worker(args) -> int:
 def cmd_cluster_top(args) -> int:
     """Live farm-wide aggregates from the coordinator's `telemetry` op.
 
-    ``--watch`` refreshes in place every ``--interval`` seconds and adds
+    ``--watch`` refreshes in place every ``TOP_REFRESH_SECONDS`` and adds
     sparkline trends from the coordinator's bounded metrics history."""
     from repro.cluster import ClusterError
     from repro.telemetry.farm import render_top
@@ -716,7 +719,7 @@ def cmd_cluster_top(args) -> int:
     try:
         while True:
             try:
-                info = client.telemetry(worker_metrics=args.worker_metrics)
+                info = client.telemetry()
             except ClusterError as exc:
                 raise SystemExit(f"cluster top failed: {exc}")
             if args.json:
@@ -728,7 +731,7 @@ def cmd_cluster_top(args) -> int:
                 print(render_top(info))
             if not args.watch:
                 return 0
-            time.sleep(args.interval)
+            time.sleep(TOP_REFRESH_SECONDS)
     except KeyboardInterrupt:
         return 0
 
@@ -812,7 +815,8 @@ def cmd_bench(args) -> int:
     system = get_system(args.system)
     options = dict(kv.split("=", 1) for kv in (args.option or []))
     artifact = build_app(app, options, build_system=system, label="cli")
-    report = run_workload(artifact, system, args.workload, threads=args.threads)
+    report = run_workload(artifact, system, args.workload,
+                          threads=WORKLOAD_THREADS)
     print(report)
     for kernel, seconds in sorted(report.kernel_seconds.items()):
         print(f"  {kernel:<16} {seconds:10.3f} s")
@@ -853,7 +857,7 @@ COMMANDS: dict[tuple[str, ...], Command] = {
                    help="dedup analysis without compiling IRs"))),
     ("deploy",): Command(
         "deploy a container to a system (Figs. 6/8)", cmd_deploy, (
-            APP, SYSTEM, WORKLOAD, THREADS, STORE_GROUP, JSON,
+            APP, SYSTEM, WORKLOAD, STORE_GROUP, JSON,
             Option("--mode", choices=("source", "ir"), default="source"))),
     ("deploy-batch",): Command(
         "deploy one IR container to many systems at once",
@@ -868,7 +872,7 @@ COMMANDS: dict[tuple[str, ...], Command] = {
                    help="elastic fleet floor (default 1)"))),
     ("bench",): Command(
         "predict a workload run", cmd_bench, (
-            APP, SYSTEM, WORKLOAD.but(required=True), THREADS,
+            APP, SYSTEM, WORKLOAD.but(required=True),
             Option("--option", action="append", metavar="KEY=VALUE",
                    help="build option (repeatable)"))),
     ("cluster", "serve"): Command(
@@ -913,26 +917,18 @@ COMMANDS: dict[tuple[str, ...], Command] = {
         "build + deploy a batch through the farm", cmd_cluster_build, (
             APP, SYSTEM_LIST, SKIP_INCOMPATIBLE, STORE_GROUP, JSON, TRACE,
             COORDINATOR.but(help="external coordinator with its own "
-                                 "workers; omit to self-host --workers N "
-                                 "in-process"),
-            WORKERS.but(default=2, help="self-hosted worker count "
-                                        "(ignored with --coordinator)"),
-            Option("--scale", type=float, default=None,
-                   help="app source-tree scale (gromacs defaults to 0.02)"),
-            Option("--job-timeout", type=float, default=300.0,
-                   help="per-wave stall timeout: raised only after this "
-                        "long with no job completing"))),
+                                 "workers; omit to self-host --workers N"),
+            WORKERS.but(default=2, help="self-hosted worker count: forked "
+                                        "processes with --store DIR, "
+                                        "threads otherwise (ignored with "
+                                        "--coordinator)"))),
     ("cluster", "top"): Command(
         "live farm aggregates: per-worker queue depth, throughput, "
         "job/store latencies", cmd_cluster_top, (
             COORDINATOR.but(required=True), JSON,
-            Option("--worker-metrics", action="store_true",
-                   help="include each worker's full merged metric snapshot"),
             Option("--watch", action="store_true",
-                   help="refresh in place until interrupted, with "
-                        "sparkline trends from the farm metrics history"),
-            Option("--interval", type=float, default=2.0,
-                   help="refresh period for --watch (default 2s)"))),
+                   help="refresh in place every 2 s until interrupted, with "
+                        "sparkline trends from the farm metrics history"))),
     ("cluster", "status"): Command(
         "scheduler state plus the telemetry summary", cmd_cluster_status,
         (COORDINATOR.but(required=True), JSON)),

@@ -5,7 +5,8 @@ core; this package fans the same stage graph out across worker processes
 that share one artifact store (:mod:`repro.store`). The division of labor:
 
 * the **coordinator** (:mod:`repro.cluster.coordinator`) holds the job
-  graph — stage-level jobs gated on artifact keys — behind a
+  graph — one stage job per configuration, one lower job per cold ISA,
+  one deploy job per system, gated on artifact keys — behind a
   work-stealing queue with leases, crash re-queueing, and idempotent
   completion;
 * **workers** (:mod:`repro.cluster.worker`) pull jobs and run the actual
@@ -17,7 +18,9 @@ that share one artifact store (:mod:`repro.store`). The division of labor:
   (store-aware scheduling), and aggregates the results.
 
 Entry points: ``repro.cli cluster serve|worker|build``, the
-:class:`LocalCluster` helper, and ``deploy-batch --workers N``.
+:class:`LocalCluster` helper, and ``deploy-batch --workers N`` (a
+self-hosted farm forks its workers when the command's store is a
+directory, and runs threads when it is not).
 """
 
 from repro.cluster.client import (

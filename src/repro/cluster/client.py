@@ -1,21 +1,24 @@
 """Submitter side of the build farm: plan, probe the store, submit, wait.
 
 :func:`cluster_build` is the cluster analogue of
-:func:`repro.pipeline.batch.deploy_batch`: it decomposes one
-"build this app, deploy it to these systems" request into stage-level jobs
-(:mod:`repro.cluster.jobs`), submits them to a coordinator, and aggregates
-the results. Scheduling is **store-aware**: before planning the deployment
-phase, the client probes the shared store's ``lower`` index
+:func:`repro.core.deployment.deploy_batch`: it decomposes one
+"build this app, deploy it to these systems" request into jobs
+(:mod:`repro.cluster.jobs` — one stage job per configuration, one lower
+job per cold ISA, one deploy job per system), submits them to a
+coordinator, and aggregates the results. Scheduling is **store-aware**:
+before planning the deployment phase, the client probes the shared
+store's ``lower`` index
 (:func:`repro.core.deployment.lowering_cache_keys`); ISA groups whose
 machine modules are already present get *no* lower job — their artifact
 key is declared done at submit, their systems' deploy jobs are ready
 immediately and run at the front, overlapping with the cold ISAs' compiles.
 
 :class:`LocalCluster` packages coordinator + N workers for tests, the
-``deploy-batch --workers N`` CLI path (worker threads sharing one
-in-process store), and the benchmarks (worker processes forked from the
-caller, each with its own handle on one file-backed store — real
-multi-core parallelism without starting another interpreter). Workers on
+benchmarks and the self-hosted CLI farms (``deploy-batch --workers N``,
+``cluster build``): worker processes forked from the caller, each with
+its own handle on one file-backed store — real multi-core parallelism
+without starting another interpreter — when the store is a directory,
+worker threads sharing the caller's in-process store otherwise. Workers on
 other machines are not its business: they run ``repro.cli cluster
 worker`` against a ``cluster serve`` coordinator.
 """
@@ -39,7 +42,6 @@ from repro.cluster.jobs import (
     ir_compile_job,
     lower_job,
     lower_key,
-    preprocess_job,
 )
 from repro.cluster.worker import ClusterWorker, run_worker
 from repro.containers.store import BULK_FLUSH_EVERY, ArtifactCache, BlobStore
@@ -235,8 +237,7 @@ class CoordinatorClient:
     def stats(self) -> dict:
         return self._call({"cmd": "stats"}, retryable=True)["stats"]
 
-    def telemetry(self, drain_spans: bool = False,
-                  worker_metrics: bool = False) -> dict:
+    def telemetry(self, drain_spans: bool = False) -> dict:
         """The coordinator's live farm aggregates (the `cluster top`
         payload): ``{"telemetry": {...}, "spans": [...], "history":
         {...}}``. With ``drain_spans`` the returned spans are removed
@@ -245,8 +246,6 @@ class CoordinatorClient:
         header: dict = {"cmd": "telemetry"}
         if drain_spans:
             header["drain_spans"] = True
-        if worker_metrics:
-            header["worker_metrics"] = True
         # A drain is a destructive read — a resend after a lost response
         # would silently discard the first drain's spans.
         resp = self._call(header, retryable=not drain_spans)
@@ -407,26 +406,20 @@ def cluster_build(client: CoordinatorClient, app_name: str,
                   scale: float | None = None,
                   simd_override: str | None = None,
                   skip_incompatible: bool = False,
-                  counters_shared_with_workers: bool = False,
                   job_timeout: float = 300.0) -> ClusterBuildReport:
     """Build one IR container and deploy it to many systems via the farm.
 
-    The client performs no compilation itself: it submits the sharded
-    preprocess/ir-compile jobs, then *replays* the warm build from the
-    shared store (deserialization only) to obtain the manifests it needs
-    for deployment planning, probes the ``lower`` index for warm ISAs, and
-    submits the lower/deploy wave. All artifacts flow through ``store``.
-
-    ``counters_shared_with_workers`` declares that ``cache`` is the very
-    object the workers publish through (thread-mode
-    :class:`LocalCluster`); lowering totals then come from this cache's
-    own hit/miss counters instead of per-job sums, which overlapping jobs
-    on other threads would otherwise skew.
+    The client performs no compilation itself: it submits one stage job
+    per configuration, then *replays* the warm build from the shared store
+    (deserialization only) to obtain the manifests it needs for deployment
+    planning, probes the ``lower`` index for warm ISAs, and submits the
+    lower/deploy wave. All artifacts flow through ``store``. The lowering
+    totals are the sums of what each job's own lowering loop counted, so
+    they are exact whether the workers share ``cache`` or not.
     """
     from repro.apps import default_ir_sweep
-    from repro.core import build_ir_container, lowering_cache_keys
+    from repro.core import build_ir_container, lowering_cache_keys, plan_batch
     from repro.discovery import get_system
-    from repro.pipeline.batch import plan_batch
 
     if cache is None:
         cache = ArtifactCache(store)
@@ -462,8 +455,8 @@ def cluster_build(client: CoordinatorClient, app_name: str,
                         trace=ctx)
                 for job in jobs]
 
-    # Phase 1+2: sharded configure/preprocess/ir-compile, one job pair per
-    # configuration. The shared store dedups cross-config work between
+    # Phase 1+2: the build front (configure through ir-compile), one job
+    # per configuration. The shared store dedups cross-config work between
     # jobs that run one after the other: whatever an earlier job published
     # (a preprocessed text by source, headers and defines; an IR by
     # preprocessed text and frontend flags) is a hit. Jobs running side
@@ -471,8 +464,7 @@ def cluster_build(client: CoordinatorClient, app_name: str,
     # share — the report's duplicate_ir_compiles.
     with _trace.span("cluster.build.stage_wave",
                      attrs={"app": app_name, "configs": len(configs)}):
-        stage_jobs = _batched([preprocess_job(build, cfg) for cfg in configs]
-                              + [ir_compile_job(build, cfg) for cfg in configs])
+        stage_jobs = _batched([ir_compile_job(build, cfg) for cfg in configs])
         client.submit(stage_jobs)
         job_results = client.wait([job.job_id for job in stage_jobs],
                                   timeout=job_timeout)
@@ -534,7 +526,6 @@ def cluster_build(client: CoordinatorClient, app_name: str,
                                      simd_override=simd_override))
 
     lower_entries_before = _lower_entry_count(cache)
-    counters_before = cache.snapshot().get("lower", (0, 0))
     # Submission order is queue order: cold lowers first (the long poles
     # start immediately), then the warm deploys they overlap with.
     with _trace.span("cluster.build.deploy_wave",
@@ -548,16 +539,8 @@ def cluster_build(client: CoordinatorClient, app_name: str,
         job_results.update(client.wait([job.job_id for job in deploy_wave],
                                        timeout=job_timeout))
 
-    performed = sum(rec["result"].get("lowerings_performed", 0)
-                    for rec in job_results.values()
-                    if rec.get("result"))
-    reused = sum(rec["result"].get("lowerings_reused", 0)
-                 for rec in job_results.values() if rec.get("result"))
-    if counters_shared_with_workers:
-        counters_after = cache.snapshot().get("lower", (0, 0))
-        reused = counters_after[0] - counters_before[0]
-        performed = counters_after[1] - counters_before[1]
-
+    results = [rec["result"] for rec in job_results.values()
+               if rec.get("result")]
     by_system = {}
     for job in warm_deploys + cold_deploys:
         rec = job_results[job.job_id]
@@ -576,8 +559,9 @@ def cluster_build(client: CoordinatorClient, app_name: str,
         incompatible=dict(plan.incompatible),
         warm_groups=warm_groups,
         cold_groups=cold_groups,
-        lowerings_performed=performed,
-        lowerings_reused=reused,
+        lowerings_performed=sum(r.get("lowerings_performed", 0)
+                                for r in results),
+        lowerings_reused=sum(r.get("lowerings_reused", 0) for r in results),
         lower_entries_created=_lower_entry_count(cache) - lower_entries_before,
         build_stats=result.stats.to_json(),
         jobs={job_id: {key: rec[key] for key in (
@@ -618,12 +602,13 @@ class LocalCluster:
     """A coordinator plus N workers, self-hosted for one process's benefit.
 
     ``mode="thread"`` spawns worker threads sharing one in-process
-    store/cache — the default for tests and ``deploy-batch --workers N``
-    (any :class:`BlobStore` works, including a plain memory-backed one).
+    store/cache — the default, what tests use and what the CLI runs over a
+    memory-backed or served store (any :class:`BlobStore` works).
     ``mode="process"`` forks the workers from the calling process — real
-    multi-core parallelism (the cluster benchmark, CI) for the price of a
-    ``fork()``: a child holds every module the caller imported, where a
-    launched interpreter compiles and imports the program again.
+    multi-core parallelism (the CLI over ``--store DIR``, the cluster
+    benchmark, CI) for the price of a ``fork()``: a child holds every
+    module the caller imported, where a launched interpreter compiles and
+    imports the program again.
     :meth:`start` forks before the coordinator's loop thread exists, so
     the cluster never forks with a thread of its own alive. A child
     shares nothing live with the caller: it closes its copies of the
@@ -846,8 +831,6 @@ class LocalCluster:
     def build(self, app_name: str, system_names: list[str],
               **kwargs) -> ClusterBuildReport:
         assert self.client is not None, "LocalCluster not started"
-        kwargs.setdefault("counters_shared_with_workers",
-                          self.mode == "thread")
         return cluster_build(self.client, app_name, system_names,
                              self.store, cache=self.cache, **kwargs)
 

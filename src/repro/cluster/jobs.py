@@ -1,12 +1,12 @@
 """The build farm's job model: stage-level work items with artifact-key deps.
 
-One ``cluster build`` decomposes into four job kinds, mirroring the
-pipeline stages (:mod:`repro.pipeline.stages`) and the deployment step:
+One ``cluster build`` decomposes into three job kinds: the build front
+(:mod:`repro.pipeline.stages`) once per configuration, then the deployment
+step:
 
-* ``preprocess`` — configure one build configuration and preprocess its
-  translation units into the shared store (one job per configuration);
-* ``ir-compile`` — compile the surviving equivalence classes of one
-  configuration to IR (one job per configuration, after its preprocess);
+* ``ir-compile`` — run one configuration through configure, preprocess,
+  OpenMP analysis, vectorization delay and IR compile, publishing its
+  preprocessed text and IRs to the shared store (one job per configuration);
 * ``lower`` — lower one configuration's IRs for one ISA group (one job per
   *cold* ISA — warm ISAs are already in the store and get no job at all);
 * ``deploy`` — specialize one system from the shared store (one job per
@@ -35,7 +35,7 @@ class Job:
     """One schedulable unit of build work."""
 
     job_id: str
-    kind: str                       # preprocess | ir-compile | lower | deploy
+    kind: str                       # ir-compile | lower | deploy
     spec: dict                      # JSON-safe work description
     requires: tuple[str, ...] = ()  # artifact keys gating readiness
     produces: tuple[str, ...] = ()  # artifact keys published on completion
@@ -44,8 +44,8 @@ class Job:
     #: hold the artifacts), but any idle worker may steal them. Tokens are
     #: *artifact keys* — a job's primary input key, or its output key when
     #: it has no gating input — so ownership flows from producer to
-    #: consumer: the worker that published ``pp:app:cfg`` is where the
-    #: ``ir-compile`` needing that key prefers to run. Deliberately not
+    #: consumer: the worker that published ``lower:app:cfg:isa`` is where
+    #: the deploys needing that key prefer to run. Deliberately not
     #: batch-scoped: a warm rerun's keys match the previous batch's, so
     #: locality survives across builds.
     affinity: str = ""
@@ -119,10 +119,6 @@ class BuildSpec:
 # what the scheduler sequences on (one per stage x configuration x ISA).
 
 
-def preprocess_key(build: BuildSpec, options: dict[str, str]) -> str:
-    return f"pp:{build.app}:{config_name(options)}"
-
-
 def ir_key(build: BuildSpec, options: dict[str, str]) -> str:
     return f"ir:{build.app}:{config_name(options)}"
 
@@ -143,31 +139,21 @@ def deploy_key(build: BuildSpec, options: dict[str, str], system: str) -> str:
 # the coordinator can route a job to the worker whose local store tier
 # already holds its inputs:
 #
-# * ``preprocess`` has no inputs — its token is its *output* key, claimed
-#   on completion, so the downstream ``ir-compile`` lands on the same
-#   worker;
-# * ``ir-compile`` and ``deploy`` take their primary input key — they
-#   follow the producer;
+# * ``ir-compile`` has no inputs — its token is its *output* key, so a
+#   warm rerun of the configuration prefers the worker that built it;
 # * ``lower`` also takes its *output* key: its inputs are every config's
 #   IR (one shared producer), and keying on the input would serialize all
 #   ISAs onto one worker — the per-ISA output key keeps lowering parallel
-#   while still making the deploys of that ISA follow their lowerer.
+#   while still making the deploys of that ISA follow their lowerer;
+# * ``deploy`` takes its primary input key — it follows the producer.
 
-
-def preprocess_job(build: BuildSpec, options: dict[str, str]) -> Job:
-    name = config_name(options)
-    return Job(job_id=f"pp/{build.app}/{name}", kind="preprocess",
-               spec={"build": build.to_json(), "config": dict(options)},
-               produces=(preprocess_key(build, options),),
-               affinity=preprocess_key(build, options))
 
 def ir_compile_job(build: BuildSpec, options: dict[str, str]) -> Job:
     name = config_name(options)
     return Job(job_id=f"ir/{build.app}/{name}", kind="ir-compile",
                spec={"build": build.to_json(), "config": dict(options)},
-               requires=(preprocess_key(build, options),),
                produces=(ir_key(build, options),),
-               affinity=preprocess_key(build, options))
+               affinity=ir_key(build, options))
 
 
 def lower_job(build: BuildSpec, options: dict[str, str],

@@ -10,15 +10,16 @@ payload bytes.
 
 Stage execution reuses the pipeline verbatim:
 
-* ``preprocess`` / ``ir-compile`` jobs run the actual
-  :mod:`repro.pipeline.stages` classes over one configuration, so a
+* an ``ir-compile`` job runs the actual :mod:`repro.pipeline.stages`
+  classes, configure through IR compile, over one configuration, so a
   sharded build produces byte-for-byte the same cache entries a monolithic
   :func:`~repro.core.build_ir_container` would;
 * ``lower`` / ``deploy`` jobs rebuild the IR container *warm* (every
   stage resolves from the store; a worker-local memo keeps one live
   result per build spec) and then run
   :func:`~repro.core.deployment.lower_configuration` or
-  :func:`~repro.core.deployment.deploy_ir_container`.
+  :func:`~repro.core.deployment.deploy_ir_container` — the same lowering
+  loop either way, whose own counts the job result carries.
 """
 
 from __future__ import annotations
@@ -413,8 +414,6 @@ class ClusterWorker:
             # keys, and the whole point of the gate is that we resolve
             # their entries as hits instead of redoing the work.
             self.cache.entries()
-        if job.kind == "preprocess":
-            return self._run_preprocess(job.spec)
         if job.kind == "ir-compile":
             return self._run_ir_compile(job.spec)
         if job.kind == "lower":
@@ -440,42 +439,26 @@ class ClusterWorker:
                 self._apps.popitem(last=False)
         return app
 
-    def _stage_inputs(self, build: BuildSpec, configs: list[dict]) -> dict:
+    def _run_ir_compile(self, spec: dict) -> dict:
+        """One configuration through the build front, configure to IR
+        compile — the stages of a monolithic build minus image assembly."""
         from repro.perf.model import default_build_environment
-        return {
-            "app": self._resolve_app(build), "configs": configs,
+        build = BuildSpec.from_json(spec["build"])
+        stats = PipelineStats(configurations=1)
+        inputs = {
+            "app": self._resolve_app(build), "configs": [dict(spec["config"])],
             "env": default_build_environment(),
-            "arch_family": build.arch_family,
-            "stats": PipelineStats(configurations=len(configs)),
+            "arch_family": build.arch_family, "stats": stats,
             "cache": self.cache, "max_workers": self.JOB_MAX_WORKERS,
         }
-
-    def _run_stages(self, stages: list, inputs: dict) -> PipelineStats:
         pipeline = Pipeline("cluster-job", inputs=tuple(inputs))
-        for stage in stages:
+        for stage in (ConfigureStage(), PreprocessStage(), OpenMPStage(),
+                      VectorizeStage(), IRCompileStage()):
             pipeline.register(stage)
         pipeline.run(inputs)
-        stats: PipelineStats = inputs["stats"]
         # Fold the build's pipeline counters into the worker registry so
         # the next heartbeat delta carries them farm-ward.
         stats.publish_to(self.registry)
-        return stats
-
-    def _run_preprocess(self, spec: dict) -> dict:
-        build = BuildSpec.from_json(spec["build"])
-        stats = self._run_stages(
-            [ConfigureStage(), PreprocessStage()],
-            self._stage_inputs(build, [dict(spec["config"])]))
-        return {"configure_ops": stats.configure_ops,
-                "preprocess_ops": stats.preprocess_ops,
-                "tus": stats.total_tus}
-
-    def _run_ir_compile(self, spec: dict) -> dict:
-        build = BuildSpec.from_json(spec["build"])
-        stats = self._run_stages(
-            [ConfigureStage(), PreprocessStage(), OpenMPStage(),
-             VectorizeStage(), IRCompileStage()],
-            self._stage_inputs(build, [dict(spec["config"])]))
         return {"configure_ops": stats.configure_ops,
                 "preprocess_ops": stats.preprocess_ops,
                 "ir_compile_ops": stats.ir_compile_ops,
@@ -484,8 +467,8 @@ class ClusterWorker:
     def _build_result(self, build: BuildSpec):
         """The warm full build every lower/deploy job starts from.
 
-        Every stage resolves through the shared store (configurations, the
-        preprocess jobs' text, the ir-compile jobs' modules), so this costs
+        Every stage resolves through the shared store (the ir-compile
+        jobs' configurations, preprocessed text and modules), so this costs
         deserialization, not compilation; the memo amortizes even that
         across the jobs of one batch.
         """
@@ -511,16 +494,12 @@ class ClusterWorker:
         from repro.core import lower_configuration
         build = BuildSpec.from_json(spec["build"])
         _app, result = self._build_result(build)
-        # The live counters, not cache.snapshot(): that one flushes, and
-        # what a job wrote lands in _publish, inside the span that says so.
-        lower = self.cache.counters("lower")
-        hits, misses = lower.hits, lower.misses
-        count = lower_configuration(result, dict(spec["options"]),
-                                    spec["simd"], cache=self.cache)
+        lowered = lower_configuration(result, dict(spec["options"]),
+                                      spec["simd"], cache=self.cache)
         return {"simd": spec["simd"], "family": spec.get("family", ""),
-                "lowerings": count,
-                "lowerings_performed": lower.misses - misses,
-                "lowerings_reused": lower.hits - hits}
+                "lowerings": lowered.performed + lowered.reused,
+                "lowerings_performed": lowered.performed,
+                "lowerings_reused": lowered.reused}
 
     def _run_deploy(self, spec: dict) -> dict:
         from repro.core import deploy_ir_container
@@ -528,8 +507,6 @@ class ClusterWorker:
         build = BuildSpec.from_json(spec["build"])
         app, result = self._build_result(build)
         system = get_system(spec["system"])
-        lower = self.cache.counters("lower")  # live, as in _run_lower
-        hits, misses = lower.hits, lower.misses
         dep = deploy_ir_container(result, app, dict(spec["options"]), system,
                                   self.store,
                                   simd_override=spec.get("simd_override"),
@@ -537,8 +514,8 @@ class ClusterWorker:
         return {"system": system.name, "tag": dep.tag,
                 "simd": dep.simd_name, "lowered_count": dep.lowered_count,
                 "image_digest": dep.image.digest,
-                "lowerings_performed": lower.misses - misses,
-                "lowerings_reused": lower.hits - hits}
+                "lowerings_performed": dep.lowerings_performed,
+                "lowerings_reused": dep.lowerings_reused}
 
 
 # -- the worker entry ----------------------------------------------------------

@@ -30,10 +30,6 @@ class CType:
         return self.pointer > 0
 
     @property
-    def is_float(self) -> bool:
-        return self.pointer == 0 and self.name in ("float", "double")
-
-    @property
     def elem_bits(self) -> int:
         """Bit width of the scalar element (pointers report their pointee)."""
         return {"char": 8, "bool": 8, "int": 32, "long": 64,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 KEYWORDS = {
     "int", "long", "float", "double", "void", "char", "bool",
@@ -68,10 +67,3 @@ def tokenize(text: str) -> list[Token]:
         tokens.append(Token(kind, value, line))
     tokens.append(Token("EOF", "", line))
     return tokens
-
-
-def iter_pragmas(tokens: list[Token]) -> Iterator[Token]:
-    """Yield all PRAGMA tokens (used by lightweight pragma scans)."""
-    for tok in tokens:
-        if tok.kind == "PRAGMA":
-            yield tok

@@ -163,8 +163,10 @@ def lower_module(module: ir.Module, target: TargetMachine, opt_level: int = 2,
 
 def lower_module_cached(module: ir.Module, target: TargetMachine,
                         opt_level: int = 2, cache=None,
-                        ir_digest: str | None = None) -> MachineModule:
-    """Cache-aware lowering: reuse the machine module for ``(IR, ISA, -O)``.
+                        ir_digest: str | None = None
+                        ) -> tuple[MachineModule, bool]:
+    """Cache-aware lowering: ``(machine module, freshly lowered)`` for
+    ``(IR, ISA, -O)``.
 
     This is what lets a batch deployment fan one IR container out to many
     systems and lower each IR once per distinct ISA rather than once per
@@ -179,7 +181,7 @@ def lower_module_cached(module: ir.Module, target: TargetMachine,
     the payload alone — a cold deployment performs zero lowering work.
     """
     if cache is None:
-        return lower_module(module, target, opt_level)
+        return lower_module(module, target, opt_level), True
     parts = {"ir": ir_digest or module.fingerprint(),
              "target": target.name, "opt": opt_level}
     entry = cache.get("lower", parts)
@@ -190,10 +192,10 @@ def lower_module_cached(module: ir.Module, target: TargetMachine,
             # Promote the reconstructed object so later hits in this
             # process share one machine module identity.
             cache.put("lower", parts, entry.payload, obj=mmod)
-        return mmod
+        return mmod, False
     mmod = lower_module(module, target, opt_level)
     cache.put("lower", parts, machine_module_to_payload(mmod), obj=mmod)
-    return mmod
+    return mmod, True
 
 
 # -- machine-module serialization ----------------------------------------------

@@ -21,7 +21,6 @@ the ``-O`` pipeline at lowering time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.compiler import c_ast as A
@@ -442,7 +441,3 @@ def loop_summary(module: ir.Module) -> list[dict]:
                 "body_ops": sum(1 for _ in loop.body.walk()),
             })
     return out
-
-
-def count_math_ops(value: float) -> float:  # pragma: no cover - tiny helper
-    return math.nan if value != value else value

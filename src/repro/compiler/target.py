@@ -92,22 +92,3 @@ def get_target(name: str) -> TargetMachine:
         return ALL_TARGETS[name]
     except KeyError:
         raise KeyError(f"unknown target {name!r}; known: {sorted(ALL_TARGETS)}") from None
-
-
-def targets_for_family(family: str) -> list[TargetMachine]:
-    """All targets of an architecture family, ordered by feature level."""
-    out = [t for t in ALL_TARGETS.values() if t.family == family]
-    return sorted(out, key=lambda t: t.feature_level)
-
-
-def best_target(family: str, features: set[str]) -> TargetMachine:
-    """Pick the highest-level target whose name is in the feature set.
-
-    ``features`` uses discovery-style labels (lowercased, e.g. ``avx_512``);
-    matching is case-insensitive. Falls back to the scalar target.
-    """
-    lowered = {f.lower() for f in features}
-    candidates = [t for t in targets_for_family(family) if t.name.lower() in lowered]
-    if not candidates:
-        return ARM_NONE if family == "aarch64" else X86_NONE
-    return candidates[-1]

@@ -20,7 +20,6 @@ parse them without a binary format.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
 
 MPI_LIB_PATH = "/opt/xaas/lib/libmpi.so"
 GPU_DRIVER_PATH = "/usr/lib/libcuda.so"
@@ -43,20 +42,6 @@ def parse_lib(content: str) -> tuple[str, dict[str, str]]:
         k, _, v = item.partition("=")
         attrs[k] = v
     return parts[0], attrs
-
-
-class HostLike(Protocol):
-    """What hooks need to know about the host system (satisfied by
-    :class:`repro.discovery.system.SystemSpec`)."""
-
-    @property
-    def mpi(self) -> dict | None: ...
-
-    @property
-    def gpu(self) -> dict | None: ...
-
-    @property
-    def fabric_provider(self) -> str | None: ...
 
 
 @dataclass

@@ -77,9 +77,6 @@ class Registry:
         self.pull_count[key] = self.pull_count.get(key, 0) + 1
         return image
 
-    def pull_index(self, repository: str, tag: str) -> ImageIndex:
-        return ImageIndex.deserialize(self.store.get(self.resolve(repository, tag)))
-
     # -- queries ------------------------------------------------------------------
 
     def tags(self, repository: str) -> list[str]:

@@ -8,21 +8,26 @@
 * :mod:`~repro.core.ir_container` — the IR-container pipeline: configuration
   diffing, preprocessing dedup, OpenMP flag analysis, vectorization delay,
   IR build and image assembly (Fig. 7);
-* :mod:`~repro.core.deployment` — IR-container deployment: select, lower,
-  link, install, new image (Fig. 8).
+* :mod:`~repro.core.deployment` — IR-container deployment, one system or a
+  batch: select, lower, link, install, new image (Fig. 8).
 
 The staged execution engine the IR-container workflow runs on (stage graph,
-artifact cache, parallel map, batch deployment) lives in
-:mod:`repro.pipeline`; the batch entry points are re-exported here.
+stages, parallel map) lives in :mod:`repro.pipeline`, which knows nothing
+of this package.
 """
 
 from repro.core.deployment import (
+    BatchDeployment,
     DeployedIRApp,
+    DeploymentPlan,
     IRDeploymentError,
+    ISAGroup,
     LoweringTask,
+    deploy_batch,
     deploy_ir_container,
     lower_configuration,
     lowering_cache_keys,
+    plan_batch,
     plan_lowerings,
     select_simd,
 )
@@ -33,13 +38,6 @@ from repro.core.ir_container import (
     TranslationUnit,
     build_ir_container,
     config_name,
-)
-from repro.pipeline.batch import (
-    BatchDeployment,
-    DeploymentPlan,
-    ISAGroup,
-    deploy_batch,
-    plan_batch,
 )
 from repro.core.source_container import (
     DeployedSourceApp,

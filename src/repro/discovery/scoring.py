@@ -127,15 +127,3 @@ class EvaluationRow:
     cost_usd: float
     scores: AggregateScore
     extra: dict = field(default_factory=dict)
-
-    def format_row(self) -> str:
-        f = self.scores.f1
-        p = self.scores.precision
-        r = self.scores.recall
-        return (f"{self.model:<28} {self.tokens_in_mean:>7.0f} ± {self.tokens_in_std:<5.0f}"
-                f" {self.tokens_out_mean:>7.1f} ± {self.tokens_out_std:<6.1f}"
-                f" {self.latency_mean:>7.2f} ± {self.latency_std:<7.2f}"
-                f" {self.cost_usd:>6.3f}"
-                f"  {f[0]:.3f}/{f[1]:.3f}/{f[2]:.3f}"
-                f"  {p[0]:.3f}/{p[1]:.3f}/{p[2]:.3f}"
-                f"  {r[0]:.3f}/{r[1]:.3f}/{r[2]:.3f}")

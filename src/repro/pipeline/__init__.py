@@ -1,4 +1,4 @@
-"""Staged pipeline engine, artifact cache plumbing, and batch deployment.
+"""Staged pipeline engine and the IR-container stages that run on it.
 
 The production backbone of the IR-container workflow:
 
@@ -8,18 +8,12 @@ The production backbone of the IR-container workflow:
   preprocess, OpenMP, vectorization delay, IR compile, image assembly)
   decomposed from the old monolithic ``build_ir_container``;
 * :mod:`~repro.pipeline.stats` — the dedup/cache/timing scorecard;
-* :mod:`~repro.pipeline.parallel` — deterministic thread-pool map;
-* :mod:`~repro.pipeline.batch` — plan + execute one-container-to-many-
-  systems deployments with lowered-object reuse per ISA group.
+* :mod:`~repro.pipeline.parallel` — deterministic thread-pool map.
+
+Deployment, of one system or a batch, belongs to the layer above: this
+package imports nothing from the core that builds on it.
 """
 
-from repro.pipeline.batch import (
-    BatchDeployment,
-    DeploymentPlan,
-    ISAGroup,
-    deploy_batch,
-    plan_batch,
-)
 from repro.pipeline.engine import (
     Context,
     Pipeline,
@@ -46,7 +40,6 @@ from repro.pipeline.stages import (
 from repro.pipeline.stats import PipelineStats
 
 __all__ = [
-    "BatchDeployment", "DeploymentPlan", "ISAGroup", "deploy_batch", "plan_batch",
     "Context", "Pipeline", "PipelineDefinitionError", "PipelineRun",
     "Stage", "StageExecutionError", "StageTiming",
     "parallel_map",

@@ -168,7 +168,3 @@ class Pipeline:
                 raise StageExecutionError(
                     f"stage {stage.name!r} declared but did not produce {absent}")
         return PipelineRun(context=ctx, timings=timings)
-
-    @property
-    def stage_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.stages)

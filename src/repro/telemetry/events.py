@@ -107,7 +107,6 @@ class EventLog:
         self._events: list[Event] = []
         self.max_events = max(1, int(max_events))
         self.events_dropped = 0
-        self._sink_path: str | None = None
         self._sink_file = None
         if sink:
             self.set_sink(sink)
@@ -122,13 +121,8 @@ class EventLog:
                 except OSError:  # pragma: no cover
                     pass
                 self._sink_file = None
-            self._sink_path = path
             if path:
                 self._sink_file = open(path, "a", encoding="utf-8")
-
-    @property
-    def sink_path(self) -> "str | None":
-        return self._sink_path
 
     def emit(self, level: str, message: str, **fields) -> Event:
         """Append one event, auto-capturing the active span context."""

@@ -24,7 +24,7 @@ from .trace import Span
 
 __all__ = [
     "chrome_trace", "write_chrome_trace", "spans_from_chrome",
-    "events_chrome", "validate_chrome_trace", "write_metrics_snapshot",
+    "validate_chrome_trace", "write_metrics_snapshot",
 ]
 
 
@@ -97,34 +97,6 @@ def spans_from_chrome(doc: dict) -> list:
             tid=event.get("tid", 0),
             attrs=args,
         ))
-    return out
-
-
-def events_chrome(events) -> list:
-    """Render structured event records (dicts, the
-    :meth:`~repro.telemetry.events.Event.to_json` shape — what a crash
-    dump's ``events`` list holds) as Chrome *instant* events (``"ph":
-    "i"``), so a flight-recorder dump can be overlaid onto the span
-    timeline of the same build: append these to a trace document's
-    ``traceEvents`` and the lease expiry shows up as a tick on the
-    coordinator's track at the moment it happened."""
-    out = []
-    for event in events:
-        args = dict(event.get("fields") or {})
-        args["level"] = event.get("level", "info")
-        for key in ("trace_id", "span_id"):
-            if event.get(key):
-                args[key] = event[key]
-        out.append({
-            "ph": "i",
-            "s": "p",  # process-scoped instant
-            "name": event.get("message", ""),
-            "cat": "event",
-            "ts": float(event.get("ts", 0.0)) * 1e6,
-            "pid": int(event.get("pid", 0)),
-            "tid": 0,
-            "args": args,
-        })
     return out
 
 

@@ -202,8 +202,7 @@ class TestLongLivedCoordinator:
             try:
                 first = cluster_build(CoordinatorClient(host, port),
                                       "lulesh", ["ault23", "ault25"], store,
-                                      cache=cache,
-                                      counters_shared_with_workers=True)
+                                      cache=cache)
                 assert first.cold_groups and not first.warm_groups
                 # Evict every lower entry (keep blobs irrelevant — the
                 # index probe is what routing reads).
@@ -212,8 +211,7 @@ class TestLongLivedCoordinator:
                         cache.evict(key)
                 second = cluster_build(CoordinatorClient(host, port),
                                        "lulesh", ["ault23", "ault25"], store,
-                                       cache=cache,
-                                       counters_shared_with_workers=True)
+                                       cache=cache)
             finally:
                 stop.set()
                 for thread in threads:

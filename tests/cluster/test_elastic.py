@@ -83,8 +83,8 @@ class TestElasticFarm:
             assert len(cluster.workers) == cluster.min_workers
             report = cluster.build(
                 "lulesh", ["ault23", "ault25", "ault01-04", "dev-machine"])
-            # The stage wave (20 preprocess + 20 ir-compile jobs against
-            # one worker) trips the threshold immediately.
+            # The stage wave (one ir-compile job per configuration, four
+            # against one worker) trips the threshold immediately.
             up = [e for e in cluster.scale_events if e["action"] == "up"]
             assert up, "backlog never pulled a worker in"
             assert len(cluster.workers) > cluster.min_workers

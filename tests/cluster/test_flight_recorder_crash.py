@@ -33,7 +33,7 @@ def isolated_log():
 
 
 def _traced_job(job_id="pp"):
-    return Job(job_id=job_id, kind="preprocess",
+    return Job(job_id=job_id, kind="ir-compile",
                spec={"build": {"app": "lulesh",
                                "configs": [{"WITH_MPI": "OFF",
                                             "WITH_OPENMP": "ON"}]},

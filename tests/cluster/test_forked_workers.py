@@ -162,7 +162,7 @@ class TestAWorkerDies:
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash")
         monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path / "dumps"))
         config = lulesh_configs()[0]
-        job = Job(job_id="pp", kind="preprocess",
+        job = Job(job_id="pp", kind="ir-compile",
                   spec={"build": {"app": "lulesh", "configs": [config]},
                         "config": config})
         with _farm(tmp_path, workers=1) as cluster:
@@ -236,7 +236,7 @@ class TestForkSafeTelemetry:
         assert {span.pid for span in recorder.spans()} == {os.getpid()}
         from_workers = [span for span in farm_spans if span.pid in pids]
         assert {span.name for span in from_workers} >= {
-            "cluster.worker.preprocess", "cluster.worker.lower",
+            "cluster.worker.ir-compile", "cluster.worker.lower",
             "cluster.publish"}
         # Service name = worker id, and only what a job's own recorder
         # took: nothing a child wrote into an inherited global one.

@@ -28,7 +28,7 @@ def test_publish_is_a_child_span_of_the_job_and_precedes_completion(tmp_path):
     with Coordinator() as coordinator:
         host, port = coordinator.address
         client = CoordinatorClient(host, port)
-        client.submit([replace(_traced_job(), kind="ir-compile")])
+        client.submit([_traced_job()])
         worker = _worker(host, port, FileBackend(tmp_path / "store"))
         assert worker.run_one() is True
         assert client.status(["pp"])["pp"]["state"] == "done"
@@ -82,7 +82,7 @@ def test_a_refused_publish_fails_the_job(tmp_path):
     with Coordinator() as coordinator:
         host, port = coordinator.address
         client = CoordinatorClient(host, port)
-        client.submit([replace(_traced_job(), kind="ir-compile")])
+        client.submit([_traced_job()])
         worker = _worker(host, port, faulty)
         assert worker.run_one() is True
         assert (worker.jobs_done, worker.jobs_failed) == (0, 1)

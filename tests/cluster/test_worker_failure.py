@@ -14,7 +14,7 @@ from repro.cluster.jobs import Job
 from repro.containers import ArtifactCache, BlobStore
 
 
-def _job(job_id, kind="preprocess", spec=None, produces=(), requires=()):
+def _job(job_id, kind="ir-compile", spec=None, produces=(), requires=()):
     spec = spec if spec is not None else {
         "build": {"app": "lulesh",
                   "configs": [{"WITH_MPI": "OFF", "WITH_OPENMP": "ON"}]},
@@ -105,8 +105,7 @@ class TestRequeueOnFailure:
                 from repro.cluster import cluster_build
                 report = cluster_build(
                     CoordinatorClient(host, port), "lulesh",
-                    ["ault23", "ault25"], store, cache=cache,
-                    counters_shared_with_workers=True)
+                    ["ault23", "ault25"], store, cache=cache)
             finally:
                 stop.set()
                 for thread in threads:

@@ -175,11 +175,12 @@ class TestLoweringPurity:
         cache = ArtifactCache()
         module = self._module()
         digest = module.fingerprint()
-        a = lower_module_cached(module, get_target("AVX_512"), 3, cache=cache,
-                                ir_digest=digest)
-        b = lower_module_cached(module, get_target("AVX_512"), 3, cache=cache,
-                                ir_digest=digest)
+        a, a_fresh = lower_module_cached(module, get_target("AVX_512"), 3,
+                                         cache=cache, ir_digest=digest)
+        b, b_fresh = lower_module_cached(module, get_target("AVX_512"), 3,
+                                         cache=cache, ir_digest=digest)
         assert a is b
+        assert (a_fresh, b_fresh) == (True, False)
         assert cache.counters("lower").hits == 1
 
     def test_lowering_does_not_mutate_the_module(self):
@@ -204,7 +205,7 @@ class TestLoweringPurity:
 
         def lower(opt):
             return lower_module_cached(module, target, opt, cache=cache,
-                                       ir_digest=digest)
+                                       ir_digest=digest)[0]
 
         o3_first = lower(3)
         lower(0)
@@ -241,16 +242,16 @@ class TestLoweringPurity:
         digest = module.fingerprint()
         target = get_target("AVX_512")
         warm_cache = ArtifactCache()
-        warm = lower_module_cached(module, target, 3, cache=warm_cache,
-                                   ir_digest=digest)
+        warm, _ = lower_module_cached(module, target, 3, cache=warm_cache,
+                                      ir_digest=digest)
 
         # Simulate the cold process: same blob store, no live objects.
         cold_cache = ArtifactCache(warm_cache.store)
         parts = {"ir": digest, "target": target.name, "opt": 3}
         entry = warm_cache.get("lower", parts)
         cold_cache.put("lower", parts, entry.payload)  # payload-only entry
-        cold = lower_module_cached(module, target, 3, cache=cold_cache,
-                                   ir_digest=digest)
-        assert cold is not warm
+        cold, fresh = lower_module_cached(module, target, 3, cache=cold_cache,
+                                          ir_digest=digest)
+        assert cold is not warm and not fresh
         assert machine_module_to_payload(cold) == machine_module_to_payload(warm)
         assert cold_cache.counters("lower").hits == 1

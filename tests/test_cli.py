@@ -316,6 +316,36 @@ class TestClusterCLI:
             plain_blob["plan"]["incompatible"]
         for dep in farm_blob["deployments"]:
             assert {"system", "tag", "simd", "lowered_count"} <= set(dep)
+        # Nothing a fork could share: the farm's workers are threads.
+        assert all(rec["worker"].startswith("local-")
+                   for rec in farm_blob["jobs"].values())
+
+    def test_deploy_batch_with_workers_on_a_store_dir_forks(self, capsys,
+                                                            tmp_path):
+        systems = "ault01-04,ault23,ault25"
+        _, plain = run_cli(capsys, "deploy-batch", "--app", "lulesh",
+                           "--systems", systems, "--json",
+                           "--store", str(tmp_path / "plain"))
+        store = str(tmp_path / "farm")
+        _, farmed = run_cli(capsys, "deploy-batch", "--app", "lulesh",
+                            "--systems", systems, "--workers", "2",
+                            "--store", store, "--json")
+        plain_blob, farm_blob = json.loads(plain), json.loads(farmed)
+        assert {rec["worker"] for rec in farm_blob["jobs"].values()} <= \
+            {"proc-0", "proc-1"}
+        assert [(d["system"], d["tag"]) for d in farm_blob["deployments"]] \
+            == [(d["system"], d["tag"]) for d in plain_blob["deployments"]]
+        assert farm_blob["lowerings_performed"] == \
+            plain_blob["lowerings_performed"]
+        assert farm_blob["duplicate_lowerings"] == 0
+        _, out = run_cli(capsys, "cache", "stats", "--store", store, "--json")
+        assert "image/lulesh" in json.loads(out)["pins"]
+        # --elastic drives threads, store directory or not.
+        _, out = run_cli(capsys, "deploy-batch", "--app", "lulesh",
+                         "--systems", systems, "--workers", "2", "--elastic",
+                         "--store", store, "--json")
+        assert all(rec["worker"].startswith("local-")
+                   for rec in json.loads(out)["jobs"].values())
 
     def test_cluster_build_self_hosted(self, capsys, tmp_path):
         store = str(tmp_path / "store")
@@ -328,6 +358,8 @@ class TestClusterCLI:
             ["ault23", "ault25"]
         assert blob["duplicate_lowerings"] == 0
         assert blob["cold_groups"] and not blob["warm_groups"]
+        assert {rec["worker"] for rec in blob["jobs"].values()} <= \
+            {"proc-0", "proc-1"}
         # Second build against the same store: everything routes warm.
         _, out = run_cli(capsys, "cluster", "build", "--app", "lulesh",
                          "--systems", "ault23,ault25",
