@@ -9,6 +9,12 @@ assertions check the *shape* — orderings, ratios, crossovers.
 for the pipeline-statistics benchmarks; 1.0 reproduces the paper's absolute
 TU counts at ~10x the runtime.
 
+Tier-1 runs every ``benchmark`` fixture for one round (``pytest.ini`` sets
+``--benchmark-disable``): the assertions are about model times, which no
+number of wall-clock rounds changes. ``python -m pytest benchmarks -o
+addopts=""`` runs pytest-benchmark's calibrated rounds and prints its
+timing table.
+
 Benchmarks that track a perf trajectory across PRs record a JSON blob via
 the ``bench_json`` fixture; each recorded name is written to
 ``benchmarks/BENCH_<name>.json`` at session end (CI archives them, local
@@ -43,7 +49,7 @@ def pytest_sessionfinish(session, exitstatus):
             fh.write("\n")
 
 # Tables are both printed (visible with -s) and collected for the terminal
-# summary, so `pytest benchmarks/ --benchmark-only` always shows the
+# summary, so `pytest benchmarks/ -o addopts="" --benchmark-only` shows the
 # regenerated figures next to pytest-benchmark's timing table.
 _TABLES: list[str] = []
 

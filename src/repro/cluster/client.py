@@ -393,8 +393,8 @@ class ClusterBuildReport:
         }
 
 
-def _lower_entry_count(cache: ArtifactCache) -> int:
-    return sum(1 for record in cache.entries().values()
+def _lower_entry_count(index_entries: dict) -> int:
+    return sum(1 for record in index_entries.values()
                if record.namespace == "lower")
 
 
@@ -475,8 +475,7 @@ def cluster_build(client: CoordinatorClient, app_name: str,
     # cache handles, and without the merge this client would miss every
     # entry and silently redo the fan-out's work serially.
     with _trace.span("cluster.build.replay", attrs={"app": app_name}):
-        if cache.persistent:
-            cache.entries()
+        cache.sync()
         result = build_ir_container(app, [dict(c) for c in configs],
                                     store=store, cache=cache)
         plan = plan_batch(result, app, options, systems,
@@ -525,7 +524,7 @@ def cluster_build(client: CoordinatorClient, app_name: str,
                                      group.simd_name,
                                      simd_override=simd_override))
 
-    lower_entries_before = _lower_entry_count(cache)
+    lower_entries_before = _lower_entry_count(index_entries)
     # Submission order is queue order: cold lowers first (the long poles
     # start immediately), then the warm deploys they overlap with.
     with _trace.span("cluster.build.deploy_wave",
@@ -562,7 +561,8 @@ def cluster_build(client: CoordinatorClient, app_name: str,
         lowerings_performed=sum(r.get("lowerings_performed", 0)
                                 for r in results),
         lowerings_reused=sum(r.get("lowerings_reused", 0) for r in results),
-        lower_entries_created=_lower_entry_count(cache) - lower_entries_before,
+        lower_entries_created=(_lower_entry_count(cache.entries())
+                               - lower_entries_before),
         build_stats=result.stats.to_json(),
         jobs={job_id: {key: rec[key] for key in (
                   "state", "worker", "attempts", "result",

@@ -408,12 +408,11 @@ class ClusterWorker:
     # -- job execution ---------------------------------------------------------
 
     def execute(self, job: Job) -> dict:
-        if self.cache.persistent:
-            # Sync the in-memory index with the shared ref: this job was
-            # scheduled because upstream jobs *announced* their artifact
-            # keys, and the whole point of the gate is that we resolve
-            # their entries as hits instead of redoing the work.
-            self.cache.entries()
+        # Sync the in-memory index with the shared refs: this job was
+        # scheduled because upstream jobs *announced* their artifact keys,
+        # and the whole point of the gate is that we resolve their entries
+        # as hits instead of redoing the work.
+        self.cache.sync()
         if job.kind == "ir-compile":
             return self._run_ir_compile(job.spec)
         if job.kind == "lower":

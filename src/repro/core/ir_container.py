@@ -95,7 +95,10 @@ def build_ir_container(app: AppModel, configs: list[dict[str, str]],
         cache = ArtifactCache()
     stats = PipelineStats(configurations=len(configs))
 
-    before = cache.snapshot()
+    # Hits only bump recency in memory; a build starts and ends with that
+    # saved, so whoever reads the store next sees this build's LRU order.
+    if cache.persistent:
+        cache.flush_index()
     try:
         pipeline = build_ir_pipeline(stages, compile_irs=compile_irs)
         run = pipeline.run({
@@ -113,7 +116,9 @@ def build_ir_container(app: AppModel, configs: list[dict[str, str]],
             raise exc.__cause__
         raise IRPipelineError(str(exc)) from exc
 
-    _finalize_stats(stats, stages, run.stage_seconds, before, cache.snapshot())
+    if cache.persistent:
+        cache.flush_index()
+    _finalize_stats(stats, stages, run.stage_seconds)
     ctx = run.context
     return IRContainerResult(image=ctx.require("image"), stats=stats,
                              ir_files=ctx.require("ir_files"),
@@ -123,10 +128,9 @@ def build_ir_container(app: AppModel, configs: list[dict[str, str]],
 
 
 def _finalize_stats(stats: PipelineStats, stages: tuple[str, ...],
-                    stage_seconds: dict[str, float],
-                    before: dict[str, tuple[int, int]],
-                    after: dict[str, tuple[int, int]]) -> None:
-    """Fill the derived funnel counters and this build's cache deltas."""
+                    stage_seconds: dict[str, float]) -> None:
+    """Fill the derived funnel counters; each stage has already counted
+    its own cache traffic."""
     if "preprocess" in stages:
         if "openmp" not in stages:
             stats.after_openmp = stats.after_preprocessing
@@ -136,8 +140,3 @@ def _finalize_stats(stats: PipelineStats, stages: tuple[str, ...],
         stats.after_preprocessing = stats.final_irs
         stats.after_openmp = stats.final_irs
     stats.stage_seconds = dict(stage_seconds)
-    for namespace, (hits, misses) in after.items():
-        prev_hits, prev_misses = before.get(namespace, (0, 0))
-        if hits - prev_hits or misses - prev_misses:
-            stats.cache_hits[namespace] = hits - prev_hits
-            stats.cache_misses[namespace] = misses - prev_misses

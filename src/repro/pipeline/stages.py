@@ -120,6 +120,7 @@ class ConfigureStage(Stage):
                                           name=name, build_dir="/xaas/build",
                                           cache=cache, tree_digest=tree_digest)
             stats.configure_ops += 1 if fresh else 0
+            stats.count_lookup("configure", hit=not fresh)
             configurations[name] = cfg
             for cmd in cfg.compile_commands:
                 tus.append(TranslationUnit(name, cmd.target, cmd.source, cmd.flags))
@@ -208,6 +209,7 @@ class PreprocessStage(Stage):
         missing: list[tuple[str, dict, TranslationUnit]] = []
         for key, (parts, tu) in unique.items():
             entry = cache.get("preprocess", parts)
+            stats.count_lookup("preprocess", hit=entry is not None)
             if entry is not None:
                 payload = json.loads(entry.payload)
                 resolved[key] = (payload["text_digest"], payload["has_omp"])
@@ -355,6 +357,7 @@ class IRCompileStage(Stage):
             ir_modules[digest] = module
             group_to_ir[key] = digest
             stats.ir_compile_ops += 1 if fresh else 0
+            stats.count_lookup("ir", hit=not fresh)
         ctx.publish("ir_files", ir_files)
         ctx.publish("ir_modules", ir_modules)
         ctx.publish("group_to_ir", group_to_ir)

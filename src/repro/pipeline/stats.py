@@ -54,6 +54,13 @@ class PipelineStats:
         """T' < sum(T_i): strictly fewer IRs than translation units."""
         return self.final_irs < self.total_tus
 
+    def count_lookup(self, namespace: str, hit: bool) -> None:
+        """One cache lookup's outcome, counted by the stage that made it;
+        a namespace that saw traffic lists both counts."""
+        self.cache_hits[namespace] = self.cache_hits.get(namespace, 0) + hit
+        self.cache_misses[namespace] = (
+            self.cache_misses.get(namespace, 0) + (not hit))
+
     def cache_hit_total(self) -> int:
         return sum(self.cache_hits.values())
 

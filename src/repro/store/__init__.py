@@ -7,9 +7,8 @@ with one process. This package supplies the missing persistence layer:
 
 * :class:`~repro.store.backend.Backend` — the base class of every store:
   content-addressed blobs (``put``/``get``/``has``/``delete``) plus
-  mutable named *refs* (git-style pointers) for the cache index and pin
-  set. A subclass writes those primitives and inherits the batched,
-  metadata and streaming operations.
+  mutable named *refs* (git-style pointers). A subclass writes those
+  primitives and inherits the batched, metadata and streaming operations.
 * :class:`~repro.store.backend.MemoryBackend` — in-process dict
   semantics.
 * :class:`~repro.store.backend.FileBackend` — blobs persisted under a
@@ -27,25 +26,30 @@ with one process. This package supplies the missing persistence layer:
   front of a shared upstream: read-through promotion, single-flight miss
   de-duplication, batched write-back flush, refs always upstream — the
   ccache/sccache local-cache-per-builder topology.
+* :class:`~repro.store.index.ArtifactIndex` — the cache's access-ordered
+  key index and the pin set: :mod:`repro.store.index` alone names their
+  refs, reads and writes their stored form and merges concurrent writers.
 * :func:`~repro.store.gc.collect` — size accounting and LRU garbage
-  collection over a cache's access-ordered index, honouring pinned
-  manifests.
+  collection over that index, honouring pinned manifests.
 * :func:`~repro.store.transfer.export_store` /
   :func:`~repro.store.transfer.import_store` — move a whole store between
-  machines as one archive.
+  machines as one archive; importing publishes through the index.
 
 `repro.containers.store` layers :class:`BlobStore`/:class:`ArtifactCache`
 on top of these backends without changing their call sites.
 """
 
 from repro.store.backend import (
-    INDEX_REF_PREFIX,
-    PINS_REF,
     Backend,
     BackendError,
     BlobNotFound,
     FileBackend,
     MemoryBackend,
+)
+from repro.store.index import (
+    INDEX_REF_PREFIX,
+    PINS_REF,
+    ArtifactIndex,
     index_ref_name,
     index_ref_names,
 )
@@ -60,7 +64,7 @@ from repro.store.wire import SessionPool, WireSession
 __all__ = [
     "Backend", "BackendError", "BlobNotFound", "FileBackend", "MemoryBackend",
     "INDEX_REF_PREFIX", "PINS_REF",
-    "index_ref_name", "index_ref_names",
+    "ArtifactIndex", "index_ref_name", "index_ref_names",
     "GCReport", "collect",
     "AsyncStoreServer", "RemoteBackend", "RemoteStoreError",
     "StoreUnavailable",

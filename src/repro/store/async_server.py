@@ -31,10 +31,10 @@ running hash for :class:`FileBackend`). A ``get`` header declaring
 Ref compare-and-swap rides the fixed-body shape — the body carries the
 expected bytes (``expected_size >= 0``; ``-1`` means "ref must not
 exist") followed by the new bytes, and the handler is the backend's own
-atomic ``compare_and_set_ref``, so N clients hammering one index ref
+atomic ``compare_and_set_ref``, so N clients hammering one shared ref
 serialize correctly::
 
-    -> {"cmd": "cas_ref", "name": "artifact-index/lower",
+    -> {"cmd": "cas_ref", "name": "pins",
         "expected_size": 2, "size": 4}\\n<2 expected bytes><4 new bytes>
     <- {"ok": true, "swapped": true}\\n
 

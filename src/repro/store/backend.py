@@ -16,10 +16,10 @@ Because refs are mutable and shared, they are also where concurrent
 writers can trample each other. Every backend therefore implements
 :meth:`Backend.compare_and_set_ref` — an atomic compare-and-swap that
 succeeds only if the ref still holds the bytes the caller last read —
-and higher layers (:class:`~repro.containers.store.ArtifactCache`,
-:func:`repro.store.transfer.import_store`) rewrite shared refs through
-the one read-merge-retry loop, :func:`cas_merge_ref`, instead of blind
-``set_ref`` overwrites.
+and the one layer that rewrites shared refs
+(:class:`repro.store.index.ArtifactIndex`, which owns what the index and
+pin refs are called and hold) does it through the one read-merge-retry
+loop, :func:`cas_merge_ref`, instead of blind ``set_ref`` overwrites.
 
 Backends are thread-safe: the pipeline's parallel map publishes artifacts
 concurrently, and the socket server serves several clients at once.
@@ -46,46 +46,6 @@ try:  # POSIX: advisory file locks make ref CAS cheap and crash-safe.
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback below
     fcntl = None  # type: ignore[assignment]
-
-
-#: The cache index is persisted per namespace, one access-ordered ref
-#: each at ``artifact-index/<namespace>``: a writer publishing ``lower``
-#: artifacts never CAS-races a writer publishing ``preprocess``, and each
-#: ref payload is O(one namespace) instead of O(the whole index).
-INDEX_REF_PREFIX = "artifact-index/"
-#: Ref holding the pin set: pinned blobs survive any garbage collection.
-PINS_REF = "pins"
-
-
-def index_ref_name(namespace: str) -> str:
-    """The ref holding one namespace's index shard."""
-    return INDEX_REF_PREFIX + namespace
-
-
-def index_ref_names(backend: "Backend") -> list[str]:
-    """Every index shard ref present on ``backend``, sorted. Readers that
-    must see the whole index (GC's fresh-publish protection, stats)
-    iterate exactly this list."""
-    return sorted(name for name in backend.refs()
-                  if name.startswith(INDEX_REF_PREFIX))
-
-
-def iter_index_payloads(backend: "Backend", names: "list[str] | None" = None):
-    """Yield ``(ref_name, parsed_index_payload)`` for every index ref.
-
-    The one reader GC's fresh-publish protection and import's seq-floor
-    scan share, so the payload schema is interpreted in a single place.
-    ``names`` short-circuits the ref listing when the caller already
-    holds (and is entitled to reuse) one.
-    """
-    for name in (index_ref_names(backend) if names is None else names):
-        raw = backend.get_ref(name)
-        if raw is None:
-            continue
-        try:
-            yield name, json.loads(raw.decode("utf-8"))
-        except ValueError:  # pragma: no cover - corrupt ref; skip it
-            continue
 
 
 class BackendError(RuntimeError):

@@ -40,7 +40,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from repro.store.backend import index_ref_names, iter_index_payloads
+from repro.store.index import index_ref_names, stored_rows
 from repro.telemetry import events as _events
 
 _DIGEST_RE = re.compile(rb"sha256:[0-9a-f]{64}")
@@ -148,13 +148,6 @@ def pin_closure(store, roots: set[str]) -> set[str]:
     return seen
 
 
-def _index_entry_stream(backend, names=None):
-    """Every ``(key, namespace, digest, seq)`` row across all index
-    shards."""
-    for _name, blob in iter_index_payloads(backend, names):
-        yield from blob.get("entries", ())
-
-
 def collect(cache, max_bytes: int, grace_seconds: float = 0.0,
             dry_run: bool = False,
             max_age_seconds: float | None = None) -> GCReport:
@@ -250,8 +243,8 @@ def collect(cache, max_bytes: int, grace_seconds: float = 0.0,
         spare even though the snapshot never heard of it. Walks every
         index shard."""
         fresh: set[str] = set()
-        for _key, _ns, digest, _seq in _index_entry_stream(store.backend,
-                                                           index_names):
+        for _key, _ns, digest, _seq in stored_rows(store.backend,
+                                                   index_names):
             if refcount.get(digest, 0) == 0 and digest not in fresh:
                 fresh.add(digest)
         for digest, data in store.get_many(sorted(fresh)).items():

@@ -4,14 +4,18 @@
 gzip-compressed tar (blobs under ``objects/``, refs under ``refs/``, plus a
 small manifest); ``cache import`` merges such an archive into any backend.
 Because blobs are content-addressed, import is idempotent and conflict-free
-— the only merge logic needed is for the access-ordered index refs, where
-the importing side keeps its own newer entries and adopts unseen ones.
+— and the archive's index entries need no merge logic of their own: import
+*publishes* the ones the destination has not seen through a
+:class:`repro.store.index.ArtifactIndex`, exactly as a builder would, so
+the importing side keeps its own entries and adopts unseen ones as its
+newest.
 
 Blob movement is batched through the backend's ``get_many``/``has_many``/
 ``put_many`` (one round-trip per :data:`TRANSFER_BATCH` blobs against a
-remote store instead of one per blob). Index and pin merges land through
-the backend's ref compare-and-swap, so importing into a store that live
-builders are publishing to drops neither their writes nor the archive's.
+remote store instead of one per blob). The index publish and the pin
+union land through the index's CAS merge, so importing into a store that
+live builders are publishing to drops neither their writes nor the
+archive's.
 
 Index refs are per-namespace shards (``artifact-index/<namespace>``). An
 archive carrying a bare ``artifact-index`` ref was written by a
@@ -25,24 +29,16 @@ import io
 import json
 import tarfile
 
-from repro.store.backend import (
-    INDEX_REF_PREFIX,
-    PINS_REF,
-    Backend,
-    BackendError,
-    BlobNotFound,
-    FileBackend,
-    cas_merge_ref,
-    iter_index_payloads,
-)
+from repro.store.backend import (Backend, BackendError, BlobNotFound,
+                                 FileBackend)
+from repro.store.index import (INDEX_REF_PREFIX, PINS_REF,
+                               PRE_SHARDING_INDEX_REF, ArtifactIndex,
+                               parse_shard)
 
 ARCHIVE_FORMAT = "xaas-store-archive-v1"
 
 #: Blobs per batched backend call during export/import.
 TRANSFER_BATCH = 64
-
-#: The one-blob index ref pre-sharding writers kept; nothing reads it.
-_PRE_SHARDING_INDEX_REF = INDEX_REF_PREFIX.rstrip("/")
 
 
 def _add_bytes(tar: tarfile.TarFile, name: str, data: bytes) -> None:
@@ -86,53 +82,6 @@ def export_store(backend: Backend, path: str) -> dict:
             "path": path}
 
 
-def _merge_index(existing: bytes | None, incoming: bytes,
-                 floor_seq: int = 0) -> bytes:
-    """Union two access-ordered indexes; on key conflict keep the fresher
-    record (higher seq), re-basing incoming seqs after
-    ``max(local maximum, floor_seq)`` so imported entries do not leapfrog
-    locally hot ones. ``floor_seq`` carries the maximum seq observed
-    across the destination's *other* index shards — entry recency is
-    ordered globally even though persistence is per-namespace."""
-    new = json.loads(incoming.decode("utf-8"))
-    if existing is None:
-        old = {"entries": [], "seq": 0}
-    else:
-        old = json.loads(existing.decode("utf-8"))
-    merged = {key: (ns, digest, seq)
-              for key, ns, digest, seq in old.get("entries", ())}
-    base = max(int(old.get("seq", 0)), int(floor_seq))
-    incoming_entries = sorted(new.get("entries", ()), key=lambda e: e[3])
-    seq = base
-    for key, ns, digest, _ in incoming_entries:
-        if key not in merged:
-            seq += 1
-            merged[key] = (ns, digest, seq)
-    return json.dumps({
-        "version": 1,
-        "seq": max(seq, base),
-        "entries": [[key, ns, digest, s] for key, (ns, digest, s) in merged.items()],
-    }, sort_keys=True).encode("utf-8")
-
-
-def _merge_pins(existing: bytes | None, incoming: bytes) -> bytes:
-    """Union two pin sets; an incoming pin wins a name conflict (the
-    exporting side published it more recently than we pinned ours)."""
-    if existing is None:
-        return incoming
-    pins = json.loads(existing.decode("utf-8"))
-    pins.update(json.loads(incoming.decode("utf-8")))
-    return json.dumps(pins, sort_keys=True).encode("utf-8")
-
-
-def _dest_index_seq_floor(backend: Backend) -> int:
-    """The destination's highest index seq across every shard, so
-    imported entries enter the LRU order as newest globally, not merely
-    within their own namespace's shard."""
-    return max((int(blob.get("seq", 0))
-                for _name, blob in iter_index_payloads(backend)), default=0)
-
-
 def import_store(backend: Backend, path: str) -> dict:
     """Merge an exported archive into ``backend``; returns a summary dict.
 
@@ -146,7 +95,7 @@ def import_store(backend: Backend, path: str) -> dict:
     added = skipped = refs_merged = 0
     blob_bytes = 0
     pending: dict[str, bytes] = {}
-    index_payloads: dict[str, bytes] = {}  # dest shard ref -> payload
+    index_shards: list[bytes] = []
     other_refs: list[tuple[str, bytes]] = []
 
     def _flush_blobs() -> None:
@@ -178,29 +127,34 @@ def import_store(backend: Backend, path: str) -> dict:
                     _flush_blobs()
             elif member.name.startswith("refs/"):
                 name = FileBackend._unescape_ref(member.name[len("refs/"):])
-                if name == _PRE_SHARDING_INDEX_REF:
+                if name == PRE_SHARDING_INDEX_REF:
                     raise BackendError(
                         f"{path}: archive carries a bare {name!r} ref — the "
                         f"unsupported pre-sharding index layout (the index "
                         f"now lives in per-namespace {INDEX_REF_PREFIX}* "
                         f"refs); re-export it from a current store")
                 if name.startswith(INDEX_REF_PREFIX):
-                    index_payloads[name] = data
+                    index_shards.append(data)
                 else:
                     other_refs.append((name, data))
     _flush_blobs()
-    # Index and pin merges retry against concurrent writers — import must
-    # not last-writer-wins a live builder's index entry or pin any more
-    # than the cache layer may.
-    floor = _dest_index_seq_floor(backend)
-    for name, data in sorted(index_payloads.items()):
-        cas_merge_ref(backend, name, lambda existing:
-                      _merge_index(existing, data, floor_seq=floor))
-        refs_merged += 1
+    # The archive's entries are published like any builder's: unseen keys
+    # only, in the archive's own access order, stamped above every seq the
+    # destination has seen on any shard (load) — they enter its LRU order
+    # as newest without leapfrogging each other. The save is the CAS
+    # merge, so import no more last-writer-wins a live builder's entry or
+    # pin than the cache may.
+    index = ArtifactIndex(backend)
+    index.load()
+    rows = [row for data in index_shards for row in parse_shard(data)[1]]
+    for key, namespace, digest, _seq in sorted(rows, key=lambda row: row[3]):
+        if index.get(key) is None:
+            index.set(key, namespace, digest)
+    index.save()
+    refs_merged += len(index_shards)
     for name, data in other_refs:
         if name == PINS_REF:
-            cas_merge_ref(backend, name,
-                          lambda existing: _merge_pins(existing, data))
+            index.adopt_pins(data)
         else:
             backend.set_ref(name, data)
         refs_merged += 1

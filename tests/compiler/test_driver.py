@@ -110,7 +110,7 @@ class TestIRCacheIdentity:
 
         stored = ArtifactCache()
         pre = compiler.preprocess(self.SOURCE, self.FLAGS, "f.c").text
-        assert stored.put_blob(pre) == content_digest(pre)
+        assert stored.store.put(pre) == content_digest(pre)
         # A text digest whose blob is absent falls back to the source too.
         missing = ArtifactCache()
         for cache in (stored, missing):

@@ -27,22 +27,13 @@ class TestArtifactCache:
         assert cache.counters("a").hits == 1
         assert cache.counters("b").hits == 1
 
-    def test_require_obj_treats_payload_only_entry_as_miss(self):
-        cache = ArtifactCache()
-        cache.put("ns", "key", "text-only")
-        assert cache.get("ns", "key", require_obj=True) is None
-        assert cache.counters("ns").misses == 1
-        sentinel = object()
-        cache.put("ns", "key", "text-only", obj=sentinel)
-        assert cache.get("ns", "key", require_obj=True).obj is sentinel
-
     def test_republish_without_obj_drops_stale_object(self):
         cache = ArtifactCache()
         cache.put("ns", "key", "v1", obj=object())
         cache.put("ns", "key", "v2")  # payload-only republish
         entry = cache.get("ns", "key")
         assert entry.payload == "v2" and entry.obj is None
-        assert cache.get("ns", "key", require_obj=True) is None
+        assert cache.get("ns", "key").obj is None
 
     def test_payload_persisted_in_backing_blob_store(self):
         store = BlobStore()
@@ -106,6 +97,38 @@ class TestWarmRebuild:
         # preprocessing identities are already cached.
         assert full.stats.cache_hits["preprocess"] > 0
         assert full.stats.preprocess_ops < full.stats.total_tus
+
+    def test_concurrent_builds_on_one_cache_count_their_own_lookups(self):
+        """Two threads build different apps through one shared cache: each
+        result reports the lookups its own stages made, not a share of the
+        cache's counters."""
+        import threading
+
+        apps = {"lulesh": (lulesh_model(), lulesh_configs()),
+                "gromacs": (gromacs_model(scale=0.01), five_isa_configs())}
+        alone = {name: build_ir_container(app, configs).stats
+                 for name, (app, configs) in apps.items()}
+
+        cache = ArtifactCache()
+        together = {}
+        barrier = threading.Barrier(len(apps))
+
+        def build(name):
+            app, configs = apps[name]
+            barrier.wait()
+            together[name] = build_ir_container(app, configs,
+                                                cache=cache).stats
+
+        threads = [threading.Thread(target=build, args=(name,))
+                   for name in apps]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for name, stats in together.items():
+            assert stats.cache_hits == alone[name].cache_hits, name
+            assert stats.cache_misses == alone[name].cache_misses, name
+        assert alone["lulesh"].cache_misses != alone["gromacs"].cache_misses
 
     def test_unshared_caches_do_not_interact(self):
         app = lulesh_model()

@@ -230,7 +230,7 @@ class TestCacheStatsBatched:
         with AsyncStoreServer(MemoryBackend()) as server:
             remote = RemoteBackend(*server.address)
             cache = ArtifactCache(BlobStore(remote))
-            bulk = cache.put_blob("bulk text " * 100)
+            bulk = cache.store.put("bulk text " * 100)
             cache.put("preprocess", "tu", json.dumps({"text_digest": bulk}))
             cache.put("lower", "mod", "machine module payload")
             stats = cache.stats()

@@ -1,6 +1,6 @@
 """``ArtifactCache.put_many``: a stage's results published as one batch.
 
-The contract is "what the equivalent ``put_blob`` + ``put`` sequence
+The contract is "what the equivalent ``store.put`` + ``put`` sequence
 would have left behind, for one backend batch and one index save", so
 every test states it against that sequence or against counts of backend
 operations — never against a clock. Each runs over the four bundled
@@ -22,7 +22,7 @@ from repro.containers.store import (ArtifactCache, BlobStore,
 from repro.core import build_ir_container
 from repro.store import (AsyncStoreServer, FileBackend, MemoryBackend,
                          RemoteBackend, TieredBackend)
-from repro.store.backend import INDEX_REF_PREFIX, index_ref_name
+from repro.store.index import INDEX_REF_PREFIX, index_ref_name
 from repro.store.gc import referenced_digests
 from repro.util.hashing import content_digest
 
@@ -115,7 +115,7 @@ class TestSameAsSequentialPublish:
         sequential = ArtifactCache(BlobStore(_PersistentMemory()))
         expected = []
         for text, (parts, payload) in zip(TEXTS, batch()):
-            assert sequential.put_blob(text) == content_digest(text)
+            assert sequential.store.put(text) == content_digest(text)
             expected.append(sequential.put(NS, parts, payload))
 
         cache = ArtifactCache(BlobStore(handle()))
@@ -147,7 +147,7 @@ class TestSameAsSequentialPublish:
         cache.put_many(NS, [("k", "v2")])
         entry = cache.get(NS, "k")
         assert entry.payload == "v2" and entry.obj is None
-        assert cache.get(NS, "k", require_obj=True) is None
+        assert cache.get(NS, "k").obj is None
 
     def test_republish_clears_a_tombstone(self, handle):
         cache = ArtifactCache(BlobStore(handle()))
@@ -265,8 +265,6 @@ class TestOperationCounts:
         entry = cache.put(NS, "k", "payload")
         shared.calls.clear()
         assert ArtifactCache(BlobStore(handle())).get(NS, "k") == entry
-        assert cache.get(NS, "k", require_obj=True) is None
-        assert shared.calls == []  # payload-only entry: refused unread
         assert cache.get(NS, "k") == entry
         assert shared.count("has") == 0
         assert shared.count("get") + shared.count("get_many") <= 1

@@ -73,7 +73,7 @@ class TestDeferredPublish:
             assert reader.get(NS, {"unit": i}).payload == payload
             assert reader.store.get_text(content_digest(payload)) == payload
 
-    @pytest.mark.parametrize("boundary", ["entries", "snapshot", "stats",
+    @pytest.mark.parametrize("boundary", ["entries", "sync", "stats",
                                           "evict"])
     def test_every_saving_operation_lands_the_blobs_first(self, handle,
                                                           boundary):
@@ -129,20 +129,18 @@ class TestDeferredPublish:
 
 class TestWriteThrough:
     def test_flush_every_one_writes_one_blob_and_one_index_per_put(
-            self, handle, request):
+            self, handle):
         backend, counter = counted_handle(handle)
         cache = ArtifactCache(BlobStore(backend))
         counter.calls.clear()
         publish(cache, PAYLOADS[:2])
-        # A tier hands its write-back queue upstream ahead of a ref write.
-        blob_write = "put_many" if "tiered" in request.node.name else "put"
-        assert writes(counter) == [blob_write, "compare_and_set_ref"] * 2
+        assert writes(counter) == ["put_many", "compare_and_set_ref"] * 2
         assert cache.pending_blobs == (0, 0)
 
     def test_a_memory_backend_never_buffers(self):
         counter = CountingBackend(MemoryBackend())
         cache = bulk_cache(counter)
         publish(cache)
-        assert writes(counter) == ["put"] * len(PAYLOADS)
+        assert writes(counter) == ["put_many"] * len(PAYLOADS)
         assert cache.pending_blobs == (0, 0)
         assert counter.has(content_digest(PAYLOADS[0]))

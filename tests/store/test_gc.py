@@ -56,7 +56,7 @@ class TestCollect:
         """A preprocess-style entry owns a bulk text blob via its payload
         digest; evicting the entry frees the bulk blob too."""
         cache = ArtifactCache()
-        bulk = cache.put_blob("bulk preprocessed text " * 50)
+        bulk = cache.store.put("bulk preprocessed text " * 50)
         cache.put("preprocess", "tu", json.dumps({"text_digest": bulk}))
         assert cache.store.has(bulk)
         report = cache.gc(0)
@@ -152,7 +152,7 @@ class TestGCRacingPublisher:
 
         def entries_then_publish():
             snapshot = orig_entries()
-            bulk = publisher.put_blob("fresh bulk text " * 20)
+            bulk = publisher.store.put("fresh bulk text " * 20)
             entry = publisher.put("preprocess", "fresh",
                                   json.dumps({"text_digest": bulk}))
             published.update(digest=entry.digest, bulk=bulk)

@@ -51,8 +51,8 @@ class TestIndexPersistence:
         cache.put("ns", "a", "va")
         cache.put("ns", "b", "vb")
         cache.get("ns", "a")  # refreshes a: now more recent than b
-        # Hit bumps are batched; any operation boundary persists them.
-        cache.snapshot()
+        # Hit bumps are batched; the next save persists them.
+        cache.flush_index()
         raw = cache.store.backend.get_ref(index_ref_name("ns"))
         blob = json.loads(raw.decode("utf-8"))
         seqs = {key: seq for key, _ns, _digest, seq in blob["entries"]}
@@ -65,7 +65,7 @@ class TestIndexPersistence:
         warm.put("ns", "old", "vo")
         warm.put("ns", "new", "vn")
         warm.get("ns", "old")
-        warm.flush_index()  # builds flush via snapshot(); do it explicitly
+        warm.flush_index()  # a build flushes when it ends; do it explicitly
 
         cold = file_cache(tmp_path)
         entries = cold.entries()

@@ -17,6 +17,7 @@ import pytest
 
 from repro.store import AsyncStoreServer, MemoryBackend, RemoteBackend
 from repro.store.remote import StoreUnavailable
+from repro.telemetry import MetricsRegistry
 from repro.testing import FlakyProxy
 from repro.util.hashing import content_digest
 from repro.util.retry import NO_RETRY, RetryPolicy
@@ -189,6 +190,46 @@ class TestConnectRetry:
         with pytest.raises(OSError):
             backend.get_ref("r")
         assert time.monotonic() - started < 10.0
+
+
+class TestFaultFreePath:
+    def test_default_policy_takes_no_retry_on_a_healthy_server(self):
+        """Concurrent builders publish, probe and pull through the default
+        retried client: nothing fails and the backoff machinery is never
+        entered."""
+        clients, puts = 4, 20
+        registry = MetricsRegistry()
+        errors: list[Exception] = []
+        barrier = threading.Barrier(clients)
+
+        def builder(idx: int, host: str, port: int) -> None:
+            backend = RemoteBackend(host, port, registry=registry)
+            try:
+                barrier.wait()
+                digests = []
+                for i in range(puts):
+                    payload = f"client-{idx} artifact-{i} ".encode() * 8
+                    digests.append(content_digest(payload))
+                    backend.put(digests[-1], payload)
+                assert all(backend.has_many(digests).values())
+                for digest in digests:
+                    assert backend.has(digest)
+                    assert content_digest(backend.get(digest)) == digest
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+            finally:
+                backend.close()
+
+        with AsyncStoreServer(MemoryBackend()) as server:
+            threads = [threading.Thread(target=builder,
+                                        args=(i, *server.address))
+                       for i in range(clients)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        assert not errors, errors
+        assert _retries_recorded(registry) == 0
 
 
 class TestServerBounce:

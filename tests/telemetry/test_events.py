@@ -143,6 +143,24 @@ class TestModuleEmit:
             _registry.set_enabled(True)
         assert len(isolated_log) == 0
 
+    def test_every_emit_beside_a_build_is_counted(self, isolated_log):
+        """Events emitted between warm builds all reach the ring (kept or
+        counted as dropped), and a warm build emits none of its own."""
+        from repro.apps import lulesh_configs, lulesh_model
+        from repro.containers import ArtifactCache
+        from repro.core import build_ir_container
+
+        builds, events_per_build = 5, 10
+        cache = ArtifactCache()
+        build_ir_container(lulesh_model(), lulesh_configs(), cache=cache)
+        isolated_log.clear()
+        for _ in range(builds):
+            build_ir_container(lulesh_model(), lulesh_configs(), cache=cache)
+            for i in range(events_per_build):
+                _events.emit("info", "bench event", seq=i, stage="warm")
+        assert len(isolated_log) + isolated_log.events_dropped == \
+            builds * events_per_build
+
     def test_set_event_log_returns_previous(self):
         first = EventLog()
         second = EventLog()
