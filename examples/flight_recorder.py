@@ -1,6 +1,6 @@
-"""Flight recorder: structured events, crash dumps, metrics history.
+"""Flight recorder: structured events, crash dumps, cross-linked reports.
 
-Walks the ISSUE 9 diagnostic layer end to end, in-process:
+Walks the diagnostic layer end to end, in-process:
 
 1. **Structured events** — leveled records with free-form fields that
    auto-capture the active span context, buffered in a bounded ring.
@@ -11,15 +11,11 @@ Walks the ISSUE 9 diagnostic layer end to end, in-process:
    export of the same spans: each error event resolves to the exported
    span it was emitted under (`repro telemetry report --trace` does the
    same from the command line).
-4. **Metrics history** — a bounded time-series sampler over a live
-   registry, rendered as the sparklines `repro cluster top --watch`
-   shows; downsampling keeps memory fixed while the horizon grows.
 
 Run:  PYTHONPATH=src python examples/flight_recorder.py
 """
 
 import tempfile
-import time
 
 from repro.telemetry import events as events_api
 from repro.telemetry import trace as trace_api
@@ -29,12 +25,6 @@ from repro.telemetry.flightrec import (
     FlightRecorder,
     load_crash_dump,
     render_report,
-)
-from repro.telemetry.history import (
-    HistorySampler,
-    MetricsHistory,
-    rate,
-    sparkline,
 )
 from repro.telemetry.registry import MetricsRegistry
 
@@ -99,29 +89,6 @@ def cross_linked_report(dump_path: str, recorder, trace_path: str) -> None:
             print(" ", line.strip())
 
 
-def metrics_history() -> None:
-    print("\n== metrics history ==")
-    registry = MetricsRegistry()
-    requests = registry.counter("store.server.requests")
-    history = MetricsHistory(max_samples=64)
-    sampler = HistorySampler(registry, history, interval=0.01)
-    sampler.start()
-    try:
-        for i in range(40):
-            requests.inc(1 + i % 7)  # a ramping request stream
-            time.sleep(0.005)
-    finally:
-        sampler.stop()
-    samples = history.series("store.server.requests")
-    per_second = [value for _, value in rate(samples)]
-    print(f"{len(samples)} bounded samples "
-          f"(cap {history.max_samples}, downsamples instead of truncating)")
-    print(f"  requests total  {sparkline([v for _, v in samples])}")
-    print(f"  requests /s     {sparkline(per_second)}")
-    print(f"  process rss     "
-          f"{sparkline([v for _, v in history.series('process.rss_bytes')])}")
-
-
 def main() -> None:
     log = EventLog()
     previous = events_api.set_event_log(log)
@@ -131,7 +98,6 @@ def main() -> None:
             structured_events(log, recorder)
             dump_path = crash_dump(log, recorder, tmp)
             cross_linked_report(dump_path, recorder, f"{tmp}/trace.json")
-        metrics_history()
     finally:
         events_api.set_event_log(previous)
 

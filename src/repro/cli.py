@@ -16,7 +16,7 @@ over that table::
     cluster serve       run the build-farm job coordinator
     cluster worker      run one build worker
     cluster build       build + deploy a batch through the farm
-    cluster top         live farm aggregates
+    cluster top         one snapshot of the farm aggregates
     cluster status      scheduler state plus the telemetry summary
     cache stats         store size and index statistics
     cache serve         serve a store directory to other processes
@@ -24,7 +24,6 @@ over that table::
     cache export        pack the store into one archive
     cache import        merge an exported archive into the store
     telemetry report    render a flight-recorder crash dump
-    telemetry history   fetch a live process's metrics history
 
 **The one store rule.** Every command that opens an artifact store takes
 the same mutually exclusive pair, ``--store DIR`` (a sharded file backend
@@ -90,8 +89,6 @@ APPS = {name: (lambda n=name: app_model(n, CLI_APP_SCALE.get(n)))
 
 #: OpenMP threads of a predicted workload run (`deploy --workload`, `bench`).
 WORKLOAD_THREADS = 16
-#: Refresh period of `cluster top --watch`.
-TOP_REFRESH_SECONDS = 2.0
 
 
 def _app(name: str):
@@ -704,31 +701,18 @@ def cmd_cluster_worker(args) -> int:
 
 
 def cmd_cluster_top(args) -> int:
-    """Live farm-wide aggregates from the coordinator's `telemetry` op.
-
-    ``--watch`` refreshes in place every ``TOP_REFRESH_SECONDS`` and adds
-    sparkline trends from the coordinator's bounded metrics history."""
+    """One snapshot of the farm-wide aggregates from the coordinator's
+    `telemetry` op."""
     from repro.cluster import ClusterError
     from repro.telemetry.farm import render_top
-    client = _coordinator_client(args)
     try:
-        while True:
-            try:
-                info = client.telemetry()
-            except ClusterError as exc:
-                raise SystemExit(f"cluster top failed: {exc}")
-            if args.json:
-                _print_json({**info["telemetry"],
-                             "history": info.get("history", {})})
-            else:
-                if args.watch:
-                    print("\x1b[2J\x1b[H", end="")
-                print(render_top(info))
-            if not args.watch:
-                return 0
-            time.sleep(TOP_REFRESH_SECONDS)
-    except KeyboardInterrupt:
-        return 0
+        info = _coordinator_client(args).telemetry()
+    except ClusterError as exc:
+        raise SystemExit(f"cluster top failed: {exc}")
+    if args.json:
+        return _print_json(info["telemetry"])
+    print(render_top(info))
+    return 0
 
 
 def cmd_cluster_status(args) -> int:
@@ -779,30 +763,6 @@ def cmd_telemetry_report(args) -> int:
     return 0
 
 
-def cmd_telemetry_history(args) -> int:
-    """Fetch a live process's bounded metrics history (the ``history``
-    field of the ``telemetry`` wire op) from a coordinator or a store
-    server, rendered as sparklines or raw JSON."""
-    from repro.cluster import ClusterError
-    from repro.store import RemoteStoreError
-    from repro.telemetry.history import history_lines
-    source = _coordinator_client(args) if args.coordinator \
-        else _open_backend(args)
-    try:
-        history = source.telemetry().get("history") or {}
-    except (ClusterError, RemoteStoreError) as exc:
-        raise SystemExit(f"telemetry history failed: {exc}")
-    if args.json:
-        return _print_json(history)
-    lines = history_lines(history, max_series=64)
-    if not lines:
-        print("no history samples")
-        return 0
-    for line in lines:
-        print(line.lstrip())
-    return 0
-
-
 def cmd_bench(args) -> int:
     """Build natively and predict one workload run."""
     app = _app(args.app)
@@ -834,7 +794,7 @@ class Command:
 GROUPS = {
     "cluster": "build-farm: coordinator, workers, batch builds",
     "cache": "inspect and manage a persistent artifact store",
-    "telemetry": "flight-recorder dumps and metrics history",
+    "telemetry": "flight-recorder crash dumps",
 }
 
 COMMANDS: dict[tuple[str, ...], Command] = {
@@ -897,12 +857,9 @@ COMMANDS: dict[tuple[str, ...], Command] = {
                                         "processes (ignored with "
                                         "--coordinator)"))),
     ("cluster", "top"): Command(
-        "live farm aggregates: per-worker queue depth, throughput, "
-        "job/store latencies", cmd_cluster_top, (
-            COORDINATOR.but(required=True), JSON,
-            Option("--watch", action="store_true",
-                   help="refresh in place every 2 s until interrupted, with "
-                        "sparkline trends from the farm metrics history"))),
+        "one snapshot of the farm aggregates: per-worker queue depth, "
+        "throughput, job/store latencies", cmd_cluster_top,
+        (COORDINATOR.but(required=True), JSON)),
     ("cluster", "status"): Command(
         "scheduler state plus the telemetry summary", cmd_cluster_status,
         (COORDINATOR.but(required=True), JSON)),
@@ -948,11 +905,6 @@ COMMANDS: dict[tuple[str, ...], Command] = {
             TRACE.but(metavar="TRACE.json",
                       help="Chrome trace export of the same build; events "
                            "are cross-linked to the spans they ran inside"))),
-    ("telemetry", "history"): Command(
-        "fetch a live process's bounded metrics history, from a "
-        "coordinator (farm-wide) or a store server (its sampler)",
-        cmd_telemetry_history,
-        (OneOf(COORDINATOR, STORE_SERVER, required=True), JSON)),
 }
 
 

@@ -236,10 +236,9 @@ class CoordinatorClient:
 
     def telemetry(self, drain_spans: bool = False) -> dict:
         """The coordinator's live farm aggregates (the `cluster top`
-        payload): ``{"telemetry": {...}, "spans": [...], "history":
-        {...}}``. With ``drain_spans`` the returned spans are removed
-        from the coordinator's buffer (one-shot collection for trace
-        export); ``history`` is the heartbeat-fed farm metric history."""
+        payload): ``{"telemetry": {...}, "spans": [...]}``. With
+        ``drain_spans`` the returned spans are removed from the
+        coordinator's buffer (one-shot collection for trace export)."""
         header: dict = {"cmd": "telemetry"}
         if drain_spans:
             header["drain_spans"] = True
@@ -247,8 +246,7 @@ class CoordinatorClient:
         # would silently discard the first drain's spans.
         resp = self._call(header, retryable=not drain_spans)
         return {"telemetry": resp.get("telemetry", {}),
-                "spans": resp.get("spans", []),
-                "history": resp.get("history", {})}
+                "spans": resp.get("spans", [])}
 
     def goodbye(self, worker_id: str) -> int:
         return int(self._call({"cmd": "goodbye",

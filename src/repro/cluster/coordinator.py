@@ -522,7 +522,7 @@ class JobQueue:
                 "affinity_owners": dict(sorted(self._affinity_owner.items())),
             }
 
-    def telemetry_summary(self, include_worker_metrics: bool = False) -> dict:
+    def telemetry_summary(self) -> dict:
         """The live farm view behind the ``telemetry`` wire op: per-worker
         queue depth / running count / liveness from the scheduler joined
         with the heartbeat-fed :class:`FarmTelemetry` aggregates."""
@@ -543,8 +543,7 @@ class JobQueue:
                     workers[record.worker]["running"] += 1
             shared_depth = len(self._shared)
             total = len(self._records)
-        out = self.telemetry.summary(
-            workers=workers, include_worker_metrics=include_worker_metrics)
+        out = self.telemetry.summary(workers=workers)
         out["shared_queue_depth"] = shared_depth
         out["jobs"] = {"total": total, "states": counts}
         return out
@@ -658,14 +657,11 @@ def coordinator_commands(queue: JobQueue) -> "dict[str, Command]":
     def farm_telemetry(req):
         spans = (telemetry.recorder.drain() if req.get("drain_spans")
                  else telemetry.recorder.spans())
-        # Spans and the farm metric history go in the response body — a
-        # farm-wide drain can hold far more than one header line may
-        # carry.
+        # Spans go in the response body — a farm-wide drain can hold far
+        # more than one header line may carry.
         return json_body(
-            {"ok": True, "telemetry": queue.telemetry_summary(
-                include_worker_metrics=bool(req.get("worker_metrics")))},
-            {"spans": [span.to_json() for span in spans],
-             "history": telemetry.history.to_json()})
+            {"ok": True, "telemetry": queue.telemetry_summary()},
+            {"spans": [span.to_json() for span in spans]})
 
     def goodbye(req):
         return {"ok": True, "requeued": queue.goodbye(req["worker"])}, b""

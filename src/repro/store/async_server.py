@@ -55,7 +55,6 @@ from repro.store.wire_server import (
     WireServer,
     size_field,
 )
-from repro.telemetry.history import HistorySampler, MetricsHistory
 from repro.telemetry.registry import sample_process_gauges, sync_dropped_counter
 
 __all__ = ["AsyncStoreServer", "DEFAULT_MAX_OUTBUF_BYTES"]
@@ -182,15 +181,13 @@ def store_commands(server: "AsyncStoreServer") -> "dict[str, Command]":
                              server.recorder.dropped)
         spans = server.recorder.drain() if req.get("drain_spans") \
             else server.recorder.spans()
-        # Spans and metric history ride the response *body*, not the
-        # header: a long traced build buffers thousands of spans, a day
-        # of history holds hundreds of samples per series, and a single
-        # JSON header line is capped at MAX_HEADER_BYTES.
+        # Spans ride the response *body*, not the header: a long traced
+        # build buffers thousands of spans, and a single JSON header line
+        # is capped at MAX_HEADER_BYTES.
         return json_body(
             {"ok": True, "stats": server.stats(),
              "metrics": registry.snapshot()},
-            {"spans": [span.to_json() for span in spans],
-             "history": server.history.to_json()})
+            {"spans": [span.to_json() for span in spans]})
 
     return {
         "put": Command(put, size_field),
@@ -233,8 +230,7 @@ class AsyncStoreServer(WireServer):
                  port: int = 0,
                  max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
                  max_outbuf_bytes: int = DEFAULT_MAX_OUTBUF_BYTES,
-                 executor_workers: "int | None" = None,
-                 history_interval: float = 1.0):
+                 executor_workers: "int | None" = None):
         self.backend = backend
         if executor_workers is None:
             executor_workers = 4 if backend.persistent else 0
@@ -242,17 +238,3 @@ class AsyncStoreServer(WireServer):
                          name="store.server", max_body_bytes=max_body_bytes,
                          max_outbuf_bytes=max_outbuf_bytes,
                          executor_workers=executor_workers)
-        #: Fixed-memory metrics history fed by a local sampler thread
-        #: while the server runs; surfaced by the `telemetry` wire op.
-        self.history = MetricsHistory()
-        self._history_sampler = HistorySampler(
-            self.metrics.registry, self.history, interval=history_interval)
-
-    def start(self) -> tuple[str, int]:
-        address = super().start()
-        self._history_sampler.start()
-        return address
-
-    def stop(self) -> None:
-        self._history_sampler.stop()
-        super().stop()

@@ -272,9 +272,9 @@ class RemoteBackend(Backend):
     def telemetry(self, drain_spans: bool = False) -> dict:
         """The server's full telemetry in one round-trip: the documented
         ``stats`` schema, the metric-registry ``metrics`` snapshot,
-        buffered trace ``spans`` (``drain_spans=True`` removes them
+        and buffered trace ``spans`` (``drain_spans=True`` removes them
         server-side — trace collection does; live status surfaces must
-        not), and the sampler-fed metric ``history``."""
+        not)."""
         header: dict = {"cmd": "telemetry"}
         if drain_spans:
             header["drain_spans"] = True

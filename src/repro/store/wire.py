@@ -29,7 +29,7 @@ reaped on the next pool operation — a long-lived worker talking to many
 stores can never accumulate file descriptors without limit.
 
 **JSON bodies** (:func:`json_body` / :func:`fold_json_body`) carry bulk
-optional header fields — span batches, metric deltas, history — as a
+optional header fields — span batches, metric deltas, job records — as a
 fixed body flagged ``"body_json": true``, so they can never overflow the
 one-line header frame.
 """
@@ -132,7 +132,7 @@ def read_response_body(rfile, resp: dict) -> bytes:
 
 def json_body(header: dict, fields: dict) -> tuple[dict, bytes]:
     """Frame ``fields`` as a JSON body of ``header`` — for bulk values
-    (span batches, metric deltas, history) that could overflow the
+    (span batches, metric deltas, job records) that could overflow the
     one-line header frame."""
     payload = json.dumps(fields).encode("utf-8")
     return {**header, "size": len(payload), "body_json": True}, payload

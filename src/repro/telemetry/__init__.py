@@ -1,6 +1,6 @@
-"""Unified telemetry: metrics, traces, events, history, flight recorder.
+"""Unified telemetry: metrics, traces, events, flight recorder.
 
-Seven modules, one seam:
+Six modules, one seam:
 
 * :mod:`~repro.telemetry.registry` — process-local counters/gauges/
   histograms with mergeable JSON snapshots (what every legacy ad-hoc
@@ -11,9 +11,6 @@ Seven modules, one seam:
   servers;
 * :mod:`~repro.telemetry.events` — structured, leveled event records in
   a bounded per-process ring, auto-tagged with the active span context;
-* :mod:`~repro.telemetry.history` — fixed-memory per-metric time series
-  with downsampling, behind ``telemetry history`` and ``cluster top
-  --watch``;
 * :mod:`~repro.telemetry.flightrec` — the crash-time flight recorder
   that dumps events + spans + metrics to ``crash-<service>-<pid>.json``;
 * :mod:`~repro.telemetry.export` — Chrome trace-event JSON (Perfetto)
@@ -33,7 +30,6 @@ from .trace import (Span, TraceRecorder, active_recorder, begin_wire_span,
                     current, end_wire_span, new_span_id, new_trace_id,
                     recording, set_global_recorder, set_service, span)
 from .events import (Event, EventLog, emit, get_event_log, set_event_log)
-from .history import (HistorySampler, MetricsHistory, rate, sparkline)
 from .flightrec import (FlightRecorder, load_crash_dump, render_report,
                         validate_crash_dump)
 from .flightrec import install as install_flight_recorder
@@ -53,7 +49,6 @@ __all__ = [
     "active_recorder", "set_global_recorder", "set_service",
     "new_span_id", "new_trace_id", "begin_wire_span", "end_wire_span",
     "Event", "EventLog", "emit", "get_event_log", "set_event_log",
-    "MetricsHistory", "HistorySampler", "rate", "sparkline",
     "FlightRecorder", "install_flight_recorder", "load_crash_dump",
     "validate_crash_dump", "render_report",
     "chrome_trace", "write_chrome_trace", "spans_from_chrome",

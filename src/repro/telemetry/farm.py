@@ -12,7 +12,7 @@ keeps a bounded :class:`~repro.telemetry.trace.TraceRecorder` holding
 coordinator job-lifecycle spans plus everything workers pushed.
 
 :meth:`FarmTelemetry.summary` is the payload behind the coordinator's
-``telemetry`` wire op — what ``repro cluster top`` renders live.
+``telemetry`` wire op — the snapshot ``repro cluster top`` prints.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import threading
 import time
 from collections import deque
 
-from .history import MetricsHistory, history_lines
 from .registry import (MetricsRegistry, merge_histograms, merge_snapshot,
                        parse_metric_key, sample_process_gauges,
                        summarize_histogram, sync_dropped_counter)
@@ -59,12 +58,8 @@ class FarmTelemetry:
         self.window_seconds = window_seconds
         self.registry = registry if registry is not None else MetricsRegistry()
         self.recorder = TraceRecorder(max_spans=max_spans)
-        #: Farm-wide metrics history, fed from the heartbeat delta stream
-        #: (no extra sampler: every absorbed delta advances the series).
-        self.history = MetricsHistory()
         self._lock = threading.Lock()
         self._worker_metrics: dict[str, dict] = {}
-        self._farm_counters: dict[str, float] = {}
         self._completions: deque = deque()
         self._job_seconds = self.registry.histogram(
             "cluster.job.duration_seconds")
@@ -83,20 +78,11 @@ class FarmTelemetry:
         if not worker_id or not isinstance(delta, dict):
             return
         try:
-            touched: dict[str, float] = {}
             with self._lock:
-                mine = self._worker_metrics.setdefault(worker_id, {})
-                merge_snapshot(mine, delta)
-                for key, value in (delta.get("counters") or {}).items():
-                    total = self._farm_counters.get(key, 0) + value
-                    self._farm_counters[key] = total
-                    touched[key] = total
+                merge_snapshot(self._worker_metrics.setdefault(worker_id, {}),
+                               delta)
         except (TypeError, ValueError, KeyError, AttributeError):
-            return
-        # Farm-wide cumulative series: each heartbeat delta advances the
-        # history at the merged-across-workers total.
-        for key, total in touched.items():
-            self.history.record(key, total)
+            pass
 
     def absorb_spans(self, spans) -> None:
         """Store spans a worker pushed with its job result (wire JSON)."""
@@ -125,12 +111,6 @@ class FarmTelemetry:
             cutoff = now - self.window_seconds
             while self._completions and self._completions[0] < cutoff:
                 self._completions.popleft()
-            in_window = len(self._completions)
-        self.history.record("farm.jobs_per_second",
-                            in_window / self.window_seconds)
-        self.history.record("cluster.jobs.completed",
-                            self._jobs_completed.value)
-        self.history.record("cluster.job.seconds", duration_seconds)
 
     # ------------------------------------------------------------------
     # summary (the `telemetry` wire op payload)
@@ -168,11 +148,6 @@ class FarmTelemetry:
             out[family] = summarize_histogram(merge_histograms(hists))
         return out
 
-    def worker_metrics(self, worker_id: str) -> dict:
-        with self._lock:
-            snap = self._worker_metrics.get(worker_id)
-            return dict(snap) if snap else {}
-
     def throughput(self) -> dict:
         now = time.monotonic()
         with self._lock:
@@ -186,8 +161,7 @@ class FarmTelemetry:
             "jobs_per_second": completed / self.window_seconds,
         }
 
-    def summary(self, workers: dict | None = None,
-                include_worker_metrics: bool = False) -> dict:
+    def summary(self, workers: dict | None = None) -> dict:
         """Farm-wide aggregate view. ``workers`` is the coordinator's
         per-worker queue view ({worker_id: {"queue_depth": ...,
         "last_seen_seconds": ...}}); telemetry-only workers (seen via
@@ -198,8 +172,6 @@ class FarmTelemetry:
         for worker_id in sorted(known | set(workers or {})):
             entry = dict((workers or {}).get(worker_id, {}))
             entry.update(self.worker_summary(worker_id))
-            if include_worker_metrics:
-                entry["metrics"] = self.worker_metrics(worker_id)
             merged[worker_id] = entry
         sync_dropped_counter(self.registry, "telemetry.spans_dropped",
                              self.recorder.dropped)
@@ -209,8 +181,7 @@ class FarmTelemetry:
             "metrics": self.registry.snapshot(),
             "throughput": self.throughput(),
             "job_duration_seconds": summarize_histogram(
-                self._job_seconds.snapshot()
-                if hasattr(self._job_seconds, "snapshot") else None),
+                self._job_seconds.snapshot()),
             "spans_buffered": len(self.recorder),
             "spans_dropped": self.recorder.dropped,
         }
@@ -227,7 +198,7 @@ def format_latency(summary: dict) -> str:
 def render_top(info: dict) -> str:
     """The ``cluster top`` screen from a coordinator ``telemetry``
     response: job states, throughput, the coordinator's own resource
-    gauges, one row per worker, and sparkline trends from the history."""
+    gauges, and one row per worker."""
     tel = info["telemetry"]
     jobs = tel.get("jobs", {})
     states = jobs.get("states", {})
@@ -281,7 +252,4 @@ def render_top(info: dict) -> str:
                 f"{format_latency(w.get('job_seconds')):>18} "
                 f"{format_latency(w.get('store_request_seconds')):>18} "
                 f"{'' if seen is None else f'{seen:.1f}s ago':>8}")
-    trend = history_lines(info.get("history") or {})
-    if trend:
-        lines += ["history:", *trend]
     return "\n".join(lines)

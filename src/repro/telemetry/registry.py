@@ -332,8 +332,8 @@ def sample_process_gauges(registry: "MetricsRegistry | None" = None) -> dict:
     ``process.rss_bytes`` and ``process.open_fds`` from ``/proc`` (a
     graceful no-op where there is no procfs), ``process.cpu_seconds``
     from ``os.times()`` everywhere. Called at every snapshot point
-    (server ``telemetry`` op, worker heartbeat delta, history sampler
-    tick, crash dump) so resource trends ride the same pipes as every
+    (server ``telemetry`` op, coordinator farm summary, worker heartbeat
+    delta, crash dump) so resource usage rides the same pipes as every
     other metric. Returns what was sampled."""
     if registry is None:
         registry = get_registry()

@@ -174,7 +174,7 @@ class TestParkedFetch:
         queue.release("someone-else")  # a wake with nothing in it for w1
         queue.submit([job("a")])
         assert fetch.looks == 3 and fetch.answer is not None
-        summary = queue.telemetry_summary(include_worker_metrics=True)
+        summary = queue.telemetry_summary()
         assert summary["workers"]["w1"]["jobs_done"] == 2
 
 

@@ -148,8 +148,8 @@ class TestKilledCliWorkerDump:
         starts alone, so it claims the first job and dies on the injected
         fault; the short lease re-queues that job and a healthy worker
         started after the death finishes the batch. The dump's error
-        event resolves against the build's ``--trace`` export, the farm's
-        history is served, and ``telemetry report`` cross-links the two."""
+        event resolves against the build's ``--trace`` export, and
+        ``telemetry report`` cross-links the two."""
         store, dumps = str(tmp_path / "store"), tmp_path / "dumps"
         trace = str(tmp_path / "trace.json")
         procs = []
@@ -186,9 +186,6 @@ class TestKilledCliWorkerDump:
             assert armed.wait(timeout=120) != 0
             cli(*worker, "--worker-id", "crash-w2")
             report = json.loads(output(build))
-            history = json.loads(output(cli(
-                "telemetry", "history", "--coordinator", coordinator,
-                "--json")))
             [dump_path] = dumps.glob("crash-crash-w1-*.json")
             linked = output(cli("telemetry", "report", str(dump_path),
                                 "--trace", trace))
@@ -213,31 +210,43 @@ class TestKilledCliWorkerDump:
             [trace_id] = {sp.trace_id for sp in spans_from_chrome(
                 json.load(fh))}
         assert errors[0]["trace_id"] == trace_id
-        assert history["format"] == "repro-history-v1", history
-        assert any(history["series"].values()), history
         assert "cross-linked" in linked
 
 
-class TestCoordinatorHistoryWire:
-    def test_telemetry_op_ships_farm_history(self, tmp_path):
-        """`CoordinatorClient.telemetry()` carries the farm's bounded
-        metrics history alongside the live summary — nonzero after one
-        completed job, and what `cluster top --watch` sparklines."""
+
+class TestCoordinatorTelemetryWire:
+    def _one_job_done(self, coordinator):
+        host, port = coordinator.address
+        client = CoordinatorClient(host, port)
+        client.submit([_traced_job()])
         store = BlobStore()
+        worker = ClusterWorker(CoordinatorClient(host, port), store,
+                               cache=ArtifactCache(store), worker_id="w1")
+        assert worker.run_one() is True
+        return client
+
+    def test_telemetry_op_ships_the_farm_summary_and_its_spans(self):
+        """`CoordinatorClient.telemetry()` is the live summary plus the
+        buffered job spans, and nothing else."""
         with Coordinator() as coordinator:
-            host, port = coordinator.address
-            client = CoordinatorClient(host, port)
-            client.submit([_traced_job()])
-            worker = ClusterWorker(CoordinatorClient(host, port), store,
-                                   cache=ArtifactCache(store),
-                                   worker_id="w1")
-            assert worker.run_one() is True
+            client = self._one_job_done(coordinator)
             out = client.telemetry()
-            assert out["telemetry"]["workers"]["w1"]["jobs_done"] >= 1
-            history = out["history"]
-            assert history["format"] == "repro-history-v1"
-            series = history["series"]
-            assert series["cluster.jobs.completed"][-1][1] >= 1.0
-            assert series["farm.jobs_per_second"][-1][1] > 0
-            assert all(len(s) <= history["max_samples"]
-                       for s in series.values())
+            client.close()
+        assert sorted(out) == ["spans", "telemetry"]
+        summary = out["telemetry"]
+        assert summary["workers"]["w1"]["jobs_done"] >= 1
+        assert summary["jobs"] == {"total": 1, "states": {"done": 1}}
+        assert summary["throughput"]["completed"] == 1
+        assert out["spans"]
+        assert {span["trace_id"] for span in out["spans"]} == {TRACE_ID}
+
+    def test_a_draining_read_empties_the_span_buffer(self):
+        with Coordinator() as coordinator:
+            client = self._one_job_done(coordinator)
+            peek = client.telemetry()["spans"]
+            drained = client.telemetry(drain_spans=True)["spans"]
+            after = client.telemetry()
+            client.close()
+        assert peek and drained == peek
+        assert after["spans"] == []
+        assert after["telemetry"]["spans_buffered"] == 0

@@ -348,3 +348,19 @@ class TestCounters:
         assert set(stats) == {"connections_served",
                               "requests_served", "bytes_in", "bytes_out",
                               "peak_body_bytes", "peak_outbuf_bytes"}
+
+
+class TestThreads:
+    def test_the_loop_is_the_only_thread_and_stop_joins_it(self):
+        """A memory-backed server runs everything on its loop thread:
+        nothing samples or polls beside it, and stop() leaves no thread
+        behind."""
+        before = set(threading.enumerate())
+        server = AsyncStoreServer(MemoryBackend())
+        server.start()
+        try:
+            added = set(threading.enumerate()) - before
+            assert [t.name for t in added] == ["store.server-loop"]
+        finally:
+            server.stop()
+        assert set(threading.enumerate()) - before == set()

@@ -44,6 +44,14 @@ class TestEventLogRing:
         assert [e.message for e in log.snapshot()] == \
             [f"event-{i}" for i in range(25, 35)]
 
+    def test_a_ring_holds_at_least_one_event(self):
+        log = EventLog(max_events=0)
+        log.emit("info", "first")
+        log.emit("info", "second")
+        assert log.max_events == 1
+        assert [e.message for e in log.snapshot()] == ["second"]
+        assert log.events_dropped == 1
+
     def test_snapshot_filters_by_level(self):
         log = EventLog()
         log.emit("info", "fine")
@@ -109,6 +117,32 @@ class TestJsonlSink:
         log.close()
         assert len(log) == 4
         assert len(path.read_text().splitlines()) == 12
+
+    def test_a_closed_sink_stops_mirroring_but_the_ring_records_on(
+            self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        log = EventLog(sink=str(path))
+        log.emit("info", "mirrored")
+        log.close()
+        log.emit("info", "ring only")
+        assert [json.loads(line)["message"]
+                for line in path.read_text().splitlines()] == ["mirrored"]
+        assert [e.message for e in log.snapshot()] == ["mirrored",
+                                                       "ring only"]
+
+    def test_set_sink_moves_the_mirror_and_appends(self, tmp_path):
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        second.write_text('{"message": "earlier run"}\n')
+        log = EventLog(sink=str(first))
+        log.emit("info", "one")
+        log.set_sink(str(second))
+        log.emit("info", "two")
+        log.close()
+        assert [json.loads(line)["message"]
+                for line in first.read_text().splitlines()] == ["one"]
+        assert [json.loads(line)["message"]
+                for line in second.read_text().splitlines()] == \
+            ["earlier run", "two"]
 
 
 class TestEventJson:

@@ -9,6 +9,7 @@ from repro.telemetry.registry import (
     DURATION_BUCKETS,
     MetricsRegistry,
     empty_snapshot,
+    get_registry,
     histogram_quantile,
     is_empty_snapshot,
     merge_histograms,
@@ -16,6 +17,7 @@ from repro.telemetry.registry import (
     metric_key,
     parse_metric_key,
     sample_process_gauges,
+    set_registry,
     snapshot_delta,
     summarize_histogram,
     sync_dropped_counter,
@@ -38,6 +40,12 @@ class TestMetricKey:
 
     def test_parse_bare_key(self):
         assert parse_metric_key("plain.name") == ("plain.name", {})
+
+    def test_parse_skips_pairs_without_a_value(self):
+        assert parse_metric_key("m{a=1,junk,b=x=y}") == \
+            ("m", {"a": "1", "b": "x=y"})
+        # An unclosed label block is part of the name.
+        assert parse_metric_key("m{a=1") == ("m{a=1", {})
 
 
 class TestCountersAndGauges:
@@ -70,6 +78,19 @@ class TestCountersAndGauges:
         assert snap["counters"] == {"c": 1}
         assert snap["gauges"] == {"g": 7}
         assert snap["histograms"]["h"]["count"] == 1
+
+    def test_labeled_metrics_snapshot_under_their_rendered_keys(self):
+        reg = MetricsRegistry()
+        reg.counter("reqs", cmd="get").inc(5)
+        reg.gauge("depth", queue="shared").set(3)
+        hist = reg.histogram("lat", kind="lower")
+        hist.observe(0.1)
+        hist.observe(0.2)
+        assert reg.histogram("lat", kind="lower") is hist
+        snap = reg.snapshot()
+        assert snap["counters"] == {"reqs{cmd=get}": 5}
+        assert snap["gauges"] == {"depth{queue=shared}": 3}
+        assert snap["histograms"]["lat{kind=lower}"]["count"] == 2
 
 
 class TestHistogram:
@@ -142,6 +163,37 @@ class TestSnapshotAlgebra:
         assert is_empty_snapshot(snapshot_delta(reg.snapshot(), snap))
         assert is_empty_snapshot(empty_snapshot())
 
+    def test_delta_carries_metrics_new_since_the_previous_snapshot(self):
+        reg = MetricsRegistry()
+        base = reg.snapshot()
+        reg.counter("fresh").inc(2)
+        reg.histogram("observed").observe(0.01)
+        reg.histogram("declared_only")
+        delta = snapshot_delta(reg.snapshot(), base)
+        assert delta["counters"] == {"fresh": 2}
+        # A histogram nobody observed yet ships nothing.
+        assert list(delta["histograms"]) == ["observed"]
+        assert delta["histograms"]["observed"]["count"] == 1
+
+    def test_delta_passes_changed_gauges_at_their_latest_value(self):
+        reg = MetricsRegistry()
+        reg.gauge("depth").set(9)
+        reg.gauge("steady").set(1)
+        base = reg.snapshot()
+        reg.gauge("depth").set(2)
+        assert snapshot_delta(reg.snapshot(), base)["gauges"] == {"depth": 2}
+
+    def test_merge_replaces_a_histogram_whose_boundaries_changed(self):
+        into = {"histograms": {"h": {"buckets": [0.1], "counts": [4, 0],
+                                     "sum": 0.2, "count": 4}}}
+        merge_snapshot(into, {"histograms": {"h": {
+            "buckets": [1.0, 2.0], "counts": [0, 1, 0], "sum": 1.5,
+            "count": 1}}})
+        assert into["histograms"]["h"] == {"buckets": [1.0, 2.0],
+                                           "counts": [0, 1, 0],
+                                           "sum": 1.5, "count": 1}
+        assert into["counters"] == {} and into["gauges"] == {}
+
     def test_merge_adds_counters_and_keeps_gauge_max(self):
         into = empty_snapshot()
         merge_snapshot(into, {"counters": {"c": 2}, "gauges": {"peak": 10},
@@ -185,6 +237,19 @@ class TestSnapshotPointHelpers:
         sync_dropped_counter(reg, "telemetry.spans_dropped", 1)
         assert reg.counter("telemetry.spans_dropped").value == 5
         sync_dropped_counter(None, "telemetry.spans_dropped", 9)
+
+
+class TestDefaultRegistry:
+    def test_set_registry_swaps_the_process_default(self):
+        mine = MetricsRegistry()
+        previous = set_registry(mine)
+        try:
+            assert get_registry() is mine
+            sampled = sample_process_gauges()
+            assert mine.snapshot()["gauges"] == sampled
+        finally:
+            assert set_registry(previous) is mine
+        assert get_registry() is previous
 
 
 class TestThreadSafety:

@@ -2,9 +2,12 @@
 the ``telemetry`` wire op (metrics snapshot + span drain), and the
 client/server request-count cross-check."""
 
+import json
+
 import pytest
 
 from repro.store import AsyncStoreServer, MemoryBackend, RemoteBackend
+from repro.store.wire import WireSession
 from repro.store.wire_server import SERVER_STATS_FIELDS
 from repro.telemetry import trace as _trace
 from repro.telemetry.trace import TraceRecorder
@@ -38,7 +41,7 @@ class TestTelemetryWireOp:
         digest = content_digest(b"telemetry probe")
         backend.put(digest, b"telemetry probe")
         info = backend.telemetry()
-        assert sorted(info) == ["history", "metrics", "spans", "stats"]
+        assert sorted(info) == ["metrics", "spans", "stats"]
         assert tuple(sorted(info["stats"])) == \
             tuple(sorted(SERVER_STATS_FIELDS))
         counters = info["metrics"]["counters"]
@@ -85,6 +88,42 @@ class TestTelemetryWireOp:
         backend.get(digest)
         assert backend.telemetry()["spans"] == []
 
+    def test_process_gauges_ride_every_snapshot(self, served):
+        backend, _ = served
+        gauges = backend.telemetry()["metrics"]["gauges"]
+        assert gauges["process.rss_bytes"] > 0
+        assert gauges["process.cpu_seconds"] >= 0
+        assert gauges["process.open_fds"] > 0
+
+    def test_spans_dropped_counter_is_synced(self, served):
+        backend, server = served
+        parent = {"trace_id": "D" * 32, "parent_span_id": "E" * 16}
+        server.recorder.max_spans = 8
+        payload = b"drop probe"
+        digest = content_digest(payload)
+        with _trace.recording(TraceRecorder()):
+            with _trace.span("client.flood", parent=parent):
+                backend.put(digest, payload)
+                for _ in range(50):
+                    backend.get(digest)
+        info = backend.telemetry()
+        assert info["metrics"]["counters"]["telemetry.spans_dropped"] > 0
+        assert len(info["spans"]) <= 8
+
+    def test_the_reply_body_holds_the_spans_alone(self, served):
+        """Bulk fields ride a JSON body beside the header; the spans are
+        the only bulk field the store server has."""
+        _, server = served
+        session = WireSession(*server.address)
+        try:
+            header, body = session.exchange({"cmd": "telemetry"})
+        finally:
+            session.close()
+        assert header["ok"] is True and header["body_json"] is True
+        assert sorted(header) == ["body_json", "metrics", "ok", "size",
+                                  "stats"]
+        assert list(json.loads(body)) == ["spans"]
+
 
 class TestRequestCountCrossCheck:
     def test_client_requests_sent_matches_server_requests_served(self):
@@ -107,57 +146,3 @@ class TestRequestCountCrossCheck:
                 assert served_count == sent + 1
             finally:
                 backend.close()
-
-
-class TestHistoryWireField:
-    def test_bounded_history_ships_in_the_body(self):
-        """The `telemetry` op's JSON body carries the server's metrics
-        history — sampled by a background thread, bounded per series —
-        which is what `telemetry history` and `cluster top --watch`
-        render."""
-        import time
-
-        with AsyncStoreServer(MemoryBackend(),
-                              history_interval=0.05) as server:
-            backend = RemoteBackend(*server.address)
-            try:
-                digest = content_digest(b"history probe")
-                backend.put(digest, b"history probe")
-                deadline = time.time() + 10
-                history = backend.telemetry()["history"]
-                while time.time() < deadline and not any(
-                        len(s) >= 2
-                        for s in history.get("series", {}).values()):
-                    time.sleep(0.05)
-                    history = backend.telemetry()["history"]
-                assert history.get("format") == "repro-history-v1"
-                series = history["series"]
-                # Request traffic and process resources both trend.
-                assert series.get("store.server.requests")
-                assert series.get("process.rss_bytes")
-                assert all(len(s) <= history["max_samples"]
-                           for s in series.values())
-            finally:
-                backend.close()
-
-    def test_process_gauges_ride_every_snapshot(self, served):
-        backend, _ = served
-        gauges = backend.telemetry()["metrics"]["gauges"]
-        assert gauges["process.rss_bytes"] > 0
-        assert gauges["process.cpu_seconds"] >= 0
-        assert gauges["process.open_fds"] > 0
-
-    def test_spans_dropped_counter_is_synced(self, served):
-        backend, server = served
-        parent = {"trace_id": "D" * 32, "parent_span_id": "E" * 16}
-        server.recorder.max_spans = 8
-        payload = b"drop probe"
-        digest = content_digest(payload)
-        with _trace.recording(TraceRecorder()):
-            with _trace.span("client.flood", parent=parent):
-                backend.put(digest, payload)
-                for _ in range(50):
-                    backend.get(digest)
-        info = backend.telemetry()
-        assert info["metrics"]["counters"]["telemetry.spans_dropped"] > 0
-        assert len(info["spans"]) <= 8

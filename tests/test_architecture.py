@@ -83,7 +83,10 @@ RULES = {
         r"|cache_hit_total|parallel_map|default_worker_count"
         r"|DEFAULT_MAX_WORKERS|JOB_MAX_WORKERS|add_latency"
         r'|_spawn_worker|_local_fleet|mode == "thread"'
-        r"|def (lower|compile)\(self, (module|source)", ("repro/",),
+        r"|def (lower|compile)\(self, (module|source)"
+        r"|MetricsHistory|HistorySampler|history_lines|sparkline"
+        r"|history_interval|cmd_telemetry_history|TOP_REFRESH_SECONDS"
+        r"|include_worker_metrics", ("repro/",),
         "a removed name is back: the farm deploys one ISA group per deploy "
         "job, the cache counts nothing, telemetry is always on, "
         "IRContainerResult.assemble is the one assembly, the "
@@ -104,7 +107,9 @@ RULES = {
         "with no pool to size, a Compiler stops at IR — lowering is "
         "lower_module's, at deployment — FaultyBackend injects no "
         "latency, and a LocalCluster forks its workers, with no thread "
-        "mode for the CLI to pick",
+        "mode for the CLI to pick; telemetry keeps no metrics history — "
+        "no sampler thread, no `telemetry history`, and `cluster top` "
+        "prints one snapshot",
         "            counts = self.queue.restore(journal.load())"),
     "one-body-encoding": Rule(
         r"chunked|open_blob|stream_threshold|STREAM_THRESHOLD|CHUNK_"

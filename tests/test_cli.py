@@ -584,6 +584,30 @@ class TestCommandTable:
             assert exit_info.value.code == 0
             assert " ".join(path) in capsys.readouterr().out
 
+    def test_module_docstring_lists_exactly_the_table(self):
+        """The command list at the top of ``repro/cli.py`` is the table's
+        keys, in the table's order."""
+        from repro import cli
+        block = cli.__doc__.split("over that table::\n\n", 1)[1]
+        listed = [tuple(line.strip().split("  ", 1)[0].split())
+                  for line in block.split("\n\n", 1)[0].splitlines()]
+        assert listed == list(cli.COMMANDS)
+
+    def test_cluster_top_prints_one_snapshot_only(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cluster", "top", "--coordinator", "127.0.0.1:1",
+                  "--watch"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --watch" in capsys.readouterr().err
+
+    def test_telemetry_has_no_history_command(self, capsys):
+        from repro import cli
+        assert ("telemetry", "history") not in cli.COMMANDS
+        with pytest.raises(SystemExit) as exit_info:
+            main(["telemetry", "history", "--coordinator", "127.0.0.1:1"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'history'" in capsys.readouterr().err
+
     def test_store_rows_take_one_spelling_of_the_store(self, capsys):
         rows = _store_rows()
         # Every store-opening row but `cache serve`; `cluster serve`
@@ -647,5 +671,4 @@ class TestCommandTable:
             assert closed == ["RemoteBackend"]
             run_cli(capsys, "cluster", "status", "--coordinator", farm)
             run_cli(capsys, "cluster", "top", "--coordinator", farm)
-            run_cli(capsys, "telemetry", "history", "--coordinator", farm)
-        assert closed == ["RemoteBackend"] + ["CoordinatorClient"] * 3
+        assert closed == ["RemoteBackend"] + ["CoordinatorClient"] * 2
