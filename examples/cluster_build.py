@@ -1,7 +1,7 @@
 """Build-farm cluster: one batch, many workers, one shared store.
 
-Walks the cluster subsystem ISSUE 4 adds on top of the staged pipeline
-and the persistent store:
+Walks the cluster subsystem on top of the staged pipeline and the
+persistent store:
 
 1. **Cold farm build** — a `LocalCluster` (coordinator + 2 workers)
    decomposes a LULESH batch into jobs (one stage job per source
@@ -12,24 +12,13 @@ and the persistent store:
 2. **Warm rerun** — the same batch again: every ISA group is already
    lowered in the store, so each group's deploy job finds every machine
    module there and lowers nothing.
-3. **Crash recovery** — a worker that dies mid-job fails it; the job
-   re-queues with that worker excluded and finishes elsewhere.
 
 Run:  PYTHONPATH=src python examples/cluster_build.py
 """
 
 import tempfile
-import threading
 
-from repro.cluster import (
-    ClusterWorker,
-    Coordinator,
-    CoordinatorClient,
-    LocalCluster,
-    cluster_build,
-)
-from repro.containers import ArtifactCache, BlobStore
-from repro.store import FileBackend
+from repro.cluster import LocalCluster
 
 SYSTEMS = ["ault23", "ault25", "dev-machine"]
 
@@ -52,63 +41,9 @@ def farm_builds(root: str) -> None:
               f"{rerun.lowerings_reused} reused from the store")
 
 
-class CrashOnce(ClusterWorker):
-    """Raises on the first job it claims, then behaves."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.crashed = threading.Event()
-
-    def execute(self, job):
-        if not self.crashed.is_set():
-            self.crashed.set()
-            raise RuntimeError("simulated worker crash")
-        return super().execute(job)
-
-
-def crash_recovery(root: str) -> None:
-    print("\n== crash recovery ==")
-    store = BlobStore(FileBackend(root))
-    cache = ArtifactCache(store)
-    with Coordinator() as coordinator:
-        host, port = coordinator.address
-        flaky = CrashOnce(CoordinatorClient(host, port), store, cache=cache,
-                          worker_id="flaky")
-        steady = ClusterWorker(CoordinatorClient(host, port), store,
-                               cache=cache, worker_id="steady")
-        stop = threading.Event()
-
-        def steady_after_the_crash():
-            # Alone, the flaky worker claims the first job and crashes on
-            # it; that job re-queues without it and the steady one runs it.
-            flaky.crashed.wait()
-            steady.run(stop=stop)
-
-        threads = [threading.Thread(target=flaky.run, kwargs={"stop": stop},
-                                    daemon=True),
-                   threading.Thread(target=steady_after_the_crash,
-                                    daemon=True)]
-        for thread in threads:
-            thread.start()
-        try:
-            report = cluster_build(CoordinatorClient(host, port), "lulesh",
-                                   ["ault23"], store, cache=cache)
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join(timeout=10)
-    retried = [(job_id, rec) for job_id, rec in report.jobs.items()
-               if rec["attempts"]]
-    for job_id, rec in retried:
-        print(f"  {job_id}: {rec['attempts']} failed attempt(s), "
-              f"finished on {rec['worker']!r}")
-    print(f"deployed anyway: {report.deployments[0]['tag']}")
-
-
 def main() -> None:
     with tempfile.TemporaryDirectory() as root:
-        farm_builds(root + "/farm")
-        crash_recovery(root + "/recovery")
+        farm_builds(root)
 
 
 if __name__ == "__main__":

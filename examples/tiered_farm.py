@@ -3,25 +3,19 @@
 1. **TieredBackend up close** — a put writes through to the shared
    store in the same call, and a read miss is promoted into the local
    tier, so the next read never leaves it.
-2. **Tiered farm build** — two workers, each behind its own
-   `FileBackend` tier, over one shared store. Byte-identical artifacts,
-   zero duplicate lowering, and the warm rerun is served from the
-   workers' local tiers.
+2. **Tiered farm build** — a `LocalCluster` of two forked workers, each
+   behind its own `FileBackend` tier (`local_tier_dir`), over one shared
+   store. Zero duplicate lowering, and the warm rerun is served from the
+   workers' local tiers; their tier counters reach the coordinator on
+   the heartbeat, where `cluster top` reads them.
 
 Run:  PYTHONPATH=src python examples/tiered_farm.py
 """
 
 import tempfile
-import threading
 
-from repro.cluster import (
-    ClusterWorker,
-    Coordinator,
-    CoordinatorClient,
-    cluster_build,
-)
-from repro.containers import ArtifactCache, BlobStore
-from repro.store import FileBackend, MemoryBackend, TieredBackend
+from repro.cluster import LocalCluster
+from repro.store import MemoryBackend, TieredBackend
 from repro.util.hashing import content_digest
 
 SYSTEMS = ["ault23", "ault25"]
@@ -46,39 +40,18 @@ def tier_mechanics() -> None:
 
 def tiered_farm(root: str) -> None:
     print("\n== tiered farm build ==")
-    store_dir = root + "/shared"
-    tier_root = root + "/tiers"
-    with Coordinator() as coordinator:
-        host, port = coordinator.address
-        workers = [ClusterWorker(CoordinatorClient(host, port),
-                                 BlobStore(FileBackend(store_dir)),
-                                 worker_id=f"w{i}",
-                                 local_tier_dir=tier_root)
-                   for i in range(2)]
-        stop = threading.Event()
-        threads = [threading.Thread(target=w.run, kwargs={"stop": stop},
-                                    daemon=True) for w in workers]
-        for thread in threads:
-            thread.start()
-        try:
-            store = BlobStore(FileBackend(store_dir))
-            report = cluster_build(CoordinatorClient(host, port), "lulesh",
-                                   SYSTEMS, store,
-                                   cache=ArtifactCache(store))
-            print(f"deployed {len(report.deployments)} systems, "
-                  f"duplicate lowerings: {report.duplicate_lowerings}")
-            rerun = cluster_build(CoordinatorClient(host, port), "lulesh",
-                                  SYSTEMS, store, cache=ArtifactCache(store))
-            print(f"warm rerun: {rerun.lowerings_performed} lowerings "
-                  f"performed, warm groups {rerun.warm_groups}")
-            for worker in workers:
-                t = worker.tier
-                print(f"  {worker.worker_id}: tier hits={t.tier_hits} "
-                      f"misses={t.tier_misses}")
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join(timeout=10)
+    with LocalCluster(workers=2, store_dir=root + "/shared",
+                      local_tier_dir=root + "/tiers") as cluster:
+        report = cluster.build("lulesh", SYSTEMS)
+        print(f"deployed {len(report.deployments)} systems, "
+              f"duplicate lowerings: {report.duplicate_lowerings}")
+        rerun = cluster.build("lulesh", SYSTEMS)
+        print(f"warm rerun: {rerun.lowerings_performed} lowerings "
+              f"performed, warm groups {rerun.warm_groups}")
+        workers = cluster.client.telemetry()["telemetry"]["workers"]
+        for worker_id, worker in sorted(workers.items()):
+            print(f"  {worker_id}: tier hits={worker['tier_hits']} "
+                  f"misses={worker['tier_misses']}")
 
 
 def main() -> None:

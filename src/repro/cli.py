@@ -199,10 +199,9 @@ def _open_store(args, farm: bool = False) -> tuple[BlobStore, ArtifactCache]:
     On a persistent backend the ArtifactCache loads its access-ordered
     index — a fresh process starts warm from whatever earlier builds
     persisted. ``farm=True`` batches publishes — payload blobs and index
-    saves — the way cluster workers do (the cache is about to be shared
-    with bulk publishers, and per-put index rewrites are O(n^2) at
-    scale); the cluster flushes at every job boundary, so nothing is
-    lost on a clean exit.
+    saves — the way cluster workers do (per-put index rewrites are
+    O(n^2) at scale); the cluster flushes at every job boundary, so
+    nothing is lost on a clean exit.
     """
     store = BlobStore(_open_backend(args))
     return store, ArtifactCache(

@@ -252,11 +252,6 @@ class CoordinatorClient:
         return int(self._call({"cmd": "goodbye",
                                "worker": worker_id})["requeued"])
 
-    def release(self, worker_id: str) -> None:
-        """Have ``worker_id``'s parked (or next) fetch answered idle. Not
-        retried: a coordinator that cannot be reached holds no park."""
-        self._call({"cmd": "release", "worker": worker_id})
-
     def wait(self, jobs: list[Job],
              timeout: float = 300.0) -> dict[str, dict]:
         """Block until every job is done; raise on any terminal failure.
@@ -432,8 +427,8 @@ def cluster_build(client: CoordinatorClient, app_name: str,
     the IR blobs the jobs published), plans on it, and submits one deploy
     job per ISA group, each naming the image by digest. All artifacts flow
     through ``store``. The lowering totals are the sums of what each job's
-    own lowering loop counted, so they are exact whether the workers share
-    ``cache`` or not.
+    own lowering loop counted, so they are exact however many workers ran
+    the jobs.
     """
     from repro.apps import default_ir_sweep
     from repro.core import IRContainerResult, plan_batch

@@ -106,7 +106,6 @@ class JobRecord:
 class _WorkerInfo:
     last_seen: float = 0.0
     queue: deque = field(default_factory=deque)  # job ids with affinity here
-    leaving: bool = False  # its next (or parked) fetch is answered idle
 
 
 class JobQueue:
@@ -134,9 +133,9 @@ class JobQueue:
         #: Called with no arguments — outside the lock, on whichever
         #: thread made the change — after every transition that can make
         #: a job claimable or terminal (submit, complete, fail, requeue,
-        #: goodbye, lease expiry) and after :meth:`release`. The
-        #: coordinator points it at :meth:`WireServer.wake`, so parked
-        #: ``fetch``/``wait`` requests look again exactly then.
+        #: goodbye, lease expiry). The coordinator points it at
+        #: :meth:`WireServer.wake`, so parked ``fetch``/``wait`` requests
+        #: look again exactly then.
         self.on_change = None
         self._transitioned = False  # under the lock: on_change is owed
         #: Farm-wide aggregates: worker heartbeat metric deltas, pushed
@@ -146,7 +145,7 @@ class JobQueue:
 
     @contextmanager
     def _transition(self):
-        """Hold the lock; once it is released, fire :attr:`on_change` if
+        """Hold the lock; once it is dropped, fire :attr:`on_change` if
         anything inside turned a job READY or terminal."""
         owed = False
         try:
@@ -438,7 +437,7 @@ class JobQueue:
             return True
 
     def goodbye(self, worker_id: str) -> int:
-        """A worker is leaving: re-queue its running jobs immediately."""
+        """A worker said goodbye: re-queue its running jobs immediately."""
         with self._transition():
             requeued = 0
             for record in self._records.values():
@@ -454,25 +453,6 @@ class JobQueue:
                              if w == worker_id]:
                 del self._affinity_owner[affinity]
             return requeued
-
-    def release(self, worker_id: str) -> None:
-        """The worker is about to leave (its stop event was set): its
-        parked fetch — or, should the two cross on the wire, its next
-        one — is answered ``idle`` instead of waiting out the park.
-        Unlike :meth:`goodbye` this touches no job: a worker released
-        mid-job finishes it."""
-        with self._transition():
-            self._workers.setdefault(worker_id, _WorkerInfo()).leaving = True
-            self._transitioned = True
-
-    def take_release(self, worker_id: str) -> bool:
-        """Whether ``worker_id`` was released; asking clears it."""
-        with self._lock:
-            info = self._workers.get(worker_id)
-            leaving = info is not None and info.leaving
-            if leaving:
-                info.leaving = False
-            return leaving
 
     # -- introspection ---------------------------------------------------------
 
@@ -598,8 +578,6 @@ def coordinator_commands(queue: JobQueue) -> "dict[str, Command]":
         answer on a connection known to be open — a worker that died
         while parked was dropped from the park table and owns nothing."""
         absorb(req)
-        if queue.take_release(req["worker"]):
-            return idle(req)
         job = queue.fetch(req["worker"])
         if job is None:
             return queue.lease_wait()
@@ -647,10 +625,6 @@ def coordinator_commands(queue: JobQueue) -> "dict[str, Command]":
             return records(jobs)
         return queue.lease_wait()
 
-    def release(req):
-        queue.release(req["worker"])
-        return {"ok": True}, b""
-
     def stats(req):
         return {"ok": True, "stats": queue.stats()}, b""
 
@@ -668,7 +642,7 @@ def coordinator_commands(queue: JobQueue) -> "dict[str, Command]":
 
     handlers = {"ping": ping, "submit": submit,
                 "renew": renew, "complete": complete, "fail": fail,
-                "status": status, "stats": stats, "release": release,
+                "status": status, "stats": stats,
                 "telemetry": farm_telemetry, "goodbye": goodbye}
     table = {name: _json_command(handler)
              for name, handler in handlers.items()}

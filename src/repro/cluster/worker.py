@@ -2,8 +2,7 @@
 
 A worker owns one connection target (the coordinator) and one shared-store
 handle (:class:`~repro.containers.store.BlobStore` over a file or remote
-backend, or an in-process store shared by workers run on threads).
-Every artifact a job produces goes through the worker's
+backend). Every artifact a job produces goes through the worker's own
 :class:`~repro.containers.store.ArtifactCache`; job *results* are JSON
 summaries (counts, keys, tags, digests, manifest rows) — the coordinator
 never sees payload bytes.
@@ -71,18 +70,15 @@ OUTAGE_BACKOFF = RetryPolicy(base_delay=0.02, max_delay=1.0)
 
 
 class ClusterWorker:
-    """Executes jobs against a shared store; one instance per process/thread.
+    """Executes jobs against a shared store; one instance per process.
 
-    ``store``/``cache`` may be shared with other in-process workers (the
-    :class:`ArtifactCache` is thread-safe). A worker with a process to
-    itself — ``cluster worker`` on any machine, or a child a
+    Each worker — ``cluster worker`` on any machine, or a child a
     :class:`~repro.cluster.client.LocalCluster` forked — opens its own
-    over the same persistent backend (:func:`run_worker`) and converges
-    with the others through the store's CAS index instead.
+    :class:`ArtifactCache` over the persistent backend and converges with
+    the others through the store's CAS index.
     """
 
     def __init__(self, client, store: BlobStore,
-                 cache: ArtifactCache | None = None,
                  worker_id: str = "",
                  registry: MetricsRegistry | None = None,
                  local_tier_dir: str = "",
@@ -112,11 +108,6 @@ class ClusterWorker:
             # --local-tier root never collide. The tier's counters live in
             # this worker's registry — heartbeat deltas carry hit/miss
             # rates to the coordinator without extra wire traffic.
-            if cache is not None:
-                raise ClusterError(
-                    "local_tier_dir and an externally-built cache are "
-                    "mutually exclusive: the cache must read through the "
-                    "tier, not around it")
             local = FileBackend(
                 os.path.join(local_tier_dir, self.worker_tier_id))
             self.tier = TieredBackend(local, store.backend,
@@ -130,8 +121,7 @@ class ClusterWorker:
         # before its completion is announced — no one reads a job's
         # artifacts before they are on the store — and the lease-renewal
         # heartbeat flushes mid-job.
-        self.cache = cache if cache is not None \
-            else ArtifactCache(store, flush_every=BULK_FLUSH_EVERY)
+        self.cache = ArtifactCache(store, flush_every=BULK_FLUSH_EVERY)
         self.jobs_done = 0
         self.jobs_failed = 0
         self.recorder = _trace.TraceRecorder()
@@ -305,28 +295,21 @@ class ClusterWorker:
 
         return _stop
 
-    def run(self, stop: threading.Event | None = None,
-            max_idle_seconds: float | None = None) -> None:
-        """Pull until stopped (or idle past ``max_idle_seconds``).
+    def run(self, max_idle_seconds: float | None = None) -> None:
+        """Pull until idle past ``max_idle_seconds``, or until the
+        coordinator has been down too long.
 
         An idle worker blocks in ``fetch``: the coordinator parks the
         request and answers the moment a job is eligible, so nothing is
-        polled. The idle cutoff is how ``cluster worker`` processes end
-        in tests and CI; a service deployment runs without one and lives
-        until the coordinator goes away.
+        polled. The idle cutoff is how ``cluster worker`` processes and
+        forked LocalCluster children end; a service deployment runs
+        without one and lives until the coordinator goes away (or the
+        process is killed).
         """
-        if stop is None:
-            stop = threading.Event()  # never set: the waits below just time out
-        else:
-            # A parked fetch cannot watch an event; setting it has the
-            # coordinator answer the fetch at once.
-            threading.Thread(target=self._release_on, args=(stop,),
-                             name=f"release-{self.worker_id}",
-                             daemon=True).start()
         idle_since: float | None = None
         down_since: float | None = None
         outage = 0
-        while not stop.is_set():
+        while True:
             now = time.monotonic()
             if idle_since is None:
                 idle_since = now
@@ -363,7 +346,7 @@ class ClusterWorker:
                                  error=str(exc))
                     return
                 outage += 1
-                stop.wait(OUTAGE_BACKOFF.backoff(outage))
+                OUTAGE_BACKOFF.sleep(OUTAGE_BACKOFF.backoff(outage))
                 continue
             if busy:
                 idle_since = None
@@ -371,7 +354,7 @@ class ClusterWorker:
             self.client.goodbye(self.worker_id)
         except ClusterError:  # pragma: no cover - coordinator already gone
             pass
-        # Release pooled wire sessions — the coordinator client's, and a
+        # Close pooled wire sessions — the coordinator client's, and a
         # RemoteBackend-backed store's warm connection pool; shared
         # backends just drop their idle sockets — the next user reconnects
         # lazily.
@@ -379,13 +362,6 @@ class ClusterWorker:
             close = getattr(owner, "close", None)
             if close is not None:
                 close()
-
-    def _release_on(self, stop: threading.Event) -> None:
-        stop.wait()
-        try:
-            self.client.release(self.worker_id)
-        except ClusterError:  # coordinator already gone: nothing is parked
-            pass
 
     # -- job execution ---------------------------------------------------------
 

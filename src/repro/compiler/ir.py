@@ -562,8 +562,7 @@ _LITERAL_LOCK = threading.Lock()
 def _literal(text: str):
     """``ast.literal_eval`` one at a time: CPython 3.11's AST validator
     keeps its recursion depth in shared state, and two threads parsing IR
-    at once (cluster workers run side by side on threads of one process)
-    can fail it with a ``SystemError``."""
+    at once can fail it with a ``SystemError``."""
     with _LITERAL_LOCK:
         return ast.literal_eval(text)
 

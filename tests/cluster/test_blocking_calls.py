@@ -119,7 +119,7 @@ class TestParkedFetch:
         assert queue.fail("a", "w1", "boom") == "ready"
         mine = park("fetch", worker="w1")
         assert mine.answer is None
-        queue.release("someone-else")  # a wake with nothing in it for w1
+        queue.on_change()  # a wake with nothing in it for w1
         assert mine.answer is None and mine.looks == 2
         other = park("fetch", worker="w2")
         assert other.answer["job"]["job_id"] == "a"
@@ -149,29 +149,12 @@ class TestParkedFetch:
         assert fetch.answer is None
         assert 0.0 < fetch.hint <= queue.lease_seconds
 
-    def test_release_answers_idle_and_touches_no_job(self, farm):
-        queue, park = farm
-        queue.submit([job("a")])
-        assert queue.fetch("w1").job_id == "a"
-        fetch = park("fetch", worker="w1")
-        queue.release("w1")
-        assert fetch.answer == {"ok": True, "idle": True}
-        assert queue.status(["a"])["a"]["state"] == "running"
-
-    def test_release_that_overtakes_the_fetch_still_lands(self, farm):
-        queue, park = farm
-        queue.release("w1")
-        queue.submit([job("a")])
-        assert park("fetch", worker="w1").answer == {"ok": True,
-                                                     "idle": True}
-        assert park("fetch", worker="w1").answer["job"]["job_id"] == "a"
-
     def test_metrics_are_absorbed_once_however_often_it_looks(self, farm):
         queue, park = farm
         delta = {"counters": {"cluster.worker.jobs_done": 2}, "gauges": {},
                  "histograms": {}}
         fetch = park("fetch", worker="w1", metrics=delta)
-        queue.release("someone-else")  # a wake with nothing in it for w1
+        queue.on_change()  # a wake with nothing in it for w1
         queue.submit([job("a")])
         assert fetch.looks == 3 and fetch.answer is not None
         summary = queue.telemetry_summary()
@@ -403,31 +386,21 @@ class TestOverTheWire:
             assert client.wait([]) == {}
             client.close()
 
-    def test_stopping_a_parked_thread_worker_takes_no_park(self):
-        """`stop.set()` on an idle worker: its watcher has the
-        coordinator answer the parked fetch, the worker says goodbye."""
-        import threading
-
+    def test_an_idle_worker_leaves_at_its_cutoff_and_says_goodbye(self):
+        """`run(max_idle_seconds=)`, the exit a worker keeps: its parked
+        fetch runs out at the cutoff, the worker says goodbye — the
+        coordinator forgets it — and closes its coordinator client."""
         from repro.cluster import ClusterWorker
         with Coordinator() as coord:
-            worker = ClusterWorker(CoordinatorClient(*coord.address),
-                                   BlobStore(), worker_id="w-park")
-            stop = threading.Event()
-            thread = threading.Thread(target=worker.run,
-                                      kwargs={"stop": stop}, daemon=True)
-            thread.start()
-            probe = CoordinatorClient(*coord.address, retry=NO_RETRY)
-            deadline = time.monotonic() + 5.0
-            while probe.stats()["workers"] != ["w-park"]:
-                assert time.monotonic() < deadline  # its first fetch
+            client = CoordinatorClient(*coord.address)
+            worker = ClusterWorker(client, BlobStore(), worker_id="w-idle")
             started = time.monotonic()
-            stop.set()
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-            assert time.monotonic() - started < 5.0
-            assert probe.stats()["workers"] == []  # goodbye was said
-            probe.close()
-
+            worker.run(max_idle_seconds=0.3)
+            assert 0.3 <= time.monotonic() - started < 5.0
+            # It was there: its fetches carried heartbeat metrics.
+            assert "w-idle" in coord.queue.telemetry_summary()["workers"]
+            assert coord.queue.stats()["workers"] == []
+            assert client._pool.closed
 
     def test_no_wake_is_lost_under_contention(self):
         """Six workers parked on a strictly sequential chain of jobs —
@@ -451,8 +424,10 @@ class TestOverTheWire:
                         while True:
                             got = client.fetch(name, park_seconds=LONG)
                             if got is None:
-                                return  # released below
+                                continue
                             client.complete(got.job_id, name, {})
+                            if got.job_id.startswith("last-"):
+                                return  # one sentinel each, below
                     finally:
                         client.close()
 
@@ -468,8 +443,9 @@ class TestOverTheWire:
                     done.update(submitter.wait([link], timeout=20))
                 assert all(rec["state"] == "done" and rec["attempts"] == 0
                            for rec in done.values())
-                for name in names:
-                    submitter.release(name)
+                sentinels = [job(f"last-{name}") for name in names]
+                submitter.submit(sentinels)
+                submitter.wait(sentinels, timeout=20)
                 for thread in threads:
                     thread.join(timeout=10)
                 assert not any(thread.is_alive() for thread in threads)

@@ -253,49 +253,24 @@ class TestLongLivedCoordinator:
         with _pytest.raises(ClusterError, match="unreachable"):
             client.fetch("w1")
 
-    def test_gc_between_builds_relowers_on_the_same_coordinator(self):
+    def test_gc_between_builds_relowers_on_the_same_coordinator(
+            self, tmp_path):
         """Coordinator memory must not outvote the store: after GC evicts
         the lowered modules, a second build on the *same* coordinator
         must re-lower them (every group cold, zero duplicates) rather
         than let the first build's finished jobs stand in for
-        artifacts."""
-        from repro.cluster import (
-            ClusterWorker,
-            Coordinator,
-            CoordinatorClient,
-            cluster_build,
-        )
-        import threading
-
-        store = BlobStore()
-        cache = ArtifactCache(store)
-        with Coordinator() as coordinator:
-            host, port = coordinator.address
-            workers = [ClusterWorker(CoordinatorClient(host, port), store,
-                                     cache=cache, worker_id=f"w{i}")
-                       for i in range(2)]
-            stop = threading.Event()
-            threads = [threading.Thread(target=w.run, kwargs={"stop": stop},
-                                        daemon=True) for w in workers]
-            for thread in threads:
-                thread.start()
-            try:
-                first = cluster_build(CoordinatorClient(host, port),
-                                      "lulesh", ["ault23", "ault25"], store,
-                                      cache=cache)
-                assert first.cold_groups and not first.warm_groups
-                # Evict every lower entry (the blobs stay: a lookup goes
-                # through the index, so the lowerings are misses).
-                for key, record in cache.entries().items():
-                    if record.namespace == "lower":
-                        cache.evict(key)
-                second = cluster_build(CoordinatorClient(host, port),
-                                       "lulesh", ["ault23", "ault25"], store,
-                                       cache=cache)
-            finally:
-                stop.set()
-                for thread in threads:
-                    thread.join(timeout=10)
+        artifacts. The eviction reaches the forked workers the way any
+        other writer's does: through the store's index."""
+        with LocalCluster(workers=2,
+                          store_dir=str(tmp_path / "store")) as cluster:
+            first = cluster.build("lulesh", ["ault23", "ault25"])
+            assert first.cold_groups and not first.warm_groups
+            # Evict every lower entry (the blobs stay: a lookup goes
+            # through the index, so the lowerings are misses).
+            for key, record in cluster.cache.entries().items():
+                if record.namespace == "lower":
+                    cluster.cache.evict(key)
+            second = cluster.build("lulesh", ["ault23", "ault25"])
         assert second.cold_groups == first.cold_groups
         assert not second.warm_groups
         assert second.lowerings_performed == first.lowerings_performed

@@ -292,39 +292,32 @@ class TestCoordinatorBounce:
         port = _reserve_port()
         coord = Coordinator(port=port)
         coord.start()
-        restarted = None
-        release = threading.Event()
+        restarted = []
         worker = ClusterWorker(_client(port), BlobStore(),
                                worker_id="w-across",
                                max_coordinator_downtime=30.0)
-        worker.execute = lambda j: release.wait(10) and {"echo": j.job_id}
-        stop = threading.Event()
-        thread = threading.Thread(target=worker.run, kwargs={"stop": stop},
-                                  daemon=True)
+
+        def execute_across_a_restart(j):
+            if not restarted:  # the job's report meets the restart
+                coord.server.stop()
+                restarted.append(_restart(port))
+                # One more job for the loop: an outage would be logged
+                # as over as soon as it is done.
+                restarted[0].queue.submit([job("y")])
+            return {"echo": j.job_id}
+
+        worker.execute = execute_across_a_restart
         try:
             coord.queue.submit([job("x")])
-            thread.start()
-            _until(lambda: coord.queue.stats()["states"].get("running"),
-                   "the job to start")
-            coord.server.stop()
-            restarted = _restart(port)
-            release.set()  # the job finishes; its report meets the restart
-            # One more job through the loop: an outage would be logged as
-            # over as soon as it is done, before the next parked fetch.
-            restarted.queue.submit([job("y")])
-            _until(lambda: restarted.queue.status(["y"])["y"]["state"]
-                   == "done", "y to finish")
-            _parked(restarted)
+            worker.run(max_idle_seconds=0.5)
+            assert restarted[0].queue.status(["y"])["y"]["state"] == "done"
             assert worker.jobs_done == 2
-            assert thread.is_alive()
             messages = [event.message for event in log.snapshot()]
             assert "coordinator link restored" not in messages
         finally:
-            stop.set()
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-            if restarted is not None:
-                restarted.stop()
+            coord.server.stop()
+            for coordinator in restarted:
+                coordinator.stop()
             _events.set_event_log(previous)
 
     def test_lost_submit_response_resend_is_success(self, monkeypatch):
@@ -419,6 +412,27 @@ class TestCoordinatorOnTheWireLoop:
                 session.close()
             assert coord.server.connections_served == 1
 
+    def test_release_is_an_unknown_command(self):
+        """A worker leaves by its idle cutoff, by coordinator loss or by
+        being killed, and says goodbye: there is no ``release`` row, and
+        a stray one is answered like any unknown command."""
+        with Coordinator() as coord:
+            coord.queue.submit([job("a")])
+            session = WireSession(*coord.address)
+            try:
+                resp, _ = session.exchange({"cmd": "release",
+                                            "worker": "w1"})
+                assert resp == {"ok": False,
+                                "error": "unknown command 'release'"}
+            finally:
+                session.close()
+            # Nothing was marked on w1: its fetch gets the job.
+            client = CoordinatorClient(*coord.address, retry=NO_RETRY)
+            try:
+                assert client.fetch("w1", park_seconds=0.5).job_id == "a"
+            finally:
+                client.close()
+
     def test_coordinator_answers_server_stats_and_traced_requests(self):
         with Coordinator() as coord:
             session = WireSession(*coord.address)
@@ -452,6 +466,33 @@ class TestWorkerDowntimePolicy:
         elapsed = time.monotonic() - started
         assert 0.3 <= elapsed < 10.0
 
+    def test_outage_pauses_follow_the_outage_backoff(self, monkeypatch):
+        """Between failed rounds the run loop pauses through
+        ``OUTAGE_BACKOFF``: delays double from its base up to its cap,
+        one pause per failed round, until the downtime limit."""
+        import repro.cluster.worker as worker_mod
+
+        class _AtCap:  # the full-jitter draw at its upper bound
+            @staticmethod
+            def uniform(low, high):
+                return high
+
+        pauses = []
+
+        def pause(delay):
+            pauses.append(delay)
+            time.sleep(delay)
+
+        monkeypatch.setattr(worker_mod, "OUTAGE_BACKOFF", RetryPolicy(
+            base_delay=0.02, max_delay=0.08, rng=_AtCap(), sleep=pause))
+        client = CoordinatorClient("127.0.0.1", _reserve_port(), timeout=1,
+                                   retry=NO_RETRY)
+        worker = ClusterWorker(client, BlobStore(), worker_id="w-pause",
+                               max_coordinator_downtime=0.4)
+        worker.run()
+        assert pauses[:3] == [0.02, 0.04, 0.08]
+        assert len(pauses) > 3 and set(pauses[3:]) == {0.08}
+
     def test_worker_rides_out_outage_shorter_than_limit(self):
         """A worker started before its coordinator exists (or while it
         restarts) keeps polling and completes work once the coordinator
@@ -465,22 +506,29 @@ class TestWorkerDowntimePolicy:
         worker = ClusterWorker(client, BlobStore(), worker_id="w-ride",
                                max_coordinator_downtime=30.0)
         worker.execute = lambda j: {"echo": j.job_id}
-        stop = threading.Event()
-        thread = threading.Thread(target=worker.run,
-                                  kwargs={"stop": stop},
-                                  daemon=True)
-        thread.start()
-        time.sleep(0.3)  # the worker is polling a dead address
-        with Coordinator(port=port) as coord:
-            submitter = CoordinatorClient(*coord.address, timeout=2,
-                                          retry=FAST_RETRY)
-            submitter.submit([job("late")])
-            done = submitter.wait([job("late")], timeout=20)
+        arrived = []
+
+        def coordinator_arrives():
+            coord = Coordinator(port=port)
+            coord.start()
+            coord.queue.submit([job("late")])
+            arrived.append(coord)
+
+        # The worker polls a dead address until the coordinator arrives,
+        # runs the job, and leaves at its idle cutoff.
+        timer = threading.Timer(0.3, coordinator_arrives)
+        timer.start()
+        try:
+            worker.run(max_idle_seconds=2.0)
+            timer.join()
+            [coord] = arrived
+            done = coord.queue.status(["late"])
             assert done["late"]["state"] == "done"
             assert done["late"]["worker"] == "w-ride"
-            stop.set()
-            thread.join(timeout=10)
-            assert not thread.is_alive()
+        finally:
+            timer.cancel()
+            for coord in arrived:
+                coord.stop()
 
 
 class TestFaultyBackend:

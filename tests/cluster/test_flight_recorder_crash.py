@@ -15,7 +15,7 @@ import pytest
 
 from repro.cluster import ClusterWorker, Coordinator, CoordinatorClient
 from repro.cluster.jobs import BuildSpec, ir_compile_job
-from repro.containers import ArtifactCache, BlobStore
+from repro.containers import BlobStore
 from repro.telemetry import events as _events
 from repro.telemetry.events import EventLog
 from repro.telemetry.export import spans_from_chrome
@@ -118,10 +118,8 @@ class TestInducedWorkerCrash:
             assert expiries[0].level == "warn"
 
             # A healthy in-process worker finishes the re-queued job.
-            store = BlobStore()
-            steady = ClusterWorker(CoordinatorClient(host, port), store,
-                                   cache=ArtifactCache(store),
-                                   worker_id="steady")
+            steady = ClusterWorker(CoordinatorClient(host, port),
+                                   BlobStore(), worker_id="steady")
             assert steady.run_one() is True
             assert client.status(["pp"])["pp"]["state"] == "done"
 
@@ -219,9 +217,8 @@ class TestCoordinatorTelemetryWire:
         host, port = coordinator.address
         client = CoordinatorClient(host, port)
         client.submit([_traced_job()])
-        store = BlobStore()
-        worker = ClusterWorker(CoordinatorClient(host, port), store,
-                               cache=ArtifactCache(store), worker_id="w1")
+        worker = ClusterWorker(CoordinatorClient(host, port), BlobStore(),
+                               worker_id="w1")
         assert worker.run_one() is True
         return client
 

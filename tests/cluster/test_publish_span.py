@@ -10,19 +10,15 @@ from repro.apps import lulesh_configs
 from repro.cluster import (BuildSpec, ClusterWorker, Coordinator,
                            CoordinatorClient)
 from repro.cluster.jobs import deploy_job
-from repro.containers.store import (ArtifactCache, BlobStore,
-                                    BULK_FLUSH_EVERY)
+from repro.containers.store import ArtifactCache, BlobStore
 from repro.core import build_ir_container
 from repro.store import FileBackend
 from repro.testing.faults import FaultyBackend
 
 
 def _worker(host, port, backend):
-    store = BlobStore(backend)
-    return ClusterWorker(
-        CoordinatorClient(host, port), store,
-        cache=ArtifactCache(store, flush_every=BULK_FLUSH_EVERY),
-        worker_id="w")
+    return ClusterWorker(CoordinatorClient(host, port), BlobStore(backend),
+                         worker_id="w")
 
 
 def test_publish_is_a_child_span_of_the_job_and_precedes_completion(tmp_path):

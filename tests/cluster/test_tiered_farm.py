@@ -2,9 +2,8 @@
 over one shared store must build byte-identically to a flat farm, with
 zero duplicate lowering and real tier traffic."""
 
-import threading
-
 import pytest
+from farm_driver import run_with_workers
 
 from repro.apps import lulesh_configs, lulesh_model
 from repro.cluster import ClusterWorker, Coordinator, CoordinatorClient, \
@@ -34,43 +33,32 @@ def flat_reference():
 class TieredFarm:
     """Two ClusterWorkers, each behind its own FileBackend tier, over one
     shared file-backed store — the `cluster worker --local-tier` topology
-    without subprocesses, so tier counters stay inspectable."""
+    in-process, turned by the test thread, so tier counters stay
+    inspectable."""
 
     def __init__(self, tmp_path):
         self.store_dir = str(tmp_path / "shared-store")
         self.tier_root = str(tmp_path / "tiers")
         self.coordinator = Coordinator()
-        self.workers: list[ClusterWorker] = []
-        self.threads: list[threading.Thread] = []
-        self.stop = threading.Event()
 
     def __enter__(self):
-        host, port = self.coordinator.start()
-        self.address = (host, port)
-        for i in range(2):
-            worker = ClusterWorker(
-                CoordinatorClient(host, port),
-                BlobStore(FileBackend(self.store_dir)),
-                worker_id=f"tiered-{i}",
-                local_tier_dir=self.tier_root)
-            self.workers.append(worker)
-            thread = threading.Thread(target=worker.run,
-                                      kwargs={"stop": self.stop},
-                                      daemon=True)
-            thread.start()
-            self.threads.append(thread)
+        self.address = self.coordinator.start()
+        self.workers = [ClusterWorker(CoordinatorClient(*self.address),
+                                      BlobStore(FileBackend(self.store_dir)),
+                                      worker_id=f"tiered-{i}",
+                                      local_tier_dir=self.tier_root)
+                        for i in range(2)]
         return self
 
     def build(self, systems=SYSTEMS):
-        host, port = self.address
         store = BlobStore(FileBackend(self.store_dir))
-        return cluster_build(CoordinatorClient(host, port), "lulesh",
-                             systems, store, cache=ArtifactCache(store))
+        return run_with_workers(self.workers, lambda: cluster_build(
+            CoordinatorClient(*self.address), "lulesh", systems, store))
 
     def __exit__(self, *exc_info):
-        self.stop.set()
-        for thread in self.threads:
-            thread.join(timeout=15)
+        for worker in self.workers:
+            worker.client.close()
+            worker.tier.close()
         self.coordinator.stop()
 
 
@@ -144,3 +132,22 @@ class TestTieredFarmBuild:
         local_digests = rejoined.tier.local.digests()
         assert local_digests, "restart found an empty tier"
         rejoined.tier.close()
+
+    def test_each_worker_cache_reads_through_its_own_tier(self, tmp_path):
+        """Every worker opens its own bulk ArtifactCache, and a tiered
+        worker's cache sits over its tier, so no read goes around it."""
+        from repro.containers.store import BULK_FLUSH_EVERY
+        shared = FileBackend(str(tmp_path / "shared-store"))
+        workers = [ClusterWorker(CoordinatorClient("127.0.0.1", 1),
+                                 BlobStore(shared), worker_id=f"own-{i}",
+                                 local_tier_dir=str(tmp_path / "tiers"))
+                   for i in range(2)]
+        try:
+            assert workers[0].cache is not workers[1].cache
+            for worker in workers:
+                assert worker.cache.store.backend is worker.tier
+                assert worker.tier.upstream is shared
+                assert worker.cache.flush_every == BULK_FLUSH_EVERY
+        finally:
+            for worker in workers:
+                worker.tier.close()

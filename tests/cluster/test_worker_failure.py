@@ -3,15 +3,18 @@
 import threading
 
 import pytest
+from farm_driver import run_with_workers
 
 from repro.cluster import (
     ClusterWorker,
     Coordinator,
     CoordinatorClient,
     LocalCluster,
+    cluster_build,
 )
 from repro.cluster.jobs import BuildSpec, Job, ir_compile_job
 from repro.containers import ArtifactCache, BlobStore
+from repro.store import FileBackend
 
 BUILD = BuildSpec(app="lulesh",
                   configs=({"WITH_MPI": "OFF", "WITH_OPENMP": "ON"},))
@@ -40,14 +43,12 @@ class TestRequeueOnFailure:
     def test_failed_job_finishes_on_another_worker(self):
         """A job whose worker reports a crash re-runs elsewhere."""
         store = BlobStore()
-        cache = ArtifactCache(store)
         with Coordinator() as coordinator:
             host, port = coordinator.address
             flaky = _CrashingWorker(CoordinatorClient(host, port), store,
-                                    cache=cache, worker_id="flaky",
-                                    crash_on=("pp",))
+                                    worker_id="flaky", crash_on=("pp",))
             steady = ClusterWorker(CoordinatorClient(host, port), store,
-                                   cache=cache, worker_id="steady")
+                                   worker_id="steady")
             coordinator.queue.submit([_job("pp")])
             assert flaky.run_one() is True          # fetch + crash + report
             assert flaky.jobs_failed == 1
@@ -63,8 +64,6 @@ class TestRequeueOnFailure:
 
     def test_disconnected_worker_lease_expires_and_job_requeues(self):
         """No failure report at all — the worker just vanishes."""
-        store = BlobStore()
-        cache = ArtifactCache(store)
         with Coordinator(lease_seconds=0.05) as coordinator:
             host, port = coordinator.address
             client = CoordinatorClient(host, port)
@@ -77,37 +76,28 @@ class TestRequeueOnFailure:
             record = client.status(["pp"])["pp"]
             assert record["state"] == "ready"
             assert "ghost" in record["excluded"]
-            steady = ClusterWorker(CoordinatorClient(host, port), store,
-                                   cache=cache, worker_id="steady")
+            steady = ClusterWorker(CoordinatorClient(host, port),
+                                   BlobStore(), worker_id="steady")
             assert steady.run_one() is True
             assert client.status(["pp"])["pp"]["state"] == "done"
 
-    def test_cluster_build_survives_one_flaky_worker(self):
+    def test_cluster_build_survives_one_flaky_worker(self, tmp_path):
         """End to end: a worker that crashes on its first deploy job."""
-        store = BlobStore()
-        cache = ArtifactCache(store)
+        store_dir = str(tmp_path / "store")
         with Coordinator() as coordinator:
             host, port = coordinator.address
             crash_first_deploy = _FirstKindCrasher(
-                CoordinatorClient(host, port), store, cache=cache,
+                CoordinatorClient(host, port),
+                BlobStore(FileBackend(store_dir)),
                 worker_id="flaky", crash_kind="deploy")
-            steady = ClusterWorker(CoordinatorClient(host, port), store,
-                                   cache=cache, worker_id="steady")
-            stop = threading.Event()
-            threads = [threading.Thread(target=w.run, kwargs={"stop": stop},
-                                        daemon=True)
-                       for w in (crash_first_deploy, steady)]
-            for thread in threads:
-                thread.start()
-            try:
-                from repro.cluster import cluster_build
-                report = cluster_build(
-                    CoordinatorClient(host, port), "lulesh",
-                    ["ault23", "ault25"], store, cache=cache)
-            finally:
-                stop.set()
-                for thread in threads:
-                    thread.join(timeout=10)
+            steady = ClusterWorker(CoordinatorClient(host, port),
+                                   BlobStore(FileBackend(store_dir)),
+                                   worker_id="steady")
+            report = run_with_workers(
+                [crash_first_deploy, steady],
+                lambda: cluster_build(CoordinatorClient(host, port),
+                                      "lulesh", ["ault23", "ault25"],
+                                      BlobStore(FileBackend(store_dir))))
         assert [d["system"] for d in report.deployments] == \
             ["ault23", "ault25"]
         assert report.duplicate_lowerings == 0
@@ -189,12 +179,12 @@ class TestDuplicateCompletion:
         assert store.stat()[0] == blobs_before
         assert len(cache.entries()) == entries_before
 
-    def test_zombie_worker_rerun_does_not_double_count(self):
+    def test_zombie_worker_rerun_does_not_double_count(self, tmp_path):
         """A lease-expired worker finishing late completes into a no-op:
         the artifact was already published under the same digest and the
         coordinator keeps the first result."""
-        store = BlobStore()
-        cache = ArtifactCache(store)
+        store_dir = str(tmp_path / "store")
+        cache = ArtifactCache(BlobStore(FileBackend(store_dir)))
         with Coordinator(lease_seconds=0.05) as coordinator:
             host, port = coordinator.address
             client = CoordinatorClient(host, port)
@@ -202,14 +192,19 @@ class TestDuplicateCompletion:
             zombie_job = client.fetch("zombie")
             import time
             time.sleep(0.1)  # lease expires; job re-queued
-            steady = ClusterWorker(CoordinatorClient(host, port), store,
-                                   cache=cache, worker_id="steady")
+            steady = ClusterWorker(CoordinatorClient(host, port),
+                                   BlobStore(FileBackend(store_dir)),
+                                   worker_id="steady")
             assert steady.run_one() is True
             entries_after_steady = len(cache.entries())
-            # The zombie finishes the same work late and reports in.
-            zombie = ClusterWorker(CoordinatorClient(host, port), store,
-                                   cache=cache, worker_id="zombie")
+            assert entries_after_steady > 0
+            # The zombie finishes the same work late, publishes it as
+            # run_one would, and reports in.
+            zombie = ClusterWorker(CoordinatorClient(host, port),
+                                   BlobStore(FileBackend(store_dir)),
+                                   worker_id="zombie")
             result = zombie.execute(zombie_job)
+            zombie.cache.flush_index()
             assert client.complete(zombie_job.job_id, "zombie",
                                    result) is False
             # Same cache keys, same digests: no new entries appeared.
@@ -236,20 +231,39 @@ class TestLeaseRenewal:
         renewal heartbeat extends the lease while execute() runs."""
         import time
 
+        lease = 1.0
+        renewals: list[str] = []
+        renewed = threading.Condition()
+
         class SlowWorker(ClusterWorker):
+            #: At one renewal per lease/3, longer than a lease.
+            RENEWALS = 4
+
             def execute(self, job):
-                time.sleep(5.0)  # several leases long
+                # Busy until the coordinator has renewed this job's
+                # lease RENEWALS times.
+                with renewed:
+                    assert renewed.wait_for(
+                        lambda: len(renewals) >= self.RENEWALS, timeout=30)
                 return {"slow": True}
 
-        store = BlobStore()
-        cache = ArtifactCache(store)
-        # The job spans 2+ leases, but losing the lease takes three
-        # *consecutive* missed heartbeats (renewal runs at lease/3) —
-        # generous slack for a loaded single-core runner.
-        with Coordinator(lease_seconds=2.0) as coordinator:
+        # Losing the lease takes three *consecutive* missed heartbeats
+        # (renewal runs at lease/3) — slack for a loaded runner.
+        with Coordinator(lease_seconds=lease) as coordinator:
             host, port = coordinator.address
-            slow = SlowWorker(CoordinatorClient(host, port), store,
-                              cache=cache, worker_id="slow")
+            renew = coordinator.queue.renew
+
+            def counted_renew(job_id, worker_id, now=None):
+                applied = renew(job_id, worker_id, now=now)
+                if applied:
+                    with renewed:
+                        renewals.append(job_id)
+                        renewed.notify_all()
+                return applied
+
+            coordinator.queue.renew = counted_renew
+            slow = SlowWorker(CoordinatorClient(host, port), BlobStore(),
+                              worker_id="slow")
             done = threading.Event()
 
             def _work():
@@ -287,6 +301,9 @@ class TestLeaseRenewal:
             assert record["state"] == "done"
             assert record["worker"] == "slow"
             assert record["attempts"] == 0
+            assert len(renewals) >= SlowWorker.RENEWALS
+            assert set(renewals) == {"slow-job"}
+            assert record["run_s"] > lease  # it outlasted its lease
 
     def test_renew_refuses_a_lost_lease(self):
         """A zombie that lost its lease cannot renew it back."""
@@ -305,31 +322,23 @@ class TestSingleWorkerFailure:
         """A fixed one-worker cluster that fails a job must surface the
         real error promptly, not hang until the wave timeout."""
         import time
-        from repro.cluster import ClusterError, cluster_build
+        from repro.cluster import ClusterError
 
         class AlwaysCrash(ClusterWorker):
             def execute(self, job):
                 raise RuntimeError("deterministic failure")
 
         store = BlobStore()
-        cache = ArtifactCache(store)
-        from repro.cluster import Coordinator as _Coordinator
-        with _Coordinator(expected_workers=1) as coordinator:
+        with Coordinator(expected_workers=1) as coordinator:
             host, port = coordinator.address
             worker = AlwaysCrash(CoordinatorClient(host, port), store,
-                                 cache=cache, worker_id="only")
-            stop = threading.Event()
-            thread = threading.Thread(target=worker.run,
-                                      kwargs={"stop": stop}, daemon=True)
-            thread.start()
+                                 worker_id="only")
             start = time.monotonic()
-            try:
-                with pytest.raises(ClusterError, match="deterministic"):
-                    cluster_build(CoordinatorClient(host, port), "lulesh",
-                                  ["ault23"], store, cache=cache,
-                                  job_timeout=120.0)
-            finally:
-                stop.set()
-                thread.join(timeout=10)
+            with pytest.raises(ClusterError, match="deterministic"):
+                run_with_workers(
+                    [worker],
+                    lambda: cluster_build(CoordinatorClient(host, port),
+                                          "lulesh", ["ault23"], store,
+                                          job_timeout=120.0))
         # Fast-failed, nowhere near the 120 s wave timeout.
         assert time.monotonic() - start < 30.0

@@ -86,7 +86,9 @@ RULES = {
         r"|def (lower|compile)\(self, (module|source)"
         r"|MetricsHistory|HistorySampler|history_lines|sparkline"
         r"|history_interval|cmd_telemetry_history|TOP_REFRESH_SECONDS"
-        r"|include_worker_metrics", ("repro/",),
+        r"|include_worker_metrics"
+        r"|take_release|_release_on|def release\(self, worker_id|\.leaving\b"
+        r"|def run\(self, stop|externally-built cache", ("repro/",),
         "a removed name is back: the farm deploys one ISA group per deploy "
         "job, the cache counts nothing, telemetry is always on, "
         "IRContainerResult.assemble is the one assembly, the "
@@ -109,7 +111,8 @@ RULES = {
         "latency, and a LocalCluster forks its workers, with no thread "
         "mode for the CLI to pick; telemetry keeps no metrics history — "
         "no sampler thread, no `telemetry history`, and `cluster top` "
-        "prints one snapshot",
+        "prints one snapshot; a worker leaves when its loop ends — no "
+        "stop event, no `release` command — and opens its own cache",
         "            counts = self.queue.restore(journal.load())"),
     "one-body-encoding": Rule(
         r"chunked|open_blob|stream_threshold|STREAM_THRESHOLD|CHUNK_"
