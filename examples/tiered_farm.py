@@ -6,8 +6,9 @@
 2. **Tiered farm build** — a `LocalCluster` of two forked workers, each
    behind its own `FileBackend` tier (`local_tier_dir`), over one shared
    store. Zero duplicate lowering, and the warm rerun is served from the
-   workers' local tiers; their tier counters reach the coordinator on
-   the heartbeat, where `cluster top` reads them.
+   workers' local tiers; their tier counters reach the coordinator's
+   registry on the heartbeat, under each worker's label, where `cluster
+   status` reads them.
 
 Run:  PYTHONPATH=src python examples/tiered_farm.py
 """
@@ -16,6 +17,7 @@ import tempfile
 
 from repro.cluster import LocalCluster
 from repro.store import MemoryBackend, TieredBackend
+from repro.telemetry import totals_by_label
 from repro.util.hashing import content_digest
 
 SYSTEMS = ["ault23", "ault25"]
@@ -48,10 +50,13 @@ def tiered_farm(root: str) -> None:
         rerun = cluster.build("lulesh", SYSTEMS)
         print(f"warm rerun: {rerun.lowerings_performed} lowerings "
               f"performed, warm groups {rerun.warm_groups}")
-        workers = cluster.client.telemetry()["telemetry"]["workers"]
-        for worker_id, worker in sorted(workers.items()):
-            print(f"  {worker_id}: tier hits={worker['tier_hits']} "
-                  f"misses={worker['tier_misses']}")
+        counters = cluster.client.telemetry()["telemetry"]["metrics"][
+            "counters"]
+        for worker_id, counts in sorted(
+                totals_by_label(counters, "worker").items()):
+            print(f"  {worker_id}: tier hits="
+                  f"{counts.get('store.tier.hits', 0)} misses="
+                  f"{counts.get('store.tier.misses', 0)}")
 
 
 def main() -> None:

@@ -16,8 +16,7 @@ over that table::
     cluster serve       run the build-farm job coordinator
     cluster worker      run one build worker
     cluster build       build + deploy a batch through the farm
-    cluster top         one snapshot of the farm aggregates
-    cluster status      scheduler state plus the telemetry summary
+    cluster status      one snapshot of the farm: jobs, duration, workers
     cache stats         store size and index statistics
     cache serve         serve a store directory to other processes
     cache gc            bound the store (TTL and/or byte budget)
@@ -676,8 +675,8 @@ def cmd_cluster_serve(args) -> int:
     def open_server():
         coordinator = Coordinator(host=args.host, port=args.port,
                                   lease_seconds=args.lease_seconds)
-        telemetry = coordinator.queue.telemetry
-        return coordinator, telemetry.recorder, telemetry.registry
+        queue = coordinator.queue
+        return coordinator, queue.recorder, queue.registry
 
     _serve("coordinator", "cluster coordinator", open_server)
     return 0
@@ -699,42 +698,65 @@ def cmd_cluster_worker(args) -> int:
     return 0
 
 
-def cmd_cluster_top(args) -> int:
-    """One snapshot of the farm-wide aggregates from the coordinator's
-    `telemetry` op."""
-    from repro.cluster import ClusterError
-    from repro.telemetry.farm import render_top
-    try:
-        info = _coordinator_client(args).telemetry()
-    except ClusterError as exc:
-        raise SystemExit(f"cluster top failed: {exc}")
-    if args.json:
-        return _print_json(info["telemetry"])
-    print(render_top(info))
-    return 0
+def render_status(telemetry: dict) -> str:
+    """The ``cluster status`` screen from a coordinator ``telemetry``
+    reply: jobs by state, the farm job duration, and one row per worker —
+    its queue from the scheduler, its counts from the metrics its
+    heartbeats carried (``worker``-labelled in the coordinator's
+    registry)."""
+    from repro.telemetry.registry import totals_by_label
+    jobs = telemetry.get("jobs", {})
+    states = jobs.get("states", {})
+    state_line = " ".join(f"{state}={states[state]}"
+                          for state in sorted(states)) or "none"
+    duration = telemetry.get("job_duration_seconds") or {}
+    lines = [
+        f"jobs: {jobs.get('total', 0)} known ({state_line}); "
+        f"shared queue depth {telemetry.get('shared_queue_depth', 0)}",
+        "farm job duration p50/p95: " + (
+            f"{duration['p50'] * 1000:.0f}/{duration['p95'] * 1000:.0f}ms "
+            f"(n={duration['count']})" if duration.get("count") else "-")]
+    workers = telemetry.get("workers", {})
+    if not workers:
+        return "\n".join([*lines, "no workers seen"])
+    metrics = telemetry.get("metrics") or {}
+    counts = totals_by_label(metrics.get("counters", {}), "worker")
+    gauges = totals_by_label(metrics.get("gauges", {}), "worker")
+    lines.append(f"{'worker':<16} {'queue':>5} {'run':>4} {'done':>5} "
+                 f"{'fail':>5} {'tier h/m':>9} {'retry':>6} {'rss':>6} "
+                 f"{'seen':>9}")
+    for worker_id, row in sorted(workers.items()):
+        count = counts.get(worker_id, {})
+        tier = (count.get("store.tier.hits", 0),
+                count.get("store.tier.misses", 0))
+        # Store retries and coordinator reconnects in one health column:
+        # zero on a clean farm, so any number here is signal.
+        retries = count.get("store.retries", 0) + \
+            count.get("cluster.reconnects", 0)
+        rss = gauges.get(worker_id, {}).get("process.rss_bytes", 0)
+        seen = row.get("last_seen_seconds")
+        lines.append(
+            f"{worker_id:<16} {row.get('queue_depth', 0):>5} "
+            f"{row.get('running', 0):>4} "
+            f"{count.get('cluster.worker.jobs_done', 0):>5} "
+            f"{count.get('cluster.worker.jobs_failed', 0):>5} "
+            f"{'%d/%d' % tier if any(tier) else '-':>9} "
+            f"{retries or '-':>6} "
+            f"{f'{rss / (1 << 20):.0f}MB' if rss else '-':>6} "
+            f"{'-' if seen is None else f'{seen:.1f}s ago':>9}")
+    return "\n".join(lines)
 
 
 def cmd_cluster_status(args) -> int:
-    """Scheduler state plus the live telemetry summary in one shot."""
+    """One snapshot of the farm from the coordinator's `telemetry` op."""
     from repro.cluster import ClusterError
-    from repro.telemetry.farm import format_latency
-    client = _coordinator_client(args)
     try:
-        stats = client.stats()
-        telemetry = client.telemetry()["telemetry"]
+        telemetry = _coordinator_client(args).telemetry()["telemetry"]
     except ClusterError as exc:
         raise SystemExit(f"cluster status failed: {exc}")
     if args.json:
-        return _print_json({"stats": stats, "telemetry": telemetry})
-    states = stats.get("states", {})
-    state_line = " ".join(f"{state}={states[state]}"
-                          for state in sorted(states)) or "none"
-    print(f"jobs: {stats.get('jobs', 0)} ({state_line})")
-    print(f"workers: {', '.join(stats.get('workers', [])) or 'none'}")
-    thr = telemetry.get("throughput", {})
-    print(f"throughput: {thr.get('completed', 0)} jobs in the last "
-          f"{thr.get('window_seconds', 0):.0f}s; job duration "
-          f"{format_latency(telemetry.get('job_duration_seconds'))}")
+        return _print_json(telemetry)
+    print(render_status(telemetry))
     return 0
 
 
@@ -855,13 +877,10 @@ COMMANDS: dict[tuple[str, ...], Command] = {
             WORKERS.but(default=2, help="self-hosted worker count: forked "
                                         "processes (ignored with "
                                         "--coordinator)"))),
-    ("cluster", "top"): Command(
-        "one snapshot of the farm aggregates: per-worker queue depth, "
-        "throughput, job/store latencies", cmd_cluster_top,
-        (COORDINATOR.but(required=True), JSON)),
     ("cluster", "status"): Command(
-        "scheduler state plus the telemetry summary", cmd_cluster_status,
-        (COORDINATOR.but(required=True), JSON)),
+        "one snapshot of the farm: jobs by state, the job duration, and "
+        "per-worker queue, job, tier, retry and RSS counts",
+        cmd_cluster_status, (COORDINATOR.but(required=True), JSON)),
     ("cache", "stats"): Command(
         "store size and index statistics (a served store adds its live "
         "counters)", cmd_cache_stats,

@@ -79,7 +79,7 @@ class CoordinatorClient:
     that hits "duplicate job id" proves the first send landed — treated
     as success). Only the destructive telemetry drain never retries.
     Each retry bumps the ``cluster.reconnects`` counter in ``registry``
-    — workers push it over heartbeats, so `cluster top` shows who is
+    — workers push it over heartbeats, so `cluster status` shows who is
     riding out a flaky coordinator link.
     """
 
@@ -235,8 +235,8 @@ class CoordinatorClient:
         return self._call({"cmd": "stats"}, retryable=True)["stats"]
 
     def telemetry(self, drain_spans: bool = False) -> dict:
-        """The coordinator's live farm aggregates (the `cluster top`
-        payload): ``{"telemetry": {...}, "spans": [...]}``. With
+        """The coordinator's live farm snapshot (what `cluster status`
+        prints): ``{"telemetry": {...}, "spans": [...]}``. With
         ``drain_spans`` the returned spans are removed from the
         coordinator's buffer (one-shot collection for trace export)."""
         header: dict = {"cmd": "telemetry"}
@@ -661,7 +661,7 @@ class LocalCluster:
     def drain_spans(self) -> list:
         """Collect (and clear) every span the farm recorded: coordinator
         job-lifecycle spans and the worker-pushed spans absorbed there."""
-        return self.coordinator.queue.telemetry.recorder.drain()
+        return self.coordinator.queue.recorder.drain()
 
     def stop(self) -> None:
         with _trace.span("cluster.local.stop"):

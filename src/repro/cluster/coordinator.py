@@ -51,8 +51,12 @@ from repro.cluster.jobs import ClusterError, Job
 from repro.store.wire import fold_json_body, json_body
 from repro.store.wire_server import Command, WireServer, size_field
 from repro.telemetry import events as _events
-from repro.telemetry.farm import FarmTelemetry
-from repro.telemetry.trace import Span, new_span_id, service_name
+from repro.telemetry.registry import (MetricsRegistry, parse_metric_key,
+                                      sample_process_gauges,
+                                      summarize_histogram,
+                                      sync_dropped_counter)
+from repro.telemetry.trace import (Span, TraceRecorder, new_span_id,
+                                   service_name)
 
 #: A worker that missed its lease by this much is presumed dead.
 DEFAULT_LEASE_SECONDS = 60.0
@@ -138,10 +142,18 @@ class JobQueue:
         #: look again exactly then.
         self.on_change = None
         self._transitioned = False  # under the lock: on_change is owed
-        #: Farm-wide aggregates: worker heartbeat metric deltas, pushed
-        #: spans, job durations/throughput. Fed by the request handlers,
-        #: read by the ``telemetry`` wire op (`repro cluster top`).
-        self.telemetry = FarmTelemetry()
+        #: The farm's metrics: the coordinator's own job counts and
+        #: durations, and every worker's heartbeat deltas under a
+        #: ``worker=<id>`` label. Read by the ``telemetry`` wire op
+        #: (`repro cluster status`).
+        self.registry = MetricsRegistry()
+        #: Job-lifecycle spans and the spans workers pushed with their
+        #: results, until the ``telemetry`` op drains them.
+        self.recorder = TraceRecorder(max_spans=50000)
+        self._job_seconds = self.registry.histogram(
+            "cluster.job.duration_seconds")
+        self._spans_absorbed = self.registry.counter(
+            "cluster.telemetry.spans_absorbed")
 
     @contextmanager
     def _transition(self):
@@ -224,6 +236,25 @@ class JobQueue:
         else:
             self._shared.append(record.job.job_id)
         self._transitioned = True
+
+    # -- heartbeats ------------------------------------------------------------
+
+    def absorb(self, worker_id: str, metrics=None, spans=None) -> None:
+        """Fold what a worker request carried into the farm's telemetry:
+        ``metrics``, the worker's registry delta since its last send, under
+        its ``worker`` label; ``spans``, its finished job's trace. A
+        malformed payload is dropped — telemetry never fails a request."""
+        if worker_id and isinstance(metrics, dict):
+            try:
+                self.registry.absorb(metrics, worker=worker_id)
+            except (TypeError, ValueError, AttributeError):
+                pass
+        for blob in spans if isinstance(spans, list) else ():
+            try:
+                self.recorder.record(Span.from_json(blob))
+            except (TypeError, ValueError, AttributeError):
+                continue
+            self._spans_absorbed.inc()
 
     # -- fetching (pull-based; any request doubles as a heartbeat) -------------
 
@@ -323,14 +354,17 @@ class JobQueue:
             return True
 
     def _note_finished_locked(self, record: JobRecord, failed: bool) -> None:
-        """Feed one terminal job into the farm aggregates and — when the
+        """Count one terminal job and observe its duration and — when the
         job carried a trace — record its lifecycle spans (queue wait and
-        execution) into the telemetry recorder."""
+        execution)."""
         now = record.ended_at = time.time()
         duration = max(0.0, now - record.started_at) \
             if record.started_at else 0.0
-        self.telemetry.note_job(duration, failed=failed,
-                                kind=record.job.kind)
+        self._job_seconds.observe(duration)
+        self.registry.histogram("cluster.job.duration_seconds",
+                                kind=record.job.kind).observe(duration)
+        self.registry.counter("cluster.jobs.failed" if failed
+                              else "cluster.jobs.completed").inc()
         trace_ctx = record.job.trace
         if not trace_ctx or not trace_ctx.get("trace_id") \
                 or not record.started_at:
@@ -339,7 +373,7 @@ class JobQueue:
         parent = trace_ctx.get("parent_span_id")
         attrs = {"job_id": record.job.job_id, "kind": record.job.kind,
                  "worker": record.worker, "state": record.state}
-        recorder = self.telemetry.recorder
+        recorder = self.recorder
         # From the latest READY: a requeue restarts the queue wait.
         recorder.record(Span(
             name="cluster.job.queued", trace_id=trace_id,
@@ -503,9 +537,11 @@ class JobQueue:
             }
 
     def telemetry_summary(self) -> dict:
-        """The live farm view behind the ``telemetry`` wire op: per-worker
-        queue depth / running count / liveness from the scheduler joined
-        with the heartbeat-fed :class:`FarmTelemetry` aggregates."""
+        """The live farm snapshot behind the ``telemetry`` wire op: jobs by
+        state, per-worker queue depth / running count / liveness, and the
+        registry, whose ``worker``-labelled metrics are the workers' own.
+        A worker known only from its heartbeats (it has said goodbye) is
+        listed with an empty row."""
         now = time.monotonic()
         with self._transition():
             self._expire_leases_locked(now)
@@ -523,10 +559,21 @@ class JobQueue:
                     workers[record.worker]["running"] += 1
             shared_depth = len(self._shared)
             total = len(self._records)
-        out = self.telemetry.summary(workers=workers)
-        out["shared_queue_depth"] = shared_depth
-        out["jobs"] = {"total": total, "states": counts}
-        return out
+        sync_dropped_counter(self.registry, "telemetry.spans_dropped",
+                             self.recorder.dropped)
+        sample_process_gauges(self.registry)
+        metrics = self.registry.snapshot()
+        for key in [*metrics["counters"], *metrics["gauges"]]:
+            worker_id = parse_metric_key(key)[1].get("worker")
+            if worker_id is not None:
+                workers.setdefault(worker_id, {})
+        return {"jobs": {"total": total, "states": counts},
+                "shared_queue_depth": shared_depth,
+                "workers": dict(sorted(workers.items())),
+                "job_duration_seconds": summarize_histogram(
+                    self._job_seconds.snapshot()),
+                "spans_buffered": len(self.recorder),
+                "metrics": metrics}
 
 
 # -- wire server ---------------------------------------------------------------
@@ -551,16 +598,12 @@ def _json_command(handler, timeout=None) -> Command:
 
 def coordinator_commands(queue: JobQueue) -> "dict[str, Command]":
     """The coordinator's command table over ``queue``."""
-    telemetry = queue.telemetry
 
     def absorb(req) -> None:
-        # Heartbeats double as the telemetry channel: ``metrics`` carries
-        # the worker's registry delta since its last successful send (see
-        # repro.telemetry.farm), ``spans`` its finished job's trace.
+        # Heartbeats double as the telemetry channel (JobQueue.absorb).
         # Popped: a parked fetch runs again and must not count twice.
-        telemetry.absorb_metrics(req.get("worker", ""),
-                                 req.pop("metrics", None))
-        telemetry.absorb_spans(req.pop("spans", None))
+        queue.absorb(req.get("worker", ""), req.pop("metrics", None),
+                     req.pop("spans", None))
 
     def ping(req):
         return {"ok": True, "server": "cluster-coordinator"}, b""
@@ -629,8 +672,8 @@ def coordinator_commands(queue: JobQueue) -> "dict[str, Command]":
         return {"ok": True, "stats": queue.stats()}, b""
 
     def farm_telemetry(req):
-        spans = (telemetry.recorder.drain() if req.get("drain_spans")
-                 else telemetry.recorder.spans())
+        spans = (queue.recorder.drain() if req.get("drain_spans")
+                 else queue.recorder.spans())
         # Spans go in the response body — a farm-wide drain can hold far
         # more than one header line may carry.
         return json_body(
@@ -677,7 +720,7 @@ class Coordinator:
         self.server = WireServer(
             coordinator_commands(self.queue), host=host, port=port,
             name="cluster.server", max_body_bytes=MAX_REQUEST_BODY_BYTES,
-            recorder=self.queue.telemetry.recorder)
+            recorder=self.queue.recorder)
         self.queue.on_change = self.server.wake
 
     @property

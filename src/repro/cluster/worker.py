@@ -43,8 +43,6 @@ from repro.telemetry import flightrec as _flightrec
 from repro.telemetry import trace as _trace
 from repro.telemetry.registry import (
     MetricsRegistry,
-    empty_snapshot,
-    is_empty_snapshot,
     sample_process_gauges,
     snapshot_delta,
     sync_dropped_counter,
@@ -94,8 +92,8 @@ class ClusterWorker:
         #: workers own one each.
         self.registry = registry if registry is not None else MetricsRegistry()
         # The client counts its coordinator reconnects; rebinding it onto
-        # this registry puts them on the heartbeat channel (`cluster top`
-        # shows who is riding out a flaky coordinator link).
+        # this registry puts them on the heartbeat channel (`cluster
+        # status` shows who is riding out a flaky coordinator link).
         rebind = getattr(client, "bind_registry", None)
         if rebind is not None:
             rebind(self.registry)
@@ -122,13 +120,12 @@ class ClusterWorker:
         # artifacts before they are on the store — and the lease-renewal
         # heartbeat flushes mid-job.
         self.cache = ArtifactCache(store, flush_every=BULK_FLUSH_EVERY)
-        self.jobs_done = 0
-        self.jobs_failed = 0
         self.recorder = _trace.TraceRecorder()
-        self._jobs_done = self.registry.counter("cluster.worker.jobs_done")
-        self._jobs_failed = self.registry.counter("cluster.worker.jobs_failed")
+        #: Jobs this worker finished, by outcome.
+        self.jobs_done = self.registry.counter("cluster.worker.jobs_done")
+        self.jobs_failed = self.registry.counter("cluster.worker.jobs_failed")
         self._metrics_lock = threading.Lock()
-        self._metrics_sent = empty_snapshot()
+        self._metrics_sent: dict = {}
         self._apps: OrderedDict[str, object] = OrderedDict()
 
     @property
@@ -156,7 +153,7 @@ class ClusterWorker:
                                  self.recorder.dropped)
             snap = self.registry.snapshot()
             delta = snapshot_delta(snap, self._metrics_sent)
-            if is_empty_snapshot(delta):
+            if not any(delta.values()):
                 return None
             self._metrics_sent = snap
             return delta
@@ -176,26 +173,17 @@ class ClusterWorker:
         if job is None:
             return False
         stop_renewal = self._start_lease_renewal(job.job_id)
-        started = time.perf_counter()
         try:
             result = self._execute_traced(job)
         except Exception as exc:
-            self.registry.histogram("cluster.worker.job_seconds",
-                                    kind=job.kind).observe(
-                time.perf_counter() - started)
-            self.jobs_failed += 1
-            self._jobs_failed.inc()
+            self.jobs_failed.inc()
             stop_renewal()
             self.client.fail(job.job_id, self.worker_id, str(exc),
                              spans=self._drain_spans(),
                              metrics=self._pop_metrics_delta())
             return True
-        self.registry.histogram("cluster.worker.job_seconds",
-                                kind=job.kind).observe(
-            time.perf_counter() - started)
         stop_renewal()
-        self.jobs_done += 1
-        self._jobs_done.inc()
+        self.jobs_done.inc()
         self.client.complete(job.job_id, self.worker_id, result,
                              spans=self._drain_spans(),
                              metrics=self._pop_metrics_delta())
@@ -262,7 +250,7 @@ class ClusterWorker:
                 try:
                     # The renewal heartbeat doubles as the mid-job
                     # telemetry channel — long jobs surface their counters
-                    # in `cluster top` before they complete.
+                    # in `cluster status` before they complete.
                     if not self.client.renew(job_id, self.worker_id,
                                              metrics=self._pop_metrics_delta()):
                         return
@@ -347,7 +335,7 @@ class ClusterWorker:
                     return
                 outage += 1
                 OUTAGE_BACKOFF.sleep(OUTAGE_BACKOFF.backoff(outage))
-                continue
+                busy = True  # an outage is not idle time: restart the clock
             if busy:
                 idle_since = None
         try:
@@ -469,8 +457,8 @@ def run_worker(client, store: BlobStore, worker_id: str = "",
         from repro.testing.faults import arm_fault_injection
         arm_fault_injection(worker, fault)
     worker.run(max_idle_seconds=max_idle_seconds)
-    line = (f"worker {worker.worker_id}: {worker.jobs_done} jobs done, "
-            f"{worker.jobs_failed} failed")
+    line = (f"worker {worker.worker_id}: {worker.jobs_done.value} jobs "
+            f"done, {worker.jobs_failed.value} failed")
     if worker.tier is not None:
         line += (f", tier {worker.tier.tier_hits} hits / "
                  f"{worker.tier.tier_misses} misses")

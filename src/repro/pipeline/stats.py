@@ -10,10 +10,11 @@ stage.
 :meth:`PipelineStats.publish_to` folds one build's counters into a
 :class:`~repro.telemetry.registry.MetricsRegistry` — cluster workers call
 it after every job so their heartbeat metric deltas carry pipeline-level
-throughput (ops executed, cache traffic, stage seconds) alongside the
-store/wire counters, and ``repro cluster top`` can aggregate them
-farm-wide. Funnel counts are not published: summed over a farm's jobs
-they would count an IR shared by k configurations k times.
+counts (ops executed, cache traffic) alongside the store/wire counters
+into the coordinator's registry, under the worker's label; the stage
+seconds histograms stay in the worker's own registry (and its crash
+dump). Funnel counts are not published: summed over a farm's jobs they
+would count an IR shared by k configurations k times.
 """
 
 from __future__ import annotations

@@ -8,20 +8,19 @@ registry buys over bare ints:
 
 * **One naming scheme.** Metrics are dotted-path names plus optional
   labels — ``store.server.requests``, ``cache.hits{namespace=ir}``,
-  ``cluster.worker.job_seconds{kind=deploy}`` — so a farm-wide aggregation
-  (``repro cluster top``) can merge snapshots from many processes without
-  per-subsystem glue.
+  ``cluster.job.duration_seconds{kind=deploy}`` — so the coordinator can
+  hold every worker's counters in its own registry under a
+  ``worker=<id>`` label without per-subsystem glue.
 * **One snapshot shape.** :meth:`MetricsRegistry.snapshot` returns plain
   JSON (``{"counters": {...}, "gauges": {...}, "histograms": {...}}``)
-  keyed by the rendered metric key. Snapshots are closed under
-  :func:`snapshot_delta` and :func:`merge_snapshot`, which is exactly what
-  the cluster needs: workers ship *deltas* on their heartbeat, the
-  coordinator merges them per worker, and nothing is double-counted.
+  keyed by the rendered metric key. Workers ship the counters and gauges
+  that changed since their last heartbeat (:func:`snapshot_delta`); the
+  coordinator folds each delta into its registry under the worker's
+  label (:meth:`MetricsRegistry.absorb`), and nothing is double-counted.
 
 Histograms use **fixed bucket boundaries** (cumulative-free, one count per
-bucket plus an overflow bucket), so two histograms with the same
-boundaries merge by adding counts — no quantile sketches, no
-cross-process coordination.
+bucket plus an overflow bucket); quantiles are read off the bucket
+counts, with no sketches.
 
 Threading: each metric carries its own small lock; the registry lock is
 only taken on metric creation. Hot-path cost of ``Counter.inc`` is one
@@ -38,8 +37,8 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "get_registry", "set_registry",
     "metric_key", "parse_metric_key",
-    "snapshot_delta", "merge_snapshot", "empty_snapshot", "is_empty_snapshot",
-    "histogram_quantile", "summarize_histogram", "merge_histograms",
+    "snapshot_delta", "totals_by_label",
+    "histogram_quantile", "summarize_histogram",
     "sample_process_gauges", "sync_dropped_counter",
 ]
 
@@ -56,7 +55,7 @@ SIZE_BUCKETS = (256, 1024, 4096, 16384, 65536, 262144, 1048576,
 
 def metric_key(name: str, labels: dict | None = None) -> str:
     """Render one metric identity: ``name`` or ``name{k=v,...}`` with
-    labels in sorted order — the snapshot/merge/delta join key."""
+    labels in sorted order — the snapshot/delta join key."""
     if not labels:
         return name
     inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
@@ -191,6 +190,21 @@ class MetricsRegistry:
                 metric = self._histograms[key] = Histogram(buckets)
             return metric
 
+    def absorb(self, delta: dict, **labels) -> None:
+        """Fold another process's :func:`snapshot_delta` in, each metric
+        under ``labels`` beside its own: counters add, gauges keep the
+        maximum (the ``peak_*`` high-water marks a delta carries). A
+        malformed delta raises ``TypeError``, ``ValueError`` or
+        ``AttributeError`` before anything is applied."""
+        counters = [(parse_metric_key(key), int(value))
+                    for key, value in delta.get("counters", {}).items()]
+        gauges = [(parse_metric_key(key), float(value))
+                  for key, value in delta.get("gauges", {}).items()]
+        for (name, own), value in counters:
+            self.counter(name, **{**own, **labels}).inc(value)
+        for (name, own), value in gauges:
+            self.gauge(name, **{**own, **labels}).max_of(value)
+
     def snapshot(self) -> dict:
         """The registry's full state as plain JSON (the documented metrics
         snapshot format — see docs/architecture.md, "Telemetry")."""
@@ -206,93 +220,35 @@ class MetricsRegistry:
         }
 
 
-def empty_snapshot() -> dict:
-    return {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-def is_empty_snapshot(snap: dict) -> bool:
-    return not (snap.get("counters") or snap.get("gauges")
-                or snap.get("histograms"))
-
-
 def snapshot_delta(current: dict, previous: dict) -> dict:
-    """``current - previous`` for heartbeat shipping: counters and
-    histogram counts subtract, gauges pass through at their latest value.
+    """``current - previous`` for heartbeat shipping: counters subtract,
+    gauges pass through at their latest value; histograms stay home.
     Metrics that did not change are omitted, so an idle worker's
     heartbeat carries an empty delta."""
-    out = empty_snapshot()
     prev_counters = previous.get("counters", {})
-    for key, value in current.get("counters", {}).items():
-        diff = value - prev_counters.get(key, 0)
-        if diff:
-            out["counters"][key] = diff
     prev_gauges = previous.get("gauges", {})
-    for key, value in current.get("gauges", {}).items():
-        if value != prev_gauges.get(key):
-            out["gauges"][key] = value
-    prev_hists = previous.get("histograms", {})
-    for key, hist in current.get("histograms", {}).items():
-        prev = prev_hists.get(key)
-        if prev is None:
-            if hist["count"]:
-                out["histograms"][key] = dict(hist)
-            continue
-        if hist["count"] == prev["count"]:
-            continue
-        out["histograms"][key] = {
-            "buckets": list(hist["buckets"]),
-            "counts": [a - b for a, b in zip(hist["counts"], prev["counts"])],
-            "sum": hist["sum"] - prev["sum"],
-            "count": hist["count"] - prev["count"],
-        }
+    return {
+        "counters": {key: value - prev_counters.get(key, 0)
+                     for key, value in current.get("counters", {}).items()
+                     if value != prev_counters.get(key, 0)},
+        "gauges": {key: value
+                   for key, value in current.get("gauges", {}).items()
+                   if value != prev_gauges.get(key)},
+    }
+
+
+def totals_by_label(values: dict, label: str) -> dict:
+    """One snapshot section (``counters`` or ``gauges``) grouped by the
+    value of ``label``: ``{label value: {bare name: sum over its other
+    labels}}`` — how the farm's per-worker rows read the coordinator's
+    registry. Keys without ``label`` are left out."""
+    out: dict = {}
+    for key, value in values.items():
+        name, labels = parse_metric_key(key)
+        if label in labels:
+            row = out.setdefault(labels[label], {})
+            row[name] = row.get(name, 0) + value
     return out
-
-
-def merge_snapshot(into: dict, delta: dict) -> dict:
-    """Accumulate ``delta`` into ``into`` (in place; returned for
-    chaining). Counters and histogram counts add; gauges keep the
-    maximum, which is the right semantics for the ``peak_*`` high-water
-    marks deltas carry."""
-    counters = into.setdefault("counters", {})
-    for key, value in delta.get("counters", {}).items():
-        counters[key] = counters.get(key, 0) + value
-    gauges = into.setdefault("gauges", {})
-    for key, value in delta.get("gauges", {}).items():
-        if key not in gauges or value > gauges[key]:
-            gauges[key] = value
-    hists = into.setdefault("histograms", {})
-    for key, hist in delta.get("histograms", {}).items():
-        mine = hists.get(key)
-        if mine is None or list(mine["buckets"]) != list(hist["buckets"]):
-            hists[key] = {"buckets": list(hist["buckets"]),
-                          "counts": list(hist["counts"]),
-                          "sum": hist["sum"], "count": hist["count"]}
-            continue
-        mine["counts"] = [a + b for a, b
-                          in zip(mine["counts"], hist["counts"])]
-        mine["sum"] += hist["sum"]
-        mine["count"] += hist["count"]
-    return into
-
-
-def merge_histograms(hists: list) -> dict | None:
-    """Fold many histogram snapshots (same boundaries) into one; a
-    boundary mismatch drops the odd one out rather than corrupting the
-    merge. None when nothing merged."""
-    merged: dict | None = None
-    for hist in hists:
-        if not hist or not hist.get("count"):
-            continue
-        if merged is None:
-            merged = {"buckets": list(hist["buckets"]),
-                      "counts": list(hist["counts"]),
-                      "sum": hist["sum"], "count": hist["count"]}
-        elif list(hist["buckets"]) == merged["buckets"]:
-            merged["counts"] = [a + b for a, b
-                                in zip(merged["counts"], hist["counts"])]
-            merged["sum"] += hist["sum"]
-            merged["count"] += hist["count"]
-    return merged
 
 
 def histogram_quantile(hist: dict, q: float) -> float:
@@ -315,7 +271,8 @@ def histogram_quantile(hist: dict, q: float) -> float:
 
 
 def summarize_histogram(hist: dict | None) -> dict:
-    """The compact latency line ``cluster top`` prints per worker."""
+    """Count, mean, p50 and p95 of one histogram snapshot (the farm job
+    duration ``cluster status`` prints)."""
     if not hist or not hist.get("count"):
         return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0}
     count = hist["count"]

@@ -151,14 +151,13 @@ class TestParkedFetch:
 
     def test_metrics_are_absorbed_once_however_often_it_looks(self, farm):
         queue, park = farm
-        delta = {"counters": {"cluster.worker.jobs_done": 2}, "gauges": {},
-                 "histograms": {}}
+        delta = {"counters": {"cluster.worker.jobs_done": 2}, "gauges": {}}
         fetch = park("fetch", worker="w1", metrics=delta)
         queue.on_change()  # a wake with nothing in it for w1
         queue.submit([job("a")])
         assert fetch.looks == 3 and fetch.answer is not None
-        summary = queue.telemetry_summary()
-        assert summary["workers"]["w1"]["jobs_done"] == 2
+        counters = queue.telemetry_summary()["metrics"]["counters"]
+        assert counters["cluster.worker.jobs_done{worker=w1}"] == 2
 
 
 class TestParkedWait:
@@ -246,7 +245,7 @@ class TestJobSeconds:
         assert (status["a"]["queued_s"], status["a"]["run_s"]) == (0.0, 3.0)
         assert (status["b"]["queued_s"], status["b"]["run_s"]) == (0.5, 2.0)
         queued = {span.attrs["job_id"]: span
-                  for span in queue.telemetry.recorder.spans()
+                  for span in queue.recorder.spans()
                   if span.name == "cluster.job.queued"}
         assert (queued["b"].start, queued["b"].duration) == (1003.0, 0.5)
 

@@ -8,7 +8,8 @@ dead store. Both come back as plain restarts on the same ports: the
 coordinator starts empty and the waiting build resubmits what it lost.
 The two builds must produce the same image and deployments, every job
 must be done with no duplicate lowering, and the retry counters in
-``cluster top --json`` must show the faults were ridden out, not dodged.
+``cluster status --json`` must show the faults were ridden out, not
+dodged.
 
 Every step waits on something observable, never on a sleep: a server's
 address banner, the coordinator's job count, and the workers' first
@@ -29,6 +30,7 @@ import time
 
 import repro
 from repro.cluster import CoordinatorClient
+from repro.telemetry.registry import totals_by_label
 
 SYSTEMS = "ault23,ault25,dev-machine"
 
@@ -135,11 +137,11 @@ def test_batch_survives_store_and_coordinator_sigkill(tmp_path):
                    "--lease-seconds", "10")
         chaos = _built(build)
 
-        top_cli = farm.start("cluster", "top", "--coordinator",
-                             f"127.0.0.1:{port}", "--json")
-        out, err = top_cli.communicate(timeout=60)
-        assert top_cli.returncode == 0, err
-        top = json.loads(out)
+        status_cli = farm.start("cluster", "status", "--coordinator",
+                                f"127.0.0.1:{port}", "--json")
+        out, err = status_cli.communicate(timeout=60)
+        assert status_cli.returncode == 0, err
+        status = json.loads(out)
     finally:
         farm.close()
 
@@ -159,9 +161,10 @@ def test_batch_survives_store_and_coordinator_sigkill(tmp_path):
     assert [d["system"] for d in chaos["deployments"]] == \
         SYSTEMS.split(",")
     # The faults were ridden out, not dodged: the workers' retry counters
-    # surface in `cluster top --json`.
-    workers = {w: v for w, v in top["workers"].items()
-               if w.startswith("chaos-")}
-    assert workers, top["workers"]
-    assert sum(v["store_retries"] + v["reconnects"]
+    # surface in `cluster status --json`, under each worker's label.
+    workers = {w: v for w, v in totals_by_label(
+        status["metrics"]["counters"], "worker").items()
+        if w.startswith("chaos-")}
+    assert workers, status["metrics"]["counters"]
+    assert sum(v.get("store.retries", 0) + v.get("cluster.reconnects", 0)
                for v in workers.values()) > 0, workers

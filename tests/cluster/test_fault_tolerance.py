@@ -311,7 +311,7 @@ class TestCoordinatorBounce:
             coord.queue.submit([job("x")])
             worker.run(max_idle_seconds=0.5)
             assert restarted[0].queue.status(["y"])["y"]["state"] == "done"
-            assert worker.jobs_done == 2
+            assert worker.jobs_done.value == 2
             messages = [event.message for event in log.snapshot()]
             assert "coordinator link restored" not in messages
         finally:
@@ -349,7 +349,7 @@ class TestCoordinatorBounce:
 
     def test_client_retry_is_observable_in_reconnect_counter(self):
         """Every absorbed wire failure increments cluster.reconnects —
-        the signal `cluster top` renders in its retry column."""
+        the signal `cluster status` renders in its retry column."""
         port = _reserve_port()
         client = CoordinatorClient("127.0.0.1", port, timeout=0.5,
                                    retry=RetryPolicy(max_attempts=3,
@@ -448,7 +448,7 @@ class TestCoordinatorOnTheWireLoop:
             assert stats["bytes_in"] > 0 and stats["bytes_out"] > 0
             # The wire span lands where the `telemetry` op drains from.
             names = [span.name for span in
-                     coord.queue.telemetry.recorder.spans()]
+                     coord.queue.recorder.spans()]
             assert names == ["cluster.server.ping"]
 
 
@@ -493,6 +493,27 @@ class TestWorkerDowntimePolicy:
         assert pauses[:3] == [0.02, 0.04, 0.08]
         assert len(pauses) > 3 and set(pauses[3:]) == {0.08}
 
+    def test_an_outage_is_not_idle_time(self):
+        """The idle cutoff counts time with nothing to do, not time the
+        coordinator is down: against a closed port, a worker with a
+        0.2 s idle cutoff rides the outage out to its 1.0 s downtime
+        limit and leaves by that limit."""
+        log = _events.EventLog()
+        previous = _events.set_event_log(log)
+        try:
+            client = CoordinatorClient("127.0.0.1", _reserve_port(),
+                                       timeout=1, retry=NO_RETRY)
+            worker = ClusterWorker(client, BlobStore(), worker_id="w-out",
+                                   max_coordinator_downtime=1.0)
+            started = time.monotonic()
+            worker.run(max_idle_seconds=0.2)
+            elapsed = time.monotonic() - started
+        finally:
+            _events.set_event_log(previous)
+        assert 1.0 <= elapsed < 10.0
+        assert "coordinator down too long; worker exiting" in \
+            [event.message for event in log.snapshot()]
+
     def test_worker_rides_out_outage_shorter_than_limit(self):
         """A worker started before its coordinator exists (or while it
         restarts) keeps polling and completes work once the coordinator
@@ -519,7 +540,7 @@ class TestWorkerDowntimePolicy:
         timer = threading.Timer(0.3, coordinator_arrives)
         timer.start()
         try:
-            worker.run(max_idle_seconds=2.0)
+            worker.run(max_idle_seconds=0.5)
             timer.join()
             [coord] = arrived
             done = coord.queue.status(["late"])

@@ -127,10 +127,10 @@ class TestInducedWorkerCrash:
             # the other side: the lease-expiry event, and the job's
             # lifecycle spans under the trace id the worker's error event
             # carries — the cross-link `telemetry report --trace` uses.
-            telemetry = coordinator.queue.telemetry
+            queue = coordinator.queue
             rec = FlightRecorder(directory=str(tmp_path / "coord"),
-                                 recorder=telemetry.recorder,
-                                 registry=telemetry.registry,
+                                 recorder=queue.recorder,
+                                 registry=queue.registry,
                                  event_log=isolated_log)
             coord_dump = load_crash_dump(rec.dump(reason="post-mortem"))
             assert any(e["message"] == "lease expired"
@@ -231,9 +231,10 @@ class TestCoordinatorTelemetryWire:
             client.close()
         assert sorted(out) == ["spans", "telemetry"]
         summary = out["telemetry"]
-        assert summary["workers"]["w1"]["jobs_done"] >= 1
+        counters = summary["metrics"]["counters"]
+        assert counters["cluster.worker.jobs_done{worker=w1}"] >= 1
         assert summary["jobs"] == {"total": 1, "states": {"done": 1}}
-        assert summary["throughput"]["completed"] == 1
+        assert counters["cluster.jobs.completed"] == 1
         assert out["spans"]
         assert {span["trace_id"] for span in out["spans"]} == {TRACE_ID}
 

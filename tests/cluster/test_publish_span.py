@@ -32,7 +32,7 @@ def test_publish_is_a_child_span_of_the_job_and_precedes_completion(tmp_path):
         assert worker.cache.pending_blobs == (0, 0)
 
         spans = {span.name: span
-                 for span in coordinator.queue.telemetry.recorder.spans()}
+                 for span in coordinator.queue.recorder.spans()}
         job, publish = spans["cluster.worker.ir-compile"], \
             spans["cluster.publish"]
         assert publish.parent_id == job.span_id
@@ -88,7 +88,7 @@ def test_a_deploy_jobs_machine_modules_are_durable_before_its_publish(
             first["lowered_count"] + second["lowered_count"]
         assert before_publish == [(lowered, (0, 0))]
         assert [span.name for span
-                in coordinator.queue.telemetry.recorder.spans()
+                in coordinator.queue.recorder.spans()
                 if span.name == "cluster.publish"] == ["cluster.publish"]
         assert worker.cache.pending_blobs == (0, 0)
 
@@ -104,7 +104,7 @@ def test_a_refused_publish_fails_the_job(tmp_path):
         client.submit([_traced_job()])
         worker = _worker(host, port, faulty)
         assert worker.run_one() is True
-        assert (worker.jobs_done, worker.jobs_failed) == (0, 1)
+        assert (worker.jobs_done.value, worker.jobs_failed.value) == (0, 1)
         assert faulty.injected == {"put_many": 1}
         assert worker.cache.pending_blobs[0] == 5
         record = client.status(["pp"])["pp"]

@@ -51,7 +51,7 @@ class TestRequeueOnFailure:
                                    worker_id="steady")
             coordinator.queue.submit([_job("pp")])
             assert flaky.run_one() is True          # fetch + crash + report
-            assert flaky.jobs_failed == 1
+            assert flaky.jobs_failed.value == 1
             record = coordinator.queue.status(["pp"])["pp"]
             assert record["state"] == "ready"
             assert "flaky" in record["excluded"]
@@ -114,7 +114,7 @@ class TestJobKinds:
                                    BlobStore(), worker_id="w")
             coordinator.queue.submit([_job("odd", kind="preprocess")])
             assert worker.run_one() is True
-            assert worker.jobs_failed == 1
+            assert worker.jobs_failed.value == 1
             record = coordinator.queue.status(["odd"])["odd"]
         assert record["state"] == "failed"
         assert record["error"] == "unknown job kind 'preprocess'"

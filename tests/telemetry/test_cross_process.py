@@ -14,6 +14,7 @@ import sys
 
 import repro
 from repro.telemetry.export import spans_from_chrome, validate_chrome_trace
+from repro.telemetry.registry import totals_by_label
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -77,7 +78,8 @@ def test_one_build_correlates_three_processes(tmp_path):
         # wave then hands the tiered worker a job.
         seen = set()
         for _ in range(100):
-            seen = set(json.loads(_cli("cluster", "top", "--coordinator",
+            seen = set(json.loads(_cli("cluster", "status",
+                                       "--coordinator",
                                        f"127.0.0.1:{coord_port}",
                                        "--json"))["workers"])
             if seen >= set(WORKERS):
@@ -90,8 +92,8 @@ def test_one_build_correlates_three_processes(tmp_path):
             "--coordinator", f"127.0.0.1:{coord_port}",
             "--store-server", f"127.0.0.1:{store_port}",
             "--json", "--trace", trace_path))
-        top = json.loads(_cli("cluster", "top", "--coordinator",
-                              f"127.0.0.1:{coord_port}", "--json"))
+        status = json.loads(_cli("cluster", "status", "--coordinator",
+                                 f"127.0.0.1:{coord_port}", "--json"))
     finally:
         for proc in procs:
             proc.kill()
@@ -104,14 +106,19 @@ def test_one_build_correlates_three_processes(tmp_path):
     assert report["duplicate_lowerings"] == 0, report
     ran = {rec["worker"] for rec in report["jobs"].values()}
     assert ran and ran <= set(WORKERS), ran
-    workers = top["workers"]
-    assert any(w.get("jobs_done", 0) > 0 for w in workers.values()), workers
-    assert all("queue_depth" in w and "job_seconds" in w
-               for w in workers.values()), workers
+    # `cluster status --json`: the scheduler's row per worker, and the
+    # workers' heartbeat counters under their label in the registry.
+    workers = status["workers"]
+    assert all("queue_depth" in workers[w] for w in WORKERS), workers
+    counts = totals_by_label(status["metrics"]["counters"], "worker")
+    assert any(c.get("cluster.worker.jobs_done", 0) > 0
+               for c in counts.values()), counts
+    assert status["job_duration_seconds"]["count"] == len(report["jobs"])
     # The CLI's --local-tier wiring over a served store: the tiered
     # worker's reads went through its tier.
-    tiered = workers[TIERED]
-    assert tiered["tier_hits"] + tiered["tier_misses"] > 0, tiered
+    tiered = counts[TIERED]
+    assert tiered.get("store.tier.hits", 0) + \
+        tiered.get("store.tier.misses", 0) > 0, tiered
 
     doc = json.load(open(trace_path))
     assert validate_chrome_trace(doc) == []

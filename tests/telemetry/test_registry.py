@@ -1,4 +1,4 @@
-"""Metrics registry units: identity, snapshots, deltas, merges — the
+"""Metrics registry units: identity, snapshots, deltas, absorption — the
 contracts every heartbeat-shipping worker relies on."""
 
 import threading
@@ -8,12 +8,8 @@ import pytest
 from repro.telemetry.registry import (
     DURATION_BUCKETS,
     MetricsRegistry,
-    empty_snapshot,
     get_registry,
     histogram_quantile,
-    is_empty_snapshot,
-    merge_histograms,
-    merge_snapshot,
     metric_key,
     parse_metric_key,
     sample_process_gauges,
@@ -21,6 +17,7 @@ from repro.telemetry.registry import (
     snapshot_delta,
     summarize_histogram,
     sync_dropped_counter,
+    totals_by_label,
 )
 
 
@@ -133,47 +130,39 @@ class TestHistogram:
 
 
 class TestSnapshotAlgebra:
-    def test_delta_then_merge_round_trips(self):
-        """merge(base_snapshot, delta(current, base)) == current — the
-        exact invariant heartbeat shipping depends on."""
-        reg = MetricsRegistry()
-        reg.counter("jobs").inc(3)
-        reg.histogram("lat", buckets=(0.01, 0.1)).observe(0.005)
-        base = reg.snapshot()
-
-        reg.counter("jobs").inc(2)
-        reg.counter("fails").inc()
-        reg.gauge("depth").set(4)
-        reg.histogram("lat", buckets=(0.01, 0.1)).observe(0.05)
-        current = reg.snapshot()
-
-        delta = snapshot_delta(current, base)
-        assert delta["counters"] == {"jobs": 2, "fails": 1}
-        rebuilt = merge_snapshot(dict(base), delta)
-        assert rebuilt["counters"] == current["counters"]
-        assert rebuilt["histograms"]["lat"]["counts"] == \
-            current["histograms"]["lat"]["counts"]
-        assert rebuilt["histograms"]["lat"]["count"] == \
-            current["histograms"]["lat"]["count"]
+    def test_delta_then_absorb_round_trips(self):
+        """absorbing every delta since a worker started rebuilds its
+        counters and high-water gauges under its label — the exact
+        invariant heartbeat shipping depends on."""
+        worker, farm = MetricsRegistry(), MetricsRegistry()
+        sent: dict = {}
+        worker.counter("jobs").inc(3)
+        worker.gauge("peak").max_of(7)
+        for _ in range(2):
+            snap = worker.snapshot()
+            farm.absorb(snapshot_delta(snap, sent), worker="w")
+            sent = snap
+            worker.counter("jobs").inc(2)
+            worker.counter("fails", op="get").inc()
+        farm.absorb(snapshot_delta(worker.snapshot(), sent), worker="w")
+        assert farm.snapshot()["counters"] == {
+            "fails{op=get,worker=w}": 2, "jobs{worker=w}": 7}
+        assert farm.snapshot()["gauges"] == {"peak{worker=w}": 7}
 
     def test_idle_delta_is_empty(self):
         reg = MetricsRegistry()
         reg.counter("jobs").inc()
+        reg.histogram("lat").observe(0.01)
         snap = reg.snapshot()
-        assert is_empty_snapshot(snapshot_delta(reg.snapshot(), snap))
-        assert is_empty_snapshot(empty_snapshot())
+        assert not any(snapshot_delta(reg.snapshot(), snap).values())
 
-    def test_delta_carries_metrics_new_since_the_previous_snapshot(self):
+    def test_delta_carries_counters_and_gauges_only(self):
         reg = MetricsRegistry()
-        base = reg.snapshot()
         reg.counter("fresh").inc(2)
+        reg.gauge("depth").set(1)
         reg.histogram("observed").observe(0.01)
-        reg.histogram("declared_only")
-        delta = snapshot_delta(reg.snapshot(), base)
-        assert delta["counters"] == {"fresh": 2}
-        # A histogram nobody observed yet ships nothing.
-        assert list(delta["histograms"]) == ["observed"]
-        assert delta["histograms"]["observed"]["count"] == 1
+        assert snapshot_delta(reg.snapshot(), {}) == {
+            "counters": {"fresh": 2}, "gauges": {"depth": 1}}
 
     def test_delta_passes_changed_gauges_at_their_latest_value(self):
         reg = MetricsRegistry()
@@ -183,36 +172,28 @@ class TestSnapshotAlgebra:
         reg.gauge("depth").set(2)
         assert snapshot_delta(reg.snapshot(), base)["gauges"] == {"depth": 2}
 
-    def test_merge_replaces_a_histogram_whose_boundaries_changed(self):
-        into = {"histograms": {"h": {"buckets": [0.1], "counts": [4, 0],
-                                     "sum": 0.2, "count": 4}}}
-        merge_snapshot(into, {"histograms": {"h": {
-            "buckets": [1.0, 2.0], "counts": [0, 1, 0], "sum": 1.5,
-            "count": 1}}})
-        assert into["histograms"]["h"] == {"buckets": [1.0, 2.0],
-                                           "counts": [0, 1, 0],
-                                           "sum": 1.5, "count": 1}
-        assert into["counters"] == {} and into["gauges"] == {}
+    def test_absorb_adds_counters_and_keeps_gauge_max(self):
+        reg = MetricsRegistry()
+        reg.absorb({"counters": {"c": 2}, "gauges": {"peak": 10}})
+        reg.absorb({"counters": {"c": 3}, "gauges": {"peak": 4}})
+        assert reg.snapshot()["counters"] == {"c": 5}
+        assert reg.snapshot()["gauges"] == {"peak": 10}
 
-    def test_merge_adds_counters_and_keeps_gauge_max(self):
-        into = empty_snapshot()
-        merge_snapshot(into, {"counters": {"c": 2}, "gauges": {"peak": 10},
-                              "histograms": {}})
-        merge_snapshot(into, {"counters": {"c": 3}, "gauges": {"peak": 4},
-                              "histograms": {}})
-        assert into["counters"] == {"c": 5}
-        assert into["gauges"] == {"peak": 10}
+    def test_a_malformed_delta_raises_before_applying_anything(self):
+        reg = MetricsRegistry()
+        for bad in ({"counters": {"c": 1, "d": "x"}},
+                    {"counters": {"c": 1}, "gauges": {"g": None}}):
+            with pytest.raises((TypeError, ValueError)):
+                reg.absorb(bad)
+        with pytest.raises(AttributeError):
+            reg.absorb({"counters": ["c"]})
+        assert reg.snapshot()["counters"] == {}
 
-    def test_merge_histograms_folds_same_boundaries(self):
-        a = {"buckets": [0.01, 0.1], "counts": [1, 0, 0],
-             "sum": 0.005, "count": 1}
-        b = {"buckets": [0.01, 0.1], "counts": [0, 2, 0],
-             "sum": 0.1, "count": 2}
-        odd = {"buckets": [1.0], "counts": [1, 0], "sum": 0.5, "count": 1}
-        merged = merge_histograms([a, b, odd])
-        assert merged["counts"] == [1, 2, 0]
-        assert merged["count"] == 3
-        assert merge_histograms([]) is None
+    def test_totals_by_label_sum_over_the_other_labels(self):
+        values = {"hits{ns=ir,worker=a}": 2, "hits{ns=lower,worker=a}": 3,
+                  "hits{worker=b}": 1, "misses{worker=a}": 4, "hits": 9}
+        assert totals_by_label(values, "worker") == {
+            "a": {"hits": 5, "misses": 4}, "b": {"hits": 1}}
 
 
 class TestSnapshotPointHelpers:

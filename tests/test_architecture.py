@@ -88,7 +88,10 @@ RULES = {
         r"|history_interval|cmd_telemetry_history|TOP_REFRESH_SECONDS"
         r"|include_worker_metrics"
         r"|take_release|_release_on|def release\(self, worker_id|\.leaving\b"
-        r"|def run\(self, stop|externally-built cache", ("repro/",),
+        r"|def run\(self, stop|externally-built cache"
+        r"|FarmTelemetry|render_top|cmd_cluster_top|worker_summary"
+        r"|merge_snapshot|merge_histograms|jobs_per_second"
+        r"|_WORKER_(LATENCY|COUNTER)_FAMILIES", ("repro/",),
         "a removed name is back: the farm deploys one ISA group per deploy "
         "job, the cache counts nothing, telemetry is always on, "
         "IRContainerResult.assemble is the one assembly, the "
@@ -110,9 +113,11 @@ RULES = {
         "lower_module's, at deployment — FaultyBackend injects no "
         "latency, and a LocalCluster forks its workers, with no thread "
         "mode for the CLI to pick; telemetry keeps no metrics history — "
-        "no sampler thread, no `telemetry history`, and `cluster top` "
-        "prints one snapshot; a worker leaves when its loop ends — no "
-        "stop event, no `release` command — and opens its own cache",
+        "no sampler thread, no `telemetry history` — and the farm's "
+        "telemetry is the coordinator's registry, worker heartbeats "
+        "folded in under a worker label, printed by `cluster status` "
+        "alone; a worker leaves when its loop ends — no stop event, no "
+        "`release` command — and opens its own cache",
         "            counts = self.queue.restore(journal.load())"),
     "one-body-encoding": Rule(
         r"chunked|open_blob|stream_threshold|STREAM_THRESHOLD|CHUNK_"

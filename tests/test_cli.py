@@ -472,6 +472,55 @@ class TestClusterCLI:
             in out and "lowerings:" in out
         assert "routing:" not in out
 
+    def test_cluster_status_prints_the_one_farm_snapshot(self, capsys):
+        """`cluster status` over a live coordinator renders one
+        `telemetry` reply — jobs by state, the job duration, a row per
+        worker with its heartbeat counts — and `--json` prints it."""
+        from repro.cluster import ClusterWorker, Coordinator, \
+            CoordinatorClient
+        from repro.cluster.jobs import Job
+        from repro.containers import BlobStore
+        with Coordinator() as coordinator:
+            address = "%s:%d" % coordinator.address
+            coordinator.queue.submit([Job("a", "deploy", {}),
+                                      Job("b", "deploy", {})])
+            worker = ClusterWorker(CoordinatorClient(*coordinator.address),
+                                   BlobStore(), worker_id="w-status")
+            worker.execute = lambda job: {}
+            assert worker.run_one() and worker.run_one()
+            worker.client.close()
+            _, text = run_cli(capsys, "cluster", "status",
+                              "--coordinator", address)
+            _, out = run_cli(capsys, "cluster", "status",
+                             "--coordinator", address, "--json")
+        jobs, duration, header, row = text.splitlines()
+        assert jobs == "jobs: 2 known (done=2); shared queue depth 0"
+        assert duration.startswith("farm job duration p50/p95: ")
+        assert duration.endswith("(n=2)")
+        assert header.split()[0] == "worker"
+        assert row.split()[:5] == ["w-status", "0", "0", "2", "0"]
+        blob = json.loads(out)
+        assert list(blob["workers"]) == ["w-status"]
+        assert blob["metrics"]["counters"][
+            "cluster.worker.jobs_done{worker=w-status}"] == 2
+
+    def test_a_worker_prints_its_counts_when_it_leaves(self, tmp_path):
+        """`cluster worker` ends with one line read off its registry's
+        job counters."""
+        from repro.cluster import Coordinator
+        from repro.cluster.jobs import Job
+        with Coordinator() as coordinator:
+            coordinator.queue.submit([Job("a", "no-such-kind", {})])
+            proc = cli_process(
+                "cluster", "worker", "--coordinator",
+                "%s:%d" % coordinator.address, "--store",
+                str(tmp_path / "store"), "--worker-id", "w-line",
+                "--max-idle-seconds", "0.3", stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True)
+            out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert out.splitlines()[-1] == "worker w-line: 0 jobs done, 1 failed"
+
     def test_cluster_build_against_external_coordinator(self, capsys,
                                                         tmp_path):
         """The serve/worker/build split at process granularity: a
@@ -593,9 +642,17 @@ class TestCommandTable:
                   for line in block.split("\n\n", 1)[0].splitlines()]
         assert listed == list(cli.COMMANDS)
 
-    def test_cluster_top_prints_one_snapshot_only(self, capsys):
+    def test_the_farm_has_one_status_command(self, capsys):
+        """`cluster status` is the one farm snapshot: there is no
+        `cluster top`, and status prints one snapshot, not a stream."""
+        from repro import cli
+        assert ("cluster", "top") not in cli.COMMANDS
         with pytest.raises(SystemExit) as exit_info:
-            main(["cluster", "top", "--coordinator", "127.0.0.1:1",
+            main(["cluster", "top", "--coordinator", "127.0.0.1:1"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'top'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cluster", "status", "--coordinator", "127.0.0.1:1",
                   "--watch"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --watch" in capsys.readouterr().err
@@ -670,5 +727,6 @@ class TestCommandTable:
             run_cli(capsys, "cache", "stats", "--store-server", store)
             assert closed == ["RemoteBackend"]
             run_cli(capsys, "cluster", "status", "--coordinator", farm)
-            run_cli(capsys, "cluster", "top", "--coordinator", farm)
+            run_cli(capsys, "cluster", "status", "--coordinator", farm,
+                    "--json")
         assert closed == ["RemoteBackend"] + ["CoordinatorClient"] * 2
