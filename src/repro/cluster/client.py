@@ -236,8 +236,8 @@ class CoordinatorClient:
 
     def telemetry(self, drain_spans: bool = False) -> dict:
         """The coordinator's live farm snapshot (what `cluster status`
-        prints): ``{"telemetry": {...}, "spans": [...]}``. With
-        ``drain_spans`` the returned spans are removed from the
+        prints): ``{"telemetry": {...}, "spans": [...]}``. Spans come
+        back only with ``drain_spans``, which removes them from the
         coordinator's buffer (one-shot collection for trace export)."""
         header: dict = {"cmd": "telemetry"}
         if drain_spans:

@@ -672,10 +672,10 @@ def coordinator_commands(queue: JobQueue) -> "dict[str, Command]":
         return {"ok": True, "stats": queue.stats()}, b""
 
     def farm_telemetry(req):
-        spans = (queue.recorder.drain() if req.get("drain_spans")
-                 else queue.recorder.spans())
-        # Spans go in the response body — a farm-wide drain can hold far
-        # more than one header line may carry.
+        # Spans come back only when drained — a status read never ships
+        # the buffer — and in the response body: a farm-wide drain can
+        # hold far more than one header line may carry.
+        spans = queue.recorder.drain() if req.get("drain_spans") else []
         return json_body(
             {"ok": True, "telemetry": queue.telemetry_summary()},
             {"spans": [span.to_json() for span in spans]})

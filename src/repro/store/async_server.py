@@ -171,16 +171,16 @@ def store_commands(server: "AsyncStoreServer") -> "dict[str, Command]":
 
     def telemetry(req, body):
         """Live observability in one round-trip: the documented stats
-        schema, the full metric-registry snapshot, and (optionally
-        draining) whatever trace spans the loop buffered for traced
-        requests. `cache stats --store-server` and the cluster client's
-        trace collection both ride this."""
+        schema, the full metric-registry snapshot, and — only when
+        ``drain_spans`` is set, which empties the buffer — the trace
+        spans the loop buffered for traced requests. `cache stats
+        --store-server` and the cluster client's trace collection both
+        ride this."""
         registry = server.metrics.registry
         sample_process_gauges(registry)
         sync_dropped_counter(registry, "telemetry.spans_dropped",
                              server.recorder.dropped)
-        spans = server.recorder.drain() if req.get("drain_spans") \
-            else server.recorder.spans()
+        spans = server.recorder.drain() if req.get("drain_spans") else []
         # Spans ride the response *body*, not the header: a long traced
         # build buffers thousands of spans, and a single JSON header line
         # is capped at MAX_HEADER_BYTES.

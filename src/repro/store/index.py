@@ -15,10 +15,13 @@ it listed is a cache miss, never an error.
 
 Sharding is what keeps a busy farm off one hot ref: a worker publishing
 ``lower`` artifacts and one publishing ``preprocess`` CAS entirely
-different refs (zero cross-namespace retries), and each save rewrites
-O(one namespace) bytes instead of O(whole index). The pin set (blobs
-exempt from garbage collection, with everything they reference) is one
-more ref, :data:`PINS_REF`.
+different refs (zero cross-namespace retries). A save costs O(its
+namespace), in bytes and in work: one ref read, a merge only when the
+shard holds another writer's change — a handle remembers the bytes it
+last read or rendered per namespace, and re-reading exactly those merges
+nothing — and a render of that namespace's rows alone. The pin set
+(blobs exempt from garbage collection, with everything they reference)
+is one more ref, :data:`PINS_REF`.
 
 Everything that reads or writes those refs goes through this module:
 :func:`parse_shard` / :func:`render_shard` are the only code that
@@ -95,9 +98,9 @@ def parse_shard(raw: bytes | None, namespace: str) -> tuple[int, list[list]]:
 def render_shard(seq: int, rows: list[list]) -> bytes:
     """The stored form of one shard: ``rows`` as :func:`parse_shard`
     returns them, sorted by key, their namespace left to the ref name."""
-    return _HEADER.pack(_MAGIC, _VERSION, seq) + bytes.fromhex("".join(
+    return _HEADER.pack(_MAGIC, _VERSION, seq) + bytes.fromhex("".join([
         f"{key[-64:]}{digest[-64:]}{row_seq:016x}"
-        for key, _ns, digest, row_seq in rows))
+        for key, _ns, digest, row_seq in rows]))
 
 
 def stored_rows(backend: Backend,
@@ -137,6 +140,13 @@ class ArtifactIndex:
         self.backend = backend
         self.seq = 0
         self._entries: dict[str, IndexEntry] = {}
+        # The same keys by namespace: a shard's merge and render see
+        # only its own, never the whole table.
+        self._keys: dict[str, set[str]] = {}
+        # Per namespace, the shard bytes this handle last read or
+        # rendered: re-reading exactly those, nobody else's change can
+        # be in them.
+        self._seen: dict[str, bytes] = {}
         #: Keys modified locally since their shard was last saved.
         self.dirty: set[str] = set()
         # Namespaces whose shard must be rewritten even without a dirty
@@ -171,6 +181,17 @@ class ArtifactIndex:
         self.seq += 1
         return self.seq
 
+    def _put(self, key: str, entry: IndexEntry) -> None:
+        self._drop(key)
+        self._entries[key] = entry
+        self._keys.setdefault(entry.namespace, set()).add(key)
+
+    def _drop(self, key: str) -> IndexEntry | None:
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self._keys[entry.namespace].discard(key)
+        return entry
+
     def get(self, key: str) -> IndexEntry | None:
         return self._entries.get(key)
 
@@ -194,7 +215,7 @@ class ArtifactIndex:
         old = self._evicted.pop(key, None) or self._entries.get(key)
         if old is not None:
             self._replaced.setdefault(key, old.digest)
-        self._entries[key] = IndexEntry(namespace, digest, self._next_seq())
+        self._put(key, IndexEntry(namespace, digest, self._next_seq()))
         self.dirty.add(key)
 
     def touch(self, key: str) -> None:
@@ -206,7 +227,7 @@ class ArtifactIndex:
     def evict(self, key: str) -> IndexEntry | None:
         """Drop one entry; returns the removed record. The shard is
         rewritten by the next :meth:`save`."""
-        record = self._entries.pop(key, None)
+        record = self._drop(key)
         self.dirty.discard(key)
         if record is not None:
             # Tombstone what the shard lists (the digest an unsaved set
@@ -251,9 +272,14 @@ class ArtifactIndex:
         * Tombstoned keys stay dead when the backend still shows the very
           record we evicted; a record with a new digest or later seq is a
           fresh republish and is adopted (tombstone cleared).
+
+        ``raw`` equal to the bytes this handle last read or rendered there
+        holds nothing to reconcile — every change since is ours, dirty or
+        tombstoned — and is not parsed.
         """
-        if raw is None:
+        if raw is None or raw == self._seen.get(namespace):
             return
+        self._seen[namespace] = raw
         shard_seq, rows = parse_shard(raw, namespace)
         self.seq = max(self.seq, shard_seq)
         backend_keys: set[str] = set()
@@ -266,26 +292,27 @@ class ArtifactIndex:
             backend_keys.add(key)
             mine = self._entries.get(key)
             if mine is None:
-                self._entries[key] = IndexEntry(ns, digest, seq)
+                self._put(key, IndexEntry(ns, digest, seq))
             elif key in self.dirty:
                 mine.seq = max(mine.seq, seq)
             elif seq >= mine.seq:
                 if digest != mine.digest:
                     self._on_drop(key)  # what we kept beside it is stale
-                mine.namespace, mine.digest, mine.seq = ns, digest, seq
-        for key in list(self._entries):
-            if self._entries[key].namespace != namespace:
-                continue  # this shard has no authority over that namespace
-            if key not in backend_keys and key not in self.dirty:
-                del self._entries[key]
-                self._on_drop(key)
+                self._put(key, IndexEntry(ns, digest, seq))
+        # The shard has authority over its own namespace only.
+        mine_here = self._keys.get(namespace, set())
+        for key in mine_here - backend_keys - self.dirty:
+            self._drop(key)
+            self._on_drop(key)
 
     def save(self) -> None:
         """Persist the locally-modified shards: only namespaces with
         local changes (dirty keys, evictions) are rewritten, each through
         its own CAS retry-merge loop — writers in different namespaces
-        touch different refs and never conflict, and each payload is
-        O(namespace)."""
+        touch different refs and never conflict. A save costs
+        O(namespace): one ref read, a merge only when another writer
+        changed the shard since this handle last read or rendered it, and
+        a render of that namespace's rows alone."""
         dirty = {self._entries[key].namespace
                  for key in self.dirty if key in self._entries}
         dirty |= self._dirty_namespaces
@@ -311,16 +338,17 @@ class ArtifactIndex:
             # entry that tombstone killed. Re-stamping in current-seq
             # order keeps the keys' relative access order intact (they
             # were all just touched, so above-the-index is honest LRU).
-            dirty_here = [key for key in self.dirty
-                          if key in self._entries
-                          and self._entries[key].namespace == namespace]
+            keys = self._keys.get(namespace, set())
+            dirty_here = [key for key in self.dirty if key in keys]
             for key in sorted(dirty_here,
                               key=lambda k: self._entries[k].seq):
                 self._entries[key].seq = self._next_seq()
-            return render_shard(self.seq, [
-                [key, e.namespace, e.digest, e.seq]
-                for key, e in sorted(self._entries.items())
-                if e.namespace == namespace])
+            # Bytes rendered from the table hold nothing it lacks, landed
+            # or not: a later read of exactly these is nothing to merge.
+            self._seen[namespace] = render_shard(self.seq, [
+                [key, namespace, self._entries[key].digest,
+                 self._entries[key].seq] for key in sorted(keys)])
+            return self._seen[namespace]
 
         def on_retry() -> None:
             self._cas_retries.inc()

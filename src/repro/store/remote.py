@@ -272,9 +272,9 @@ class RemoteBackend(Backend):
     def telemetry(self, drain_spans: bool = False) -> dict:
         """The server's full telemetry in one round-trip: the documented
         ``stats`` schema, the metric-registry ``metrics`` snapshot,
-        and buffered trace ``spans`` (``drain_spans=True`` removes them
-        server-side — trace collection does; live status surfaces must
-        not)."""
+        and the buffered trace ``spans`` — only with ``drain_spans=True``,
+        which removes them server-side (trace collection does; live
+        status surfaces do not, and get an empty list)."""
         header: dict = {"cmd": "telemetry"}
         if drain_spans:
             header["drain_spans"] = True

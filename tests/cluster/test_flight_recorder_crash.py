@@ -223,11 +223,11 @@ class TestCoordinatorTelemetryWire:
         return client
 
     def test_telemetry_op_ships_the_farm_summary_and_its_spans(self):
-        """`CoordinatorClient.telemetry()` is the live summary plus the
-        buffered job spans, and nothing else."""
+        """`CoordinatorClient.telemetry(drain_spans=True)` is the live
+        summary plus the buffered job spans, and nothing else."""
         with Coordinator() as coordinator:
             client = self._one_job_done(coordinator)
-            out = client.telemetry()
+            out = client.telemetry(drain_spans=True)
             client.close()
         assert sorted(out) == ["spans", "telemetry"]
         summary = out["telemetry"]
@@ -241,10 +241,12 @@ class TestCoordinatorTelemetryWire:
     def test_a_draining_read_empties_the_span_buffer(self):
         with Coordinator() as coordinator:
             client = self._one_job_done(coordinator)
-            peek = client.telemetry()["spans"]
+            status = client.telemetry()
             drained = client.telemetry(drain_spans=True)["spans"]
             after = client.telemetry()
             client.close()
-        assert peek and drained == peek
+        # A status read ships no spans and leaves the buffer as it was.
+        assert status["spans"] == []
+        assert status["telemetry"]["spans_buffered"] == len(drained) > 0
         assert after["spans"] == []
         assert after["telemetry"]["spans_buffered"] == 0

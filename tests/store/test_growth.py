@@ -13,6 +13,7 @@ from repro.containers.store import ArtifactCache, BlobStore
 from repro.core import build_ir_container, deploy_batch
 from repro.discovery import get_system
 from repro.store import FileBackend, MemoryBackend
+from repro.store import index as index_module
 from repro.store.index import INDEX_REF_PREFIX, index_ref_names, parse_shard
 
 CONFIGS = [{"GMX_SIMD": simd, "GMX_OPENMP": "ON", "GMX_FFT_LIBRARY": "fftw3"}
@@ -126,3 +127,33 @@ def test_a_file_store_holds_its_blobs_deflated_and_deploys_the_same(
     assert count == len(blobs)
     raw = sum(map(len, blobs.values()))
     assert stored <= MAX_STORED_SHARE * raw, (stored, raw)
+
+
+def test_a_warm_build_and_deploy_parse_each_shard_once_at_open(
+        tmp_path, monkeypatch):
+    """A save that re-reads the bytes its own handle last wrote has no
+    other writer's change to merge: a warm run's saves — one per hit
+    that re-puts — parse no shard, so the index costs O(namespace) a
+    save, not O(whole index)."""
+    _cold_build_and_deploy(FileBackend(tmp_path))
+    parsed: list[str] = []
+
+    def counting_parse_shard(raw, namespace):
+        parsed.append(namespace)
+        return parse_shard(raw, namespace)
+
+    monkeypatch.setattr(index_module, "parse_shard", counting_parse_shard)
+    backend = CountingFileBackend(tmp_path)
+    store = BlobStore(backend)
+    cache = ArtifactCache(store, flush_every=1)
+    shards = sorted(name[len(INDEX_REF_PREFIX):]
+                    for name in index_ref_names(backend))
+    assert sorted(parsed) == shards  # the open's load
+    app = gromacs_model(scale=0.01)
+    result = build_ir_container(app, CONFIGS, store=store, cache=cache)
+    batch = deploy_batch(result, app, OPTIONS,
+                         [get_system(name) for name in SYSTEMS], store,
+                         cache=cache)
+    assert batch.lowerings_performed == 0
+    assert backend.cas_bytes  # the saves still run, through their CAS
+    assert sorted(parsed) == shards

@@ -26,6 +26,7 @@ from repro.store import (
     index_ref_name,
     index_ref_names,
 )
+from repro.store import index as index_module
 from repro.store.index import parse_shard, render_shard, stored_rows
 from repro.util.hashing import canonical_json, content_digest
 
@@ -324,6 +325,119 @@ class TestShardContention:
         fresh = ArtifactCache(BlobStore(FileBackend(root)))
         assert fresh.get("lower", "from-a").payload == "payload-a"
         assert fresh.get("lower", "from-b").payload == "payload-b"
+
+
+class RacingBackend:
+    """A file store on which ``race()`` runs once, just before the first
+    index CAS after ``arm()`` — another writer's swap lands in between
+    our read and our swap."""
+
+    persistent = True
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.race = None
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def compare_and_set_ref(self, name, expected, data):
+        race, self.race = self.race, None
+        if race is not None:
+            race()
+        return self._inner.compare_and_set_ref(name, expected, data)
+
+
+class TestASaveMergesOnlyAnotherWritersChange:
+    """A handle remembers the shard bytes it last read or wrote; a save
+    that re-reads exactly those has nothing to merge and parses nothing.
+    Any other bytes — a second handle's publish or eviction, a lost
+    swap — are merged as before."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        calls: list[str] = []
+
+        def counting_parse_shard(raw, namespace):
+            calls.append(namespace)
+            return parse_shard(raw, namespace)
+
+        monkeypatch.setattr(index_module, "parse_shard", counting_parse_shard)
+        return calls
+
+    @staticmethod
+    def key(name):
+        return content_digest(f"key/{name}")
+
+    def stored_keys(self, backend):
+        return {row[0] for row in stored_rows(backend)}
+
+    def test_a_save_over_its_own_last_write_does_not_merge(
+            self, tmp_path, parsed):
+        backend = FileBackend(tmp_path)
+        index = ArtifactIndex(backend)
+        for name in ("a", "b", "c"):
+            index.set(self.key(name), "lower", content_digest(name))
+            index.save()
+        index.load()  # a reload of its own write parses nothing either
+        assert parsed == []
+        assert self.stored_keys(backend) == {self.key(n) for n in "abc"}
+
+    def test_a_second_handles_publish_between_our_saves_is_adopted(
+            self, tmp_path, parsed):
+        backend = FileBackend(tmp_path)
+        ours, theirs = ArtifactIndex(backend), ArtifactIndex(backend)
+        ours.set(self.key("a"), "lower", content_digest("a"))
+        ours.save()
+        theirs.load()
+        theirs.set(self.key("b"), "lower", content_digest("b"))
+        theirs.save()
+        ours.set(self.key("c"), "lower", content_digest("c"))
+        ours.save()
+        assert ours.get(self.key("b")).digest == content_digest("b")
+        assert self.stored_keys(backend) == {self.key(n) for n in "abc"}
+        assert ours.cas_retries == 0
+
+    def test_a_second_handles_eviction_drops_our_clean_key(
+            self, tmp_path, parsed):
+        backend = FileBackend(tmp_path)
+        dropped: list[str] = []
+        ours = ArtifactIndex(backend, on_drop=dropped.append)
+        theirs = ArtifactIndex(backend)
+        for name in ("a", "b"):
+            ours.set(self.key(name), "lower", content_digest(name))
+        ours.save()
+        theirs.load()
+        theirs.evict(self.key("a"))
+        theirs.save()
+        ours.set(self.key("c"), "lower", content_digest("c"))
+        ours.save()
+        assert ours.get(self.key("a")) is None
+        assert dropped == [self.key("a")]
+        assert self.stored_keys(backend) == {self.key("b"), self.key("c")}
+
+    def test_a_lost_swap_rereads_and_merges(self, tmp_path, parsed):
+        racing = RacingBackend(FileBackend(tmp_path))
+        ours = ArtifactIndex(racing)
+        theirs = ArtifactIndex(FileBackend(tmp_path))
+        ours.set(self.key("a"), "lower", content_digest("a"))
+        ours.save()
+
+        def publish():
+            theirs.load()
+            theirs.set(self.key("b"), "lower", content_digest("b"))
+            theirs.save()
+
+        racing.race = publish
+        parsed.clear()
+        # The save reads its own last write (no merge), loses the swap to
+        # the publish, re-reads and merges it.
+        ours.set(self.key("c"), "lower", content_digest("c"))
+        ours.save()
+        assert ours.cas_retries == 1
+        assert parsed == ["lower", "lower"]  # theirs.load(), our re-read
+        assert ours.get(self.key("b")).digest == content_digest("b")
+        assert self.stored_keys(racing) == {self.key(n) for n in "abc"}
 
 
 @pytest.fixture(params=["file", "remote"])

@@ -48,22 +48,21 @@ class TestTelemetryWireOp:
         assert counters["store.server.requests"] == \
             info["stats"]["requests_served"]
 
-    def test_span_drain_is_destructive_snapshot_is_not(self, served):
+    def test_spans_come_back_only_when_drained(self, served):
         backend, server = served
         parent = {"trace_id": "T" * 32, "parent_span_id": "P" * 16}
         with _trace.recording(TraceRecorder()):
             with _trace.span("client.op", parent=parent):
                 digest = content_digest(b"traced blob")
                 backend.put(digest, b"traced blob")
-        # The server recorded one span per traced request, parented to
-        # the client's request span.
-        peek = backend.telemetry()["spans"]
-        assert peek and all(sp["trace_id"] == parent["trace_id"]
-                            for sp in peek)
-        drained = backend.telemetry(drain_spans=True)["spans"]
-        assert [sp["span_id"] for sp in drained] == \
-            [sp["span_id"] for sp in peek]
+        # A status read ships no spans and leaves the buffer alone.
         assert backend.telemetry()["spans"] == []
+        # The server recorded one span per traced request, parented to
+        # the client's request span; the drain takes them all once.
+        drained = backend.telemetry(drain_spans=True)["spans"]
+        assert drained and all(sp["trace_id"] == parent["trace_id"]
+                               for sp in drained)
+        assert backend.telemetry(drain_spans=True)["spans"] == []
 
     def test_large_span_buffers_survive_the_wire(self, served):
         """Span collections ride the response body, so a drain must work
