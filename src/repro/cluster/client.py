@@ -47,19 +47,20 @@ from repro.store.wire import SessionPool, WireError, fold_json_body, json_body
 from repro.telemetry import events as _events
 from repro.telemetry import trace as _trace
 from repro.telemetry.registry import MetricsRegistry
-from repro.util.retry import RetryPolicy
+from repro.util.retry import NO_RETRY, RetryPolicy
 
 
 class CoordinatorUnreachable(ClusterError):
     """A wire-level failure reaching the coordinator (refused, reset,
     timeout, broken frame) — the retryable kind, unlike semantic errors
     the coordinator itself returned. Subclasses :class:`ClusterError` so
-    every existing handler (worker backoff, CLI messages) still fires."""
+    every existing handler (a worker's exit, CLI messages) still fires."""
 
 
-#: Coordinator ops ride the same backoff envelope as store ops: enough
-#: attempts to span a coordinator restart, bounded so a genuinely dead
-#: farm surfaces within the deadline.
+#: Coordinator ops ride the same backoff envelope as store ops, bounded
+#: so a genuinely dead farm surfaces within the deadline. A caller that
+#: owns a longer outage budget — a worker, a waiting submitter — keeps
+#: this backoff and replaces the bounds (:meth:`RetryPolicy.lasting`).
 DEFAULT_COORDINATOR_RETRY = RetryPolicy(max_attempts=6, base_delay=0.1,
                                         max_delay=2.0, deadline=30.0)
 
@@ -77,7 +78,11 @@ class CoordinatorClient:
     acknowledged-and-ignored server-side), ``fetch`` (a lost response
     costs one lease expiry, never a lost job), and ``submit`` (a resend
     that hits "duplicate job id" proves the first send landed — treated
-    as success). Only the destructive telemetry drain never retries.
+    as success). Two are sent once: ``goodbye``, the last word of a
+    worker that is leaving anyway, and a ``telemetry`` read that drains
+    the span buffer. ``retry`` is the only loop that rides out an
+    outage; a worker sets its deadline to its downtime budget, and
+    :meth:`wait` hands each call what is left of its stall deadline.
     Each retry bumps the ``cluster.reconnects`` counter in ``registry``
     — workers push it over heartbeats, so `cluster status` shows who is
     riding out a flaky coordinator link.
@@ -86,12 +91,10 @@ class CoordinatorClient:
     def __init__(self, host: str, port: int, timeout: float = 30.0,
                  retry: RetryPolicy | None = None,
                  registry: MetricsRegistry | None = None):
-        self.host = host
-        self.port = port
-        self.timeout = timeout
         self.retry = retry if retry is not None else DEFAULT_COORDINATOR_RETRY
+        #: Where retries are counted; a worker points it at its own.
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._reconnects = self.registry.counter("cluster.reconnects")
+        self.registry.counter("cluster.reconnects")  # listed from the start
         # Connect failures are retried by `_call` with every other wire
         # failure (one policy, one counter), not inside the pool.
         self._pool = SessionPool(host, port, timeout=timeout)
@@ -103,27 +106,21 @@ class CoordinatorClient:
         """Release the pooled connection(s); the client stays usable."""
         self._pool.close()
 
-    def bind_registry(self, registry: MetricsRegistry) -> None:
-        """Adopt the caller's registry. Workers call this so the
-        reconnect counter rides their heartbeat deltas farm-ward instead
-        of sitting in a private registry nobody scrapes."""
-        self.registry = registry
-        self._reconnects = registry.counter("cluster.reconnects")
-
     #: Header fields bulky enough to overflow the one-line header frame
     #: (a traced job can push hundreds of spans, a stage job's result
     #: carries its configuration's manifest); they ride a JSON body.
+    #: A field that is None is not sent at all.
     _BODY_FIELDS = ("spans", "metrics", "result")
 
-    def _call(self, header: dict, retryable: bool = False,
+    def _call(self, header: dict, retry: RetryPolicy | None = None,
               on_retry=None) -> dict:
         body = b""
-        extra = {key: header[key] for key in self._BODY_FIELDS
-                 if header.get(key) is not None}
+        header = {key: value for key, value in header.items()
+                  if value is not None}
+        extra = {key: header.pop(key) for key in self._BODY_FIELDS
+                 if key in header}
         if extra:
-            header, body = json_body(
-                {key: value for key, value in header.items()
-                 if key not in extra}, extra)
+            header, body = json_body(header, extra)
         cmd = str(header.get("cmd", ""))
 
         def exchange() -> dict:
@@ -132,8 +129,8 @@ class CoordinatorClient:
             except (WireError, OSError) as exc:
                 # OSError covers the pre-framing failures (connection
                 # refused, reset, timeout) — they must hit the same
-                # ClusterError paths (worker backoff, CLI error message)
-                # as a broken frame.
+                # ClusterError paths (retry, CLI error message) as a
+                # broken frame.
                 raise CoordinatorUnreachable(
                     f"coordinator unreachable: {exc}") from exc
             # Bulk response fields (telemetry span drains) arrive as a
@@ -143,22 +140,23 @@ class CoordinatorClient:
                 raise ClusterError(resp.get("error", "coordinator error"))
             return resp
 
-        if not (retryable and self.retry.enabled):
+        retry = self.retry if retry is None else retry
+        if not retry.enabled:
             return exchange()
 
         def note(attempt: int, delay: float, exc: Exception) -> None:
-            self._reconnects.inc()
+            self.registry.counter("cluster.reconnects").inc()
             _events.emit("warn", "coordinator op retry", op=cmd,
                          attempt=attempt, delay=round(delay, 3),
                          error=str(exc))
             if on_retry is not None:
                 on_retry(attempt, delay, exc)
 
-        return self.retry.call(exchange, retry_on=(CoordinatorUnreachable,),
-                               on_retry=note)
+        return retry.call(exchange, retry_on=(CoordinatorUnreachable,),
+                          on_retry=note)
 
     def ping(self) -> bool:
-        return self._call({"cmd": "ping"}, retryable=True).get("server") == \
+        return self._call({"cmd": "ping"}).get("server") == \
             "cluster-coordinator"
 
     def submit(self, jobs: list[Job]) -> int:
@@ -171,7 +169,7 @@ class CoordinatorClient:
         try:
             return int(self._call({
                 "cmd": "submit", "jobs": [job.to_json() for job in jobs]},
-                retryable=True, on_retry=saw_resend)["submitted"])
+                on_retry=saw_resend)["submitted"])
         except ClusterError as exc:
             # A retried submit answering "duplicate job id" means the
             # first send was applied and only its *response* was lost —
@@ -185,12 +183,9 @@ class CoordinatorClient:
         """Claim a job. With ``park_seconds`` the coordinator holds the
         request until a job is eligible for this worker or that long has
         passed (None then); 0 answers at once."""
-        header: dict = {"cmd": "fetch", "worker": worker_id}
-        if park_seconds > 0:
-            header["park_seconds"] = park_seconds
-        if metrics:
-            header["metrics"] = metrics
-        resp = self._call(header, retryable=True)
+        resp = self._call({"cmd": "fetch", "worker": worker_id,
+                           "park_seconds": park_seconds or None,
+                           "metrics": metrics})
         if resp.get("idle"):
             return None
         if resp.get("lease_seconds") is not None:
@@ -199,40 +194,26 @@ class CoordinatorClient:
 
     def renew(self, job_id: str, worker_id: str,
               metrics: dict | None = None) -> bool:
-        header: dict = {"cmd": "renew", "job_id": job_id, "worker": worker_id}
-        if metrics:
-            header["metrics"] = metrics
-        return bool(self._call(header, retryable=True)["renewed"])
+        return bool(self._call({"cmd": "renew", "job_id": job_id,
+                                "worker": worker_id,
+                                "metrics": metrics})["renewed"])
 
     def complete(self, job_id: str, worker_id: str, result: dict,
                  spans: list | None = None,
                  metrics: dict | None = None) -> bool:
-        header: dict = {"cmd": "complete", "job_id": job_id,
-                        "worker": worker_id, "result": result}
-        if spans:
-            header["spans"] = spans
-        if metrics:
-            header["metrics"] = metrics
-        return bool(self._call(header, retryable=True)["applied"])
+        return bool(self._call({"cmd": "complete", "job_id": job_id,
+                                "worker": worker_id, "result": result,
+                                "spans": spans,
+                                "metrics": metrics})["applied"])
 
     def fail(self, job_id: str, worker_id: str, error: str,
              spans: list | None = None, metrics: dict | None = None) -> str:
-        header: dict = {"cmd": "fail", "job_id": job_id,
-                        "worker": worker_id, "error": error}
-        if spans:
-            header["spans"] = spans
-        if metrics:
-            header["metrics"] = metrics
-        return str(self._call(header, retryable=True)["state"])
+        return str(self._call({"cmd": "fail", "job_id": job_id,
+                               "worker": worker_id, "error": error,
+                               "spans": spans, "metrics": metrics})["state"])
 
     def status(self, job_ids: list[str] | None = None) -> dict[str, dict]:
-        header: dict = {"cmd": "status"}
-        if job_ids is not None:
-            header["job_ids"] = list(job_ids)
-        return self._call(header, retryable=True)["jobs"]
-
-    def stats(self) -> dict:
-        return self._call({"cmd": "stats"}, retryable=True)["stats"]
+        return self._call({"cmd": "status", "job_ids": job_ids})["jobs"]
 
     def telemetry(self, drain_spans: bool = False) -> dict:
         """The coordinator's live farm snapshot (what `cluster status`
@@ -244,13 +225,14 @@ class CoordinatorClient:
             header["drain_spans"] = True
         # A drain is a destructive read — a resend after a lost response
         # would silently discard the first drain's spans.
-        resp = self._call(header, retryable=not drain_spans)
+        resp = self._call(header, retry=NO_RETRY if drain_spans else None)
         return {"telemetry": resp.get("telemetry", {}),
                 "spans": resp.get("spans", [])}
 
     def goodbye(self, worker_id: str) -> int:
-        return int(self._call({"cmd": "goodbye",
-                               "worker": worker_id})["requeued"])
+        # Sent once: the last word of a worker that is leaving anyway.
+        return int(self._call({"cmd": "goodbye", "worker": worker_id},
+                              retry=NO_RETRY)["requeued"])
 
     def wait(self, jobs: list[Job],
              timeout: float = 300.0) -> dict[str, dict]:
@@ -265,45 +247,29 @@ class CoordinatorClient:
         wave never trips it — only a wave in which nothing finishes for
         ``timeout`` seconds does.
 
-        A coordinator outage mid-wait does not raise: the call keeps
-        reconnecting with backoff (on top of each call's own retries)
-        until the stall deadline. A restarted coordinator starts empty
-        and answers ``unknown job`` for what it lost; the job named is
-        resubmitted from its spec and the wait goes on, under the same
-        deadline — what the first run published is cache hits for the
-        second.
+        A coordinator outage mid-wait does not raise: each round trip
+        rides it out through ``retry`` for what is left of the stall
+        deadline, and raises ``CoordinatorUnreachable`` once that is
+        spent. A restarted coordinator starts empty and answers ``unknown
+        job`` for what it lost; the job named is resubmitted from its
+        spec and the wait goes on, under the same deadline — what the
+        first run published is cache hits for the second.
         """
         by_id = {job.job_id: job for job in jobs}
         deadline = time.monotonic() + timeout
         done: dict[str, dict] = {}
         lost: list[Job] = []
-        outage = 0
         while True:
             pending = [job_id for job_id in by_id if job_id not in done]
             try:
                 if lost:
                     self.submit(lost)
                     lost = []
+                left = deadline - time.monotonic()
                 records = self._call({
                     "cmd": "wait", "job_ids": pending,
-                    "park_seconds": max(0.0, min(
-                        PARK_SECONDS, deadline - time.monotonic()))},
-                    retryable=True)["jobs"]
-                outage = 0
-            except CoordinatorUnreachable as exc:
-                if time.monotonic() > deadline:
-                    raise ClusterError(
-                        f"coordinator unreachable for {timeout:.0f}s "
-                        f"while waiting on {len(by_id)} job(s): {exc}"
-                    ) from exc
-                self._reconnects.inc()
-                outage += 1
-                delay = self.retry.backoff(outage)
-                _events.emit("warn", "coordinator unreachable; "
-                             "waiting to reconnect", error=str(exc),
-                             retry_in=round(delay, 3))
-                self.retry.sleep(delay)
-                continue
+                    "park_seconds": max(0.0, min(PARK_SECONDS, left))},
+                    retry=self.retry.lasting(left))["jobs"]
             except ClusterError as exc:
                 lost = [by_id[job_id] for job_id in pending
                         if str(exc) == f"unknown job {job_id!r}"]

@@ -524,24 +524,13 @@ class JobQueue:
                          if record.state == RUNNING]
         return max(0.0, min(deadlines) - now) if deadlines else None
 
-    def stats(self) -> dict:
-        with self._lock:
-            counts: dict[str, int] = {}
-            for record in self._records.values():
-                counts[record.state] = counts.get(record.state, 0) + 1
-            return {
-                "jobs": len(self._records),
-                "states": counts,
-                "workers": sorted(self._workers),
-                "affinity_owners": dict(sorted(self._affinity_owner.items())),
-            }
-
     def telemetry_summary(self) -> dict:
-        """The live farm snapshot behind the ``telemetry`` wire op: jobs by
-        state, per-worker queue depth / running count / liveness, and the
-        registry, whose ``worker``-labelled metrics are the workers' own.
-        A worker known only from its heartbeats (it has said goodbye) is
-        listed with an empty row."""
+        """The live farm snapshot behind the ``telemetry`` wire op — the
+        one read of the farm: jobs by state, per-worker queue depth /
+        running count / liveness, which worker owns each affinity token,
+        and the registry, whose ``worker``-labelled metrics are the
+        workers' own. A worker known only from its heartbeats (it has
+        said goodbye) is listed with an empty row."""
         now = time.monotonic()
         with self._transition():
             self._expire_leases_locked(now)
@@ -559,6 +548,7 @@ class JobQueue:
                     workers[record.worker]["running"] += 1
             shared_depth = len(self._shared)
             total = len(self._records)
+            owners = dict(sorted(self._affinity_owner.items()))
         sync_dropped_counter(self.registry, "telemetry.spans_dropped",
                              self.recorder.dropped)
         sample_process_gauges(self.registry)
@@ -570,6 +560,7 @@ class JobQueue:
         return {"jobs": {"total": total, "states": counts},
                 "shared_queue_depth": shared_depth,
                 "workers": dict(sorted(workers.items())),
+                "affinity_owners": owners,
                 "job_duration_seconds": summarize_histogram(
                     self._job_seconds.snapshot()),
                 "spans_buffered": len(self.recorder),
@@ -668,9 +659,6 @@ def coordinator_commands(queue: JobQueue) -> "dict[str, Command]":
             return records(jobs)
         return queue.lease_wait()
 
-    def stats(req):
-        return {"ok": True, "stats": queue.stats()}, b""
-
     def farm_telemetry(req):
         # Spans come back only when drained — a status read never ships
         # the buffer — and in the response body: a farm-wide drain can
@@ -685,7 +673,7 @@ def coordinator_commands(queue: JobQueue) -> "dict[str, Command]":
 
     handlers = {"ping": ping, "submit": submit,
                 "renew": renew, "complete": complete, "fail": fail,
-                "status": status, "stats": stats,
+                "status": status,
                 "telemetry": farm_telemetry, "goodbye": goodbye}
     table = {name: _json_command(handler)
              for name, handler in handlers.items()}

@@ -47,7 +47,6 @@ from repro.telemetry.registry import (
     snapshot_delta,
     sync_dropped_counter,
 )
-from repro.util.retry import RetryPolicy
 
 #: App models memoized per worker (keyed by app and scale). Two is
 #: enough for one build plus a straggler from a previous one.
@@ -57,14 +56,9 @@ APP_MEMO_SIZE = 2
 #: long — wall clock, not a strike count, so the tolerance is independent
 #: of how fast calls fail. Long enough to ride out a coordinator restart;
 #: short enough that an orphaned worker process terminates instead of
-#: spinning forever.
+#: spinning forever. It is the deadline of the worker's client retry.
 #: ``cluster worker --max-coordinator-downtime`` overrides it.
 DEFAULT_MAX_COORDINATOR_DOWNTIME = 10.0
-
-#: Pauses between attempts to reach a coordinator that is down (on top
-#: of each call's own retries): full jitter, so a fleet whose calls
-#: failed together does not return in lockstep to a just-restarted one.
-OUTAGE_BACKOFF = RetryPolicy(base_delay=0.02, max_delay=1.0)
 
 
 class ClusterWorker:
@@ -91,12 +85,13 @@ class ClusterWorker:
         #: store backend so wire-client latencies ride along; LocalCluster
         #: workers own one each.
         self.registry = registry if registry is not None else MetricsRegistry()
-        # The client counts its coordinator reconnects; rebinding it onto
-        # this registry puts them on the heartbeat channel (`cluster
-        # status` shows who is riding out a flaky coordinator link).
-        rebind = getattr(client, "bind_registry", None)
-        if rebind is not None:
-            rebind(self.registry)
+        # The client counts its coordinator reconnects in this registry,
+        # so they ride the heartbeats (`cluster status` shows who is
+        # riding out a flaky coordinator link). Its retry is the one loop
+        # that rides out an outage: the worker's budget is its deadline,
+        # whatever bounds it came with.
+        client.registry = self.registry
+        client.retry = client.retry.lasting(self.max_coordinator_downtime)
         self.tier: TieredBackend | None = None
         if local_tier_dir:
             # The ccache topology: a worker-private FileBackend tier in
@@ -238,10 +233,11 @@ class ClusterWorker:
         a perfectly healthy worker and re-run elsewhere. Renewal failing
         (coordinator gone, or we *did* lose the lease to a real expiry)
         just stops the heartbeat — completion reporting handles the rest
-        idempotently. Returns a stop function.
+        idempotently. Returns a stop function, which waits at most 5 s
+        for a heartbeat still riding out an outage: the report that
+        follows rides it out for the worker's whole budget anyway.
         """
-        lease = (getattr(self.client, "lease_seconds", None)
-                 or DEFAULT_LEASE_SECONDS)
+        lease = self.client.lease_seconds or DEFAULT_LEASE_SECONDS
         interval = min(max(0.05, lease / 3.0), 15.0)
         stop = threading.Event()
 
@@ -292,11 +288,15 @@ class ClusterWorker:
         polled. The idle cutoff is how ``cluster worker`` processes and
         forked LocalCluster children end; a service deployment runs
         without one and lives until the coordinator goes away (or the
-        process is killed).
+        process is killed). Each call rides out an outage in the client's
+        retry, whose deadline is ``max_coordinator_downtime``: a
+        ``ClusterError`` out of :meth:`run_one` means that budget is
+        spent, and the worker exits. (A restarted coordinator answers a
+        report on a job it lost as stale, not as an error: that is no
+        outage.) An outage ridden out is not idle time.
         """
+        reconnects = self.registry.counter("cluster.reconnects")
         idle_since: float | None = None
-        down_since: float | None = None
-        outage = 0
         while True:
             now = time.monotonic()
             if idle_since is None:
@@ -306,37 +306,16 @@ class ClusterWorker:
                 park = min(park, max_idle_seconds - (now - idle_since))
                 if park <= 0:
                     break
+            before = reconnects.value
             try:
                 busy = self.run_one(park_seconds=park)
-                if down_since is not None:
-                    _events.emit("info", "coordinator link restored",
-                                 worker=self.worker_id,
-                                 downtime=round(time.monotonic() - down_since,
-                                                2))
-                down_since = None
-                outage = 0
             except ClusterError as exc:
-                # Coordinator unreachable (restarting, or gone for good).
-                # The client already retried each call with backoff; the
-                # loop-level policy is *time-based*: keep trying until
-                # the coordinator has been down max_coordinator_downtime
-                # seconds — long enough for a restart — then exit so an
-                # orphaned worker terminates instead of spinning. (A
-                # restarted coordinator answers a report on a job it
-                # lost as stale, not as an error: that is no outage.)
-                now = time.monotonic()
-                down_since = down_since if down_since is not None else now
-                if now - down_since >= self.max_coordinator_downtime:
-                    _events.emit("error", "coordinator down too long; "
-                                 "worker exiting", worker=self.worker_id,
-                                 downtime=round(now - down_since, 2),
-                                 limit=self.max_coordinator_downtime,
-                                 error=str(exc))
-                    return
-                outage += 1
-                OUTAGE_BACKOFF.sleep(OUTAGE_BACKOFF.backoff(outage))
-                busy = True  # an outage is not idle time: restart the clock
-            if busy:
+                _events.emit("error", "coordinator down too long; "
+                             "worker exiting", worker=self.worker_id,
+                             limit=self.max_coordinator_downtime,
+                             error=str(exc))
+                return
+            if busy or reconnects.value != before:  # retried: an outage
                 idle_since = None
         try:
             self.client.goodbye(self.worker_id)

@@ -7,7 +7,10 @@ the one policy they all share — capped exponential backoff with *full
 jitter* (each delay drawn uniformly from ``[0, min(cap, base * 2**n)]``,
 the decorrelation that keeps a thundering herd of workers from
 re-synchronizing on a restarted server) bounded by both an attempt count
-and a per-operation deadline budget.
+and a deadline on how long the failures have lasted. It is the one loop
+that rides out an outage: a caller that owns a longer budget (a worker's
+``--max-coordinator-downtime``, a submitter's stall timeout) hands it
+over with :meth:`RetryPolicy.lasting` instead of looping around the call.
 
 The policy is mechanism only: *which* errors are retryable and *what* to
 do between attempts (emit an event, bump a counter) stay with the
@@ -21,20 +24,25 @@ depend on it without cycles.
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 import time
 
 __all__ = ["RetryPolicy", "NO_RETRY"]
 
 
 class RetryPolicy:
-    """Capped exponential backoff, full jitter, per-op deadline budget.
+    """Capped exponential backoff, full jitter, an outage deadline.
 
     ``max_attempts`` counts total tries (1 = no retries). ``deadline``
-    bounds the whole operation including sleeps: a retry is only
-    scheduled while ``elapsed + next_delay`` fits the budget, so a
-    caller's worst case is ``deadline`` plus one attempt's own timeout —
-    never an unbounded retry storm.
+    is how long the failures may last: its clock starts at the first
+    failed attempt — an attempt that hangs before it fails spends none
+    of it — and a pause that would outlast it is cut to what is left, so
+    the last attempt lands at the deadline. A call gives up only once its
+    failures have lasted ``deadline`` (or its attempts are spent): the
+    caller's worst case is the time to the first failure, ``deadline``,
+    and one attempt's own timeout — never an unbounded retry storm.
     """
 
     def __init__(self, max_attempts: int = 4, base_delay: float = 0.05,
@@ -48,9 +56,7 @@ class RetryPolicy:
         self.max_delay = max_delay
         self.deadline = deadline
         self._rng = rng if rng is not None else random
-        #: The sleeper (injectable). Callers whose retry loop is not a
-        #: single :meth:`call` — riding out an outage across many calls —
-        #: pause with ``policy.sleep(policy.backoff(n))``.
+        #: The sleeper (injectable, so tests can record the pauses).
         self.sleep = sleep
 
     @property
@@ -72,22 +78,31 @@ class RetryPolicy:
         """
         if not retry_on or not self.enabled:
             return fn()
-        start = time.monotonic()
+        first_failure = None
         attempt = 1
         while True:
             try:
                 return fn()
             except retry_on as exc:
-                if attempt >= self.max_attempts:
+                now = time.monotonic()
+                first_failure = now if first_failure is None else first_failure
+                left = math.inf if self.deadline is None else \
+                    self.deadline - (now - first_failure)
+                if attempt >= self.max_attempts or left <= 0:
                     raise
-                delay = self.backoff(attempt)
-                if (self.deadline is not None
-                        and time.monotonic() - start + delay > self.deadline):
-                    raise
+                delay = min(self.backoff(attempt), left)
                 if on_retry is not None:
                     on_retry(attempt, delay, exc)
                 self.sleep(delay)
                 attempt += 1
+
+    def lasting(self, seconds: float) -> "RetryPolicy":
+        """This backoff bounded by time alone: retry until the failures
+        have lasted ``seconds``, however many attempts that takes."""
+        return RetryPolicy(max_attempts=sys.maxsize,
+                           base_delay=self.base_delay,
+                           max_delay=self.max_delay, deadline=seconds,
+                           rng=self._rng, sleep=self.sleep)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RetryPolicy(max_attempts={self.max_attempts}, "

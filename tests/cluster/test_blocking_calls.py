@@ -289,7 +289,7 @@ class TestOverTheWire:
                 assert answer["ok"] is False
                 assert "malformed header" in answer["error"]
                 assert rfile.readline() == b""  # the session ended
-            assert coord.queue.stats()["jobs"] == 0
+            assert coord.queue.telemetry_summary()["jobs"]["total"] == 0
             client = CoordinatorClient(*coord.address, retry=NO_RETRY)
             assert client.ping()
             client.close()
@@ -322,7 +322,8 @@ class TestOverTheWire:
             dead = socket.create_connection(coord.address, timeout=5)
             raw_request(dead, cmd="fetch", worker="doomed",
                         park_seconds=LONG)
-            assert client.stats()["workers"] == ["doomed"]  # it is parked
+            assert list(client.telemetry()["telemetry"]["workers"]) == \
+                ["doomed"]  # it is parked
             dead.close()
             assert client.ping()  # the loop has seen the close
             assert coord.server._parked == {}
@@ -396,9 +397,10 @@ class TestOverTheWire:
             started = time.monotonic()
             worker.run(max_idle_seconds=0.3)
             assert 0.3 <= time.monotonic() - started < 5.0
-            # It was there: its fetches carried heartbeat metrics.
-            assert "w-idle" in coord.queue.telemetry_summary()["workers"]
-            assert coord.queue.stats()["workers"] == []
+            # It was there — its fetches carried heartbeat metrics — and
+            # is gone: the scheduler's row is empty, only those remain.
+            assert coord.queue.telemetry_summary()["workers"] == \
+                {"w-idle": {}}
             assert client._pool.closed
 
     def test_no_wake_is_lost_under_contention(self):

@@ -102,7 +102,8 @@ def test_batch_survives_store_and_coordinator_sigkill(tmp_path):
             "--store-server", f"127.0.0.1:{store_port}",
             "--coordinator", f"127.0.0.1:{port}", "--json")
         probe = CoordinatorClient("127.0.0.1", port, timeout=5)
-        _until(lambda: probe.stats()["jobs"] > 0, "the batch")
+        _until(lambda: probe.telemetry()["telemetry"]["jobs"]["total"] > 0,
+               "the batch")
         probe.close()
 
         # CHAOS 1: the data plane dies with the batch accepted, and the

@@ -120,8 +120,9 @@ def _cold_then_warm(path, spec, tmp_path):
                 for _ in range(2)]
     with LocalCluster(workers=2, store_dir=store_dir) as cluster:
         runs = [_run_farm(spec, cluster) for _ in range(2)]
-        assert all(worker.startswith("proc-")
-                   for worker in cluster.coordinator.queue.stats()["workers"])
+        workers = cluster.coordinator.queue.telemetry_summary()["workers"]
+        assert workers and all(worker.startswith("proc-")
+                               for worker in workers)
     return runs
 
 

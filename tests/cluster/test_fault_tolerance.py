@@ -24,6 +24,7 @@ from repro.cluster import (
     Coordinator,
     CoordinatorClient,
 )
+from repro.cluster.client import DEFAULT_COORDINATOR_RETRY
 from repro.cluster.coordinator import JobQueue
 from repro.cluster.jobs import Job
 from repro.containers import BlobStore
@@ -43,6 +44,14 @@ from repro.util.retry import NO_RETRY, RetryPolicy
 
 def job(job_id, affinity="", kind="test"):
     return Job(job_id=job_id, kind=kind, spec={}, affinity=affinity)
+
+
+class _AtCap:
+    """rng stub: the full-jitter draw at its upper bound."""
+
+    @staticmethod
+    def uniform(low, high):
+        return high
 
 
 def _reserve_port() -> int:
@@ -96,7 +105,7 @@ class TestAtomicSubmit:
         queue = JobQueue()
         with pytest.raises(ClusterError, match="duplicate job id 'a'"):
             queue.submit([job("a"), job("b"), job("a")])
-        assert queue.stats()["jobs"] == 0
+        assert queue.telemetry_summary()["jobs"]["total"] == 0
         assert queue.fetch("w1") is None
 
     def test_a_known_id_registers_nothing(self):
@@ -104,7 +113,7 @@ class TestAtomicSubmit:
         queue.submit([job("x")])
         with pytest.raises(ClusterError, match="duplicate job id 'x'"):
             queue.submit([job("y"), job("x")])
-        assert queue.stats()["jobs"] == 1
+        assert queue.telemetry_summary()["jobs"]["total"] == 1
         assert queue.fetch("w1").job_id == "x"
         assert queue.fetch("w1") is None  # y was never registered
 
@@ -178,7 +187,7 @@ class TestWaitResubmits:
             waiter.join(timeout=30)
             assert not waiter.is_alive()
             assert sorted(ran) == ["b", "c"]
-            assert coord.queue.stats()["jobs"] == 3
+            assert coord.queue.telemetry_summary()["jobs"]["total"] == 3
             assert worker.fetch("w1") is None  # nothing ran twice
             assert results["a"]["result"] == {"n": 1}
             assert {results[k]["state"] for k in "abc"} == {"done"}
@@ -266,7 +275,7 @@ class TestCoordinatorBounce:
             assert zombie.renew("a", "w1") is False
             assert zombie.complete("a", "w1", {"winner": "zombie"}) is False
             assert zombie.fail("a", "w1", "boom") == "unknown"
-            assert restarted.queue.stats()["jobs"] == 0
+            assert restarted.queue.telemetry_summary()["jobs"]["total"] == 0
 
             results: dict = {}
             waiter = threading.Thread(
@@ -374,11 +383,10 @@ class TestCoordinatorOnTheWireLoop:
             assert client.complete("a", "w1", {}, spans=[],
                                    metrics={"counters": {"x": 1}})
             assert client.status(["a"])["a"]["state"] == "done"
-            assert client.stats()["jobs"] == 2
             assert client.telemetry()["telemetry"]["jobs"]["total"] == 2
             client.close()
             assert coord.server.connections_served == 1
-            assert coord.server.requests_served == 8
+            assert coord.server.requests_served == 7
 
     def test_oversized_request_is_rejected_and_the_session_survives(
             self, monkeypatch):
@@ -466,32 +474,45 @@ class TestWorkerDowntimePolicy:
         elapsed = time.monotonic() - started
         assert 0.3 <= elapsed < 10.0
 
-    def test_outage_pauses_follow_the_outage_backoff(self, monkeypatch):
-        """Between failed rounds the run loop pauses through
-        ``OUTAGE_BACKOFF``: delays double from its base up to its cap,
-        one pause per failed round, until the downtime limit."""
-        import repro.cluster.worker as worker_mod
-
-        class _AtCap:  # the full-jitter draw at its upper bound
-            @staticmethod
-            def uniform(low, high):
-                return high
-
+    def test_outage_pauses_follow_the_outage_backoff(self):
+        """The client's retry is the one loop that rides out an outage:
+        its pauses double from the base up to the cap, one per failed
+        attempt, until the worker's downtime budget runs out — the last
+        pause cut to what is left of it."""
         pauses = []
 
         def pause(delay):
             pauses.append(delay)
             time.sleep(delay)
 
-        monkeypatch.setattr(worker_mod, "OUTAGE_BACKOFF", RetryPolicy(
-            base_delay=0.02, max_delay=0.08, rng=_AtCap(), sleep=pause))
-        client = CoordinatorClient("127.0.0.1", _reserve_port(), timeout=1,
-                                   retry=NO_RETRY)
+        client = CoordinatorClient(
+            "127.0.0.1", _reserve_port(), timeout=1,
+            retry=RetryPolicy(base_delay=0.02, max_delay=0.08,
+                              rng=_AtCap(), sleep=pause))
         worker = ClusterWorker(client, BlobStore(), worker_id="w-pause",
                                max_coordinator_downtime=0.4)
         worker.run()
-        assert pauses[:3] == [0.02, 0.04, 0.08]
-        assert len(pauses) > 3 and set(pauses[3:]) == {0.08}
+        *full, last = pauses
+        assert full[:3] == [0.02, 0.04, 0.08]
+        assert len(full) > 3 and set(full[3:]) == {0.08}
+        assert 0 < last <= 0.08
+        assert 0.3 < sum(pauses) <= 0.4
+
+    def test_the_downtime_limit_holds_on_the_default_client_retry(
+            self, monkeypatch):
+        """The downtime clock starts at the first refused connection, not
+        once the client's own retry gave up: a worker on the default
+        client retry leaves within its limit, one backoff step and one
+        connect timeout."""
+        monkeypatch.setattr(DEFAULT_COORDINATOR_RETRY, "_rng", _AtCap())
+        client = CoordinatorClient("127.0.0.1", _reserve_port(), timeout=0.5)
+        assert client.retry is DEFAULT_COORDINATOR_RETRY
+        worker = ClusterWorker(client, BlobStore(), worker_id="w-limit",
+                               max_coordinator_downtime=0.5)
+        started = time.monotonic()
+        worker.run()
+        elapsed = time.monotonic() - started
+        assert 0.5 <= elapsed < 0.5 + DEFAULT_COORDINATOR_RETRY.max_delay + 0.5
 
     def test_an_outage_is_not_idle_time(self):
         """The idle cutoff counts time with nothing to do, not time the
@@ -513,6 +534,33 @@ class TestWorkerDowntimePolicy:
         assert 1.0 <= elapsed < 10.0
         assert "coordinator down too long; worker exiting" in \
             [event.message for event in log.snapshot()]
+
+    def test_an_outage_the_client_rode_out_is_not_idle_time(self):
+        """A fetch that rode out an outage starts the idle clock afresh:
+        with a 0.3 s cutoff and a coordinator that arrives 0.5 s in, the
+        worker parks a whole cutoff on it (a second fetch) before it says
+        goodbye."""
+        port = _reserve_port()
+        worker = ClusterWorker(_client(port), BlobStore(), worker_id="w-back",
+                               max_coordinator_downtime=30.0)
+        arrived = []
+
+        def coordinator_arrives():
+            coord = Coordinator(port=port)
+            coord.start()
+            arrived.append(coord)
+
+        timer = threading.Timer(0.5, coordinator_arrives)
+        timer.start()
+        try:
+            worker.run(max_idle_seconds=0.3)
+            timer.join()
+            [coord] = arrived
+            assert coord.server.requests_served == 3  # fetch, fetch, goodbye
+        finally:
+            timer.cancel()
+            for coord in arrived:
+                coord.stop()
 
     def test_worker_rides_out_outage_shorter_than_limit(self):
         """A worker started before its coordinator exists (or while it

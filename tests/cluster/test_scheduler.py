@@ -60,7 +60,7 @@ class TestAffinityAndStealing:
         q.complete("lower", "w1", {})
         # Follow-up jobs with the same token land on w1's deque.
         q.submit([job("d1", affinity="isa:avx2"), job("d2", affinity="isa:avx2")])
-        assert q.stats()["affinity_owners"] == {"isa:avx2": "w1"}
+        assert q.telemetry_summary()["affinity_owners"] == {"isa:avx2": "w1"}
         assert q.fetch("w1").job_id == "d1"
 
     def test_completion_hands_the_token_to_the_finisher(self):
@@ -69,7 +69,7 @@ class TestAffinityAndStealing:
         assert q.fetch("w1").job_id == "a"   # first claimer owns the token
         assert q.fetch("w2").job_id == "b"   # still on the shared deque
         q.complete("b", "w2", {})
-        assert q.stats()["affinity_owners"] == {"isa:avx2": "w2"}
+        assert q.telemetry_summary()["affinity_owners"] == {"isa:avx2": "w2"}
 
     def test_idle_worker_steals_from_owner(self):
         q = JobQueue()
@@ -140,7 +140,7 @@ class TestFailureAndLeases:
         q.submit([job("seed", affinity="isa:sve")])
         q.fetch("w1")
         q.fail("seed", "w1", "boom")
-        assert q.stats()["affinity_owners"] == {}
+        assert q.telemetry_summary()["affinity_owners"] == {}
         assert q.fetch("w2").job_id == "seed"  # adoptable by the next worker
 
 

@@ -95,21 +95,70 @@ class TestRetryPolicy:
         assert len(calls) == 1
 
     def test_deadline_bounds_total_retry_budget(self):
-        """No retry is scheduled once elapsed + next delay would bust the
-        deadline — a dead server fails in bounded time."""
+        """A pause that would outlast the deadline is cut to what is left
+        of it: the last attempt lands at the deadline and its failure
+        propagates — a dead server fails in bounded time."""
+        sleeps = []
+
+        def sleep(delay):
+            sleeps.append(delay)
+            time.sleep(delay)
+
         policy = RetryPolicy(max_attempts=100, base_delay=10.0,
-                             max_delay=10.0, deadline=0.5,
-                             rng=_FixedRng(), sleep=lambda _d: None)
+                             max_delay=10.0, deadline=0.2,
+                             rng=_FixedRng(), sleep=sleep)
         calls = []
 
         def always_fails():
-            calls.append(1)
+            calls.append(time.monotonic())
             raise ConnectionError("down")
 
         with pytest.raises(ConnectionError):
             policy.call(always_fails, retry_on=(ConnectionError,))
-        # First attempt's 10s backoff already exceeds the 0.5s budget.
-        assert len(calls) == 1
+        # The first 10 s backoff is cut to the 0.2 s budget; the attempt
+        # after it fails with the budget spent.
+        assert sleeps == [0.2]
+        assert len(calls) == 2 and calls[1] - calls[0] >= 0.2
+
+    def test_the_deadline_counts_from_the_first_failure(self):
+        """An attempt that hangs before it fails spends none of the
+        deadline — it measures how long the failures have lasted — so
+        the retry it is owed still runs."""
+        policy = RetryPolicy(max_attempts=3, base_delay=0.01, deadline=0.05,
+                             rng=_FixedRng())
+        calls = []
+
+        def slow_failure_then_fine():
+            calls.append(1)
+            if len(calls) == 1:
+                time.sleep(0.1)  # outlasts the whole deadline, then fails
+                raise ConnectionError("timed out")
+            return "ok"
+
+        assert policy.call(slow_failure_then_fine,
+                           retry_on=(ConnectionError,)) == "ok"
+        assert len(calls) == 2
+
+    def test_lasting_keeps_the_backoff_and_bounds_by_time_alone(self):
+        sleeps = []
+        policy = RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.02,
+                             rng=_FixedRng(), sleep=sleeps.append)
+        lasting = policy.lasting(0.3)
+        assert lasting.deadline == 0.3 and policy.deadline == 30.0
+        assert [lasting.backoff(n) for n in (1, 2, 3)] == [0.01, 0.02, 0.02]
+        assert NO_RETRY.lasting(0.3).enabled
+        calls = []
+
+        def fails_five_times():
+            calls.append(1)
+            if len(calls) <= 5:
+                raise ConnectionError("down")
+            return "ok"
+
+        # Two attempts would give up; the lasting copy rides on.
+        assert lasting.call(fails_five_times,
+                            retry_on=(ConnectionError,)) == "ok"
+        assert sleeps == [0.01, 0.02, 0.02, 0.02, 0.02]
 
     def test_on_retry_hook_sees_attempt_delay_and_error(self):
         seen = []

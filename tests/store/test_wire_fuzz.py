@@ -197,7 +197,7 @@ class CoordinatorTable:
 
     def request(self, draw):
         kind = draw(st.sampled_from(
-            ["ping", "submit", "submit_body", "stats", "status",
+            ["ping", "submit", "submit_body", "telemetry", "status",
              "server_stats", "too_large", "unknown"]))
         if kind == "ping":
             return (line({"cmd": "ping"}),
@@ -209,10 +209,10 @@ class CoordinatorTable:
                 return line({"cmd": "submit", "jobs": jobs}), check
             header, body = json_body({"cmd": "submit"}, {"jobs": jobs})
             return line(header) + body, check
-        if kind == "stats":
+        if kind == "telemetry":
             count = len(self.jobs)
-            return line({"cmd": "stats"}), lambda header, body: \
-                assert_equal(header["stats"]["jobs"], count)
+            return line({"cmd": "telemetry"}), lambda header, body: \
+                assert_equal(header["telemetry"]["jobs"]["total"], count)
         if kind == "status":
             ids = sorted(self.jobs)
             return line({"cmd": "status", "job_ids": ids}), \

@@ -91,7 +91,9 @@ RULES = {
         r"|def run\(self, stop|externally-built cache"
         r"|FarmTelemetry|render_top|cmd_cluster_top|worker_summary"
         r"|merge_snapshot|merge_histograms|jobs_per_second"
-        r"|_WORKER_(LATENCY|COUNTER)_FAMILIES", ("repro/",),
+        r"|_WORKER_(LATENCY|COUNTER)_FAMILIES"
+        r'|OUTAGE_BACKOFF|"cmd": "stats"|"stats": stats|queue\.stats\(',
+        ("repro/",),
         "a removed name is back: the farm deploys one ISA group per deploy "
         "job, the cache counts nothing, telemetry is always on, "
         "IRContainerResult.assemble is the one assembly, the "
@@ -117,8 +119,17 @@ RULES = {
         "telemetry is the coordinator's registry, worker heartbeats "
         "folded in under a worker label, printed by `cluster status` "
         "alone; a worker leaves when its loop ends — no stop event, no "
-        "`release` command — and opens its own cache",
+        "`release` command — and opens its own cache; the client's retry "
+        "is the one outage loop, and `telemetry` the one farm read — no "
+        "`stats` command",
         "            counts = self.queue.restore(journal.load())"),
+    "one-outage-loop": Rule(
+        r"\.backoff\(|(policy|retry|BACKOFF)\.sleep\(", ("repro/",),
+        "a backoff outside RetryPolicy.call: the one loop that rides out "
+        "an outage is the retry policy's; a caller with a longer budget "
+        "hands it over with RetryPolicy.lasting",
+        "                self.retry.sleep(self.retry.backoff(outage))",
+        allowed="repro/util/retry.py"),
     "one-body-encoding": Rule(
         r"chunked|open_blob|stream_threshold|STREAM_THRESHOLD|CHUNK_"
         r"|iter_chunks|write_chunks|read_chunk|chunk_prefix|BlobWriter"
