@@ -612,13 +612,13 @@ def configure(tree: SourceTree, cache: dict[str, str] | None = None,
     return interp.emit_configuration(name)
 
 
-def configure_cached(tree: SourceTree, options: dict[str, str],
+def configure_cached(tree: SourceTree, requests, cache,
                      env: BuildEnvironment | None = None,
-                     name: str = "default", build_dir: str | None = None,
-                     script: str = "CMakeLists.txt", cache=None,
-                     tree_digest: str | None = None
-                     ) -> tuple[BuildConfiguration, bool]:
-    """Cache-aware configure: ``(configuration, freshly configured)``.
+                     build_dir: str | None = None,
+                     script: str = "CMakeLists.txt"
+                     ) -> list[tuple[BuildConfiguration, bool]]:
+    """Cache-aware configure of a batch: ``(configuration, freshly
+    configured)`` per ``(options, name)`` request, in order.
 
     The cache key covers the source tree, the option values, the package
     environment, and the build-dir path (per-configuration include paths
@@ -628,29 +628,32 @@ def configure_cached(tree: SourceTree, options: dict[str, str],
     :func:`~repro.buildsys.model.configuration_from_payload` rebuilds the
     targets and compile-commands database when the hit comes from a
     persistent store another process warmed, so a warm rebuild never runs
-    the build-script interpreter at all.
+    the build-script interpreter at all. Each request names a distinct
+    configuration; the misses are published with one ``cache.put_many``:
+    one index save per batch.
     """
-    if cache is None:
-        return configure(tree, options, env=env, name=name,
-                         build_dir=build_dir, script=script), True
     env = env or BuildEnvironment()
-    parts = {
-        "tree": tree_digest or tree.fingerprint(),
-        "opts": dict(options),
-        "env": {"pkgs": dict(env.packages), "cc": env.compiler,
-                "ccv": env.compiler_version},
-        "name": name, "bd": build_dir, "script": script,
-    }
-    entry = cache.get("configure", parts)
-    if entry is not None:
-        cfg = entry.obj
-        if cfg is None:
-            cfg = configuration_from_payload(entry.payload)
-        return cfg, False
-    cfg = configure(tree, options, env=env, name=name,
-                    build_dir=build_dir, script=script)
-    cache.put("configure", parts, configuration_to_payload(cfg), obj=cfg)
-    return cfg, True
+    tree_digest = tree.fingerprint()
+    results, misses = [], []
+    for options, name in requests:
+        parts = {
+            "tree": tree_digest,
+            "opts": dict(options),
+            "env": {"pkgs": dict(env.packages), "cc": env.compiler,
+                    "ccv": env.compiler_version},
+            "name": name, "bd": build_dir, "script": script,
+        }
+        entry = cache.get("configure", parts)
+        if entry is None:
+            cfg = configure(tree, options, env=env, name=name,
+                            build_dir=build_dir, script=script)
+            misses.append((parts, configuration_to_payload(cfg), cfg))
+        else:
+            cfg = entry.obj if entry.obj is not None \
+                else configuration_from_payload(entry.payload)
+        results.append((cfg, entry is None))
+    cache.put_many("configure", misses)
+    return results
 
 
 def declared_options(tree: SourceTree, env: BuildEnvironment | None = None,

@@ -401,7 +401,7 @@ def cluster_build(client: CoordinatorClient, app_name: str,
     from repro.core.ir_container import check_distinct_configs
     from repro.discovery import get_system
     from repro.perf.model import default_build_environment
-    from repro.pipeline.stages import configure_one
+    from repro.pipeline.stages import configure_all
 
     if cache is None:
         cache = ArtifactCache(store)
@@ -455,7 +455,7 @@ def cluster_build(client: CoordinatorClient, app_name: str,
         lower_entries_before = _lower_entry_count(cache.entries())
         fronts = [job_results[job.job_id]["result"] for job in stage_jobs]
         env = default_build_environment()
-        built = [configure_one(app, dict(c), env, cache)[0] for c in configs]
+        built = [cfg for cfg, _ in configure_all(app, configs, env, cache)]
         result = IRContainerResult.assemble(
             app, [dict(c) for c in configs], fronts,
             {cfg.name: cfg for cfg in built}, store, build.arch_family)

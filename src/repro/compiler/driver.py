@@ -180,11 +180,10 @@ class Compiler:
         return module, detect_openmp(unit)
 
 
-def compile_to_ir_cached(compiler: Compiler, source: str, flags: list[str],
-                         name: str = "unit", cache=None,
-                         text_digest: str | None = None,
-                         ) -> tuple[str, ir.Module, bool]:
-    """Cache-aware frontend: ``(canonical IR text, module, freshly compiled)``.
+def compile_to_ir_cached(requests, cache) -> list[tuple[str, ir.Module, bool]]:
+    """Cache-aware frontend of a batch: ``(canonical IR text, module,
+    freshly compiled)`` per ``(compiler, source, flags, name,
+    text_digest)`` request, in order.
 
     The cache key is what the frontend consumes: the digest of the
     preprocessed text, the unit name and the frontend-relevant flags —
@@ -197,37 +196,46 @@ def compile_to_ir_cached(compiler: Compiler, source: str, flags: list[str],
     :class:`~repro.containers.store.ArtifactCache`): the payload *is* the
     canonical IR text, and :func:`repro.compiler.ir.parse_module` rebuilds
     the live module when the hit comes from a persistent store another
-    process warmed — zero frontend work in the cold process.
+    process warmed — zero frontend work in the cold process. A key named
+    again is reused, as a hit is; the misses are published with one
+    ``cache.put_many`` (one blob batch, one index save), so a compile
+    that raises publishes none of them.
     """
-    if cache is None:
-        result = compiler.compile_to_ir(source, flags, name)
-        return result.module.render(), result.module, True
     from repro.store.backend import BlobNotFound
     from repro.util.hashing import content_digest
-    pre_text = None
-    if text_digest is None:
-        pre_text = compiler.preprocess(source, flags, name).text
-        text_digest = content_digest(pre_text)
-    parts = {"pp": text_digest, "name": name,
-             "fe": sorted(classify_flags(list(flags)).frontend)}
-    entry = cache.get("ir", parts)
-    if entry is not None:
-        module = entry.obj
-        if module is None:
-            module = ir.parse_module(entry.payload)
-            # Promote the parsed module so later hits in this process share
-            # one live identity (deployments compare modules by object).
-            cache.put("ir", parts, entry.payload, obj=module)
-        return entry.payload, module, False
-    if pre_text is None:
-        try:
-            pre_text = cache.store.get_text(text_digest)
-        except BlobNotFound:
+    results, compiled = [], {}  # key -> (parts, text, module) per miss
+    for compiler, source, flags, name, text_digest in requests:
+        pre_text = None
+        if text_digest is None:
             pre_text = compiler.preprocess(source, flags, name).text
-    module, _uses_openmp = compiler.compile_preprocessed(pre_text, flags, name)
-    text = module.render()
-    cache.put("ir", parts, text, obj=module)
-    return text, module, True
+            text_digest = content_digest(pre_text)
+        fe = sorted(classify_flags(list(flags)).frontend)
+        parts = {"pp": text_digest, "name": name, "fe": fe}
+        key = (text_digest, name, *fe)
+        if key in compiled:
+            results.append((*compiled[key][1:], False))
+            continue
+        entry = cache.get("ir", parts)
+        if entry is not None:
+            module = entry.obj
+            if module is None:
+                module = ir.parse_module(entry.payload)
+                # Promote the parsed module so later hits in this process
+                # share one live identity (deployments compare by object).
+                cache.put("ir", parts, entry.payload, obj=module)
+            results.append((entry.payload, module, False))
+            continue
+        if pre_text is None:
+            try:
+                pre_text = cache.store.get_text(text_digest)
+            except BlobNotFound:
+                pre_text = compiler.preprocess(source, flags, name).text
+        module, _uses_openmp = compiler.compile_preprocessed(pre_text, flags,
+                                                             name)
+        compiled[key] = parts, module.render(), module
+        results.append((*compiled[key][1:], True))
+    cache.put_many("ir", compiled.values())
+    return results
 
 
 def make_resolver(headers: dict[str, str]) -> IncludeResolver:

@@ -36,12 +36,12 @@ __all__ = [
 ]
 
 #: ``flush_every`` for bulk publishers (cluster workers, farm-backed CLI
-#: paths): thousand-entry jobs write O(n) index bytes instead of O(n^2),
-#: and their payload blobs in one backend batch ahead of the index that
-#: names them. Nothing such a cache publishes — blob or index entry — is
-#: on the store before its next flush, so callers batching this hard must
-#: flush before announcing their artifacts to anyone who will look for
-#: them.
+#: paths). A stage publishes its misses with one ``put_many``, saved at
+#: once; the single puts left, hits promoting a decoded object, wait for
+#: the next flush instead of each rewriting a shard. Nothing such a put
+#: publishes — blob or index entry — is on the store before then, so
+#: callers batching this hard must flush before announcing their
+#: artifacts to anyone who will look for them.
 BULK_FLUSH_EVERY = 1024
 
 
@@ -171,11 +171,11 @@ class ArtifactCache:
             self.store.backend, self.registry,
             on_drop=lambda key: self._objects.pop(key, None))
         #: Single :meth:`put` calls per index save (a :meth:`put_many`
-        #: batch is always saved once, when it returns). 1 (the default)
-        #: persists on every put — maximum durability and cross-process
-        #: visibility. Bulk publishers (cluster workers) raise it: each
-        #: save CAS-rewrites the whole namespace shard, so a job making a
-        #: thousand single puts at flush_every=1 writes O(n^2) index
+        #: batch is always saved once, when it returns); the single puts
+        #: left are hits promoting a decoded object. 1 (the default)
+        #: persists on every put. Bulk publishers (cluster workers) raise
+        #: it: each save CAS-rewrites the whole namespace shard, so a job
+        #: promoting a thousand hits at flush_every=1 writes O(n^2) index
         #: bytes. The payload blobs wait with the entries (see
         #: ``_pending_blobs``). Batched writers must :meth:`flush_index`
         #: before *announcing* their artifacts (the cluster does, before
@@ -312,11 +312,11 @@ class ArtifactCache:
         so no reader or GC ever sees an entry whose bulk body is missing.
         An empty batch touches nothing.
 
-        For publishers that hold a whole stage's results at once (the
-        preprocess stage, a deployment's lowering loop). Results
-        that appear one at a time inside a stage's loop keep using
-        :meth:`put`: its per-item persistence is what a killed build
-        resumes from.
+        Every stage publishes its misses this way once it holds them all
+        (configure, preprocess, IR compile, a deployment's lowering
+        loop), so a killed build resumes from the batches that landed,
+        never from part of one; :meth:`put` is left to the hits that
+        promote a decoded object.
         """
         items = list(items)
         if not items:

@@ -136,13 +136,12 @@ def flag_fraction(tasks: list[tuple[str, str, str]]) -> float:
     return repeats / slots if slots else 0.0
 
 
-def configure_one(app, options: dict[str, str], env, cache,
-                  tree_digest: str | None = None):
-    """One build configuration at :data:`BUILD_DIR`, through the artifact
-    cache: ``(configuration, freshly configured)``."""
-    return configure_cached(app.tree, options, env=env,
-                            name=config_name(options), build_dir=BUILD_DIR,
-                            cache=cache, tree_digest=tree_digest)
+def configure_all(app, configs: list[dict[str, str]], env, cache):
+    """Every build configuration at :data:`BUILD_DIR`, through the artifact
+    cache as one batch: ``(configuration, freshly configured)`` each."""
+    return configure_cached(app.tree, [(options, config_name(options))
+                                       for options in configs], cache,
+                            env=env, build_dir=BUILD_DIR)
 
 
 # -- stage 1: configuration ----------------------------------------------------
@@ -164,13 +163,9 @@ def configure_stage(app, configs: list[dict[str, str]], env, cache,
     which this is front ``index``. Every artifact key holds its source, so
     the shares' fronts build disjoint artifacts; ``None`` keeps every TU.
     """
-    # The cache's coarse guard: any source or header edit invalidates
-    # every derived artifact.
-    tree_digest = app.tree.fingerprint()
     configurations = {}
     tus: list[TranslationUnit] = []
-    for options in configs:
-        cfg, fresh = configure_one(app, options, env, cache, tree_digest)
+    for cfg, fresh in configure_all(app, configs, env, cache):
         stats.configure_ops += 1 if fresh else 0
         stats.count_lookup("configure", hit=not fresh)
         configurations[cfg.name] = cfg
@@ -299,22 +294,26 @@ def ir_compile_stage(app, configurations, tus: list[TranslationUnit],
     ``(ir_files, ir_modules, irs)``, ``irs`` each TU's IR digest.
     ``attrs`` is ``None`` without the preprocess stage (the ``stages=()``
     ablation): a class is one full command, and compile_to_ir_cached
-    preprocesses it."""
+    preprocesses it. The misses, compiled in first-seen order, are
+    published as one batch when the stage ends."""
     ir_files: dict[str, str] = {}
     ir_modules: dict[str, object] = {}
     irs = [""] * len(tus)
-    for members in _group(keys).values():
+    compilers = {name: Compiler(make_include_resolver(app.tree, cfg))
+                 for name, cfg in configurations.items()}
+    classes = list(_group(keys).values())
+    requests = []
+    for members in classes:
         rep = tus[members[0]]
         rep_attrs = attrs[members[0]] if attrs is not None else {
             "cls": classify_flags(list(rep.flags)), "omp_relevant": True,
             "pp": None}
-        compiler = Compiler(make_include_resolver(
-            app.tree, configurations[rep.config]))
-        text, module, fresh = compile_to_ir_cached(
-            compiler, app.tree.read(rep.source),
-            ir_frontend_flags(rep_attrs["cls"].frontend,
-                              rep_attrs["omp_relevant"]),
-            rep.source, cache=cache, text_digest=rep_attrs["pp"])
+        requests.append((compilers[rep.config], app.tree.read(rep.source),
+                         ir_frontend_flags(rep_attrs["cls"].frontend,
+                                           rep_attrs["omp_relevant"]),
+                         rep.source, rep_attrs["pp"]))
+    for members, (text, module, fresh) in zip(
+            classes, compile_to_ir_cached(requests, cache)):
         digest = content_digest(text)
         ir_files[digest] = text
         ir_modules[digest] = module

@@ -487,55 +487,80 @@ class TestConfigureCached:
         with pytest.raises(ValueError, match="not a serialized configuration"):
             configuration_from_payload('{"format": "something-else"}')
 
-    def test_cache_hit_skips_the_interpreter(self):
+    @staticmethod
+    def cached(tree, options, cache):
+        """One configuration through ``configure_cached``: ``(cfg, fresh)``."""
         from repro.buildsys import configure_cached
+        return configure_cached(tree, [(options, "default")], cache)[0]
+
+    def test_cache_hit_skips_the_interpreter(self):
         from repro.containers.store import ArtifactCache
         cache = ArtifactCache()
         tree = self.make()
-        cfg1, fresh1 = configure_cached(tree, {"WITH_FAST": "ON"},
-                                        cache=cache)
-        cfg2, fresh2 = configure_cached(tree, {"WITH_FAST": "ON"},
-                                        cache=cache)
+        cfg1, fresh1 = self.cached(tree, {"WITH_FAST": "ON"}, cache)
+        cfg2, fresh2 = self.cached(tree, {"WITH_FAST": "ON"}, cache)
         assert fresh1 and not fresh2
         assert cfg2 == cfg1
 
     def test_option_change_misses(self):
-        from repro.buildsys import configure_cached
         from repro.containers.store import ArtifactCache
         cache = ArtifactCache()
         tree = self.make()
-        cfg_on, _ = configure_cached(tree, {"WITH_FAST": "ON"}, cache=cache)
-        cfg_off, fresh = configure_cached(tree, {"WITH_FAST": "OFF"},
-                                          cache=cache)
+        cfg_on, _ = self.cached(tree, {"WITH_FAST": "ON"}, cache)
+        cfg_off, fresh = self.cached(tree, {"WITH_FAST": "OFF"}, cache)
         assert fresh
         assert cfg_on != cfg_off
 
     def test_tree_edit_misses(self):
-        from repro.buildsys import configure_cached
         from repro.containers.store import ArtifactCache
         cache = ArtifactCache()
         tree = self.make()
-        configure_cached(tree, {}, cache=cache)
+        self.cached(tree, {}, cache)
         edited = tree.copy()
         edited.write("src/a.c", "int a_changed;")
-        _, fresh = configure_cached(edited, {}, cache=cache)
+        _, fresh = self.cached(edited, {}, cache)
         assert fresh
 
     def test_payload_only_hit_rebuilds_live_object(self):
         """A cold process (fresh cache over a warmed store) never runs the
         interpreter: the configuration deserializes from the payload."""
-        from repro.buildsys import configure_cached
         from repro.containers.store import ArtifactCache, BlobStore
         from repro.store import FileBackend
         import tempfile
         with tempfile.TemporaryDirectory() as root:
             tree = self.make()
             warm_cache = ArtifactCache(BlobStore(FileBackend(root)))
-            cfg, fresh = configure_cached(tree, {"WITH_FAST": "ON"},
-                                          cache=warm_cache)
+            cfg, fresh = self.cached(tree, {"WITH_FAST": "ON"}, warm_cache)
             assert fresh
             cold_cache = ArtifactCache(BlobStore(FileBackend(root)))
-            clone, fresh2 = configure_cached(tree, {"WITH_FAST": "ON"},
-                                             cache=cold_cache)
+            clone, fresh2 = self.cached(tree, {"WITH_FAST": "ON"}, cold_cache)
             assert not fresh2
             assert clone == cfg
+
+    def test_a_batch_publishes_its_misses_with_one_save(self, tmp_path):
+        """The misses of one batch land as one publish, whatever the
+        cache's ``flush_every``, and a hit in the batch writes nothing."""
+        from repro.buildsys import configure_cached
+        from repro.containers.store import ArtifactCache, BlobStore
+        from repro.store import FileBackend
+        from repro.store.index import INDEX_REF_PREFIX
+
+        saves = []
+
+        class Counting(FileBackend):
+            def compare_and_set_ref(self, name, expected, data):
+                if name.startswith(INDEX_REF_PREFIX):
+                    saves.append(name)
+                return super().compare_and_set_ref(name, expected, data)
+
+        cache = ArtifactCache(BlobStore(Counting(tmp_path)), flush_every=1)
+        tree = self.make()
+        on, off, default = {"WITH_FAST": "ON"}, {"WITH_FAST": "OFF"}, {}
+        first = configure_cached(tree, [(on, "fast"), (off, "slow")], cache)
+        assert [fresh for _cfg, fresh in first] == [True, True]
+        assert first[0][0] != first[1][0] and len(saves) == 1
+        second = configure_cached(tree, [(on, "fast"), (default, "plain")],
+                                  cache)
+        assert [fresh for _cfg, fresh in second] == [False, True]
+        assert second[0][0] is first[0][0] and len(saves) == 2
+        assert len(cache.entries()) == 3

@@ -21,12 +21,32 @@ def _worker(host, port, backend):
                          worker_id="w")
 
 
+def _observe_publish(worker, root, namespace):
+    """What a second handle sees when ``worker``'s publish starts: one
+    ``(namespace entries it resolves, worker's pending blobs)`` per job."""
+    seen = []
+    publish = worker._publish
+
+    def observed():
+        reader = ArtifactCache(BlobStore(FileBackend(root)))
+        seen.append((reader.stats()["entries_by_namespace"].get(namespace, 0),
+                     worker.cache.pending_blobs))
+        publish()
+
+    worker._publish = observed
+    return seen
+
+
 def test_publish_is_a_child_span_of_the_job_and_precedes_completion(tmp_path):
+    """The IR stage lands the job's IRs as one batch when it ends, so they
+    are on the store before the job's publish span starts: a second handle
+    resolves every one, and nothing is pending."""
     with Coordinator() as coordinator:
         host, port = coordinator.address
         client = CoordinatorClient(host, port)
         client.submit([_traced_job()])
         worker = _worker(host, port, FileBackend(tmp_path / "store"))
+        before_publish = _observe_publish(worker, tmp_path / "store", "ir")
         assert worker.run_one() is True
         assert client.status(["pp"])["pp"]["state"] == "done"
         assert worker.cache.pending_blobs == (0, 0)
@@ -39,9 +59,10 @@ def test_publish_is_a_child_span_of_the_job_and_precedes_completion(tmp_path):
         assert publish.trace_id == job.trace_id
         assert job.start <= publish.start
         assert publish.start + publish.duration <= job.start + job.duration
-        # One IR per translation unit of the configuration, none of them
-        # on the store when the job body returned.
-        assert publish.attrs["blobs"] == 5 and publish.attrs["bytes"] > 0
+        # One IR per translation unit of the configuration, every one on
+        # the store before the publish span began.
+        assert before_publish == [(5, (0, 0))]
+        assert publish.attrs["blobs"] == 0
     # Announced means published: a second handle resolves the entries.
     reader = ArtifactCache(BlobStore(FileBackend(tmp_path / "store")))
     assert reader.stats()["entries_by_namespace"]["ir"] == 5
@@ -65,17 +86,8 @@ def test_a_deploy_jobs_machine_modules_are_durable_before_its_publish(
         host, port = coordinator.address
         CoordinatorClient(host, port).submit([job])
         worker = _worker(host, port, FileBackend(tmp_path / "store"))
-        before_publish = []
-        publish = worker._publish
-
-        def _observed_publish():
-            reader = ArtifactCache(BlobStore(FileBackend(tmp_path / "store")))
-            before_publish.append(
-                (reader.stats()["entries_by_namespace"].get("lower", 0),
-                 worker.cache.pending_blobs))
-            publish()
-
-        worker._publish = _observed_publish
+        before_publish = _observe_publish(worker, tmp_path / "store",
+                                          "lower")
         assert worker.run_one() is True
         record = coordinator.queue.status([job.job_id])[job.job_id]
         assert record["state"] == "done"
@@ -94,10 +106,17 @@ def test_a_deploy_jobs_machine_modules_are_durable_before_its_publish(
 
 
 def test_a_refused_publish_fails_the_job(tmp_path):
-    # The job body's one batch (the preprocess stage's) goes through; the
-    # second put_many is the publish of the IRs.
+    """On a warm store every stage hits, so the stages' batches are empty
+    and make no backend call; the job's one put_many is the publish of the
+    IRs its hits promoted. A store that refuses it fails the job."""
+    # The same configuration the traced job builds, through a plain cache.
+    build = BuildSpec(app="lulesh",
+                      configs=({"WITH_MPI": "OFF", "WITH_OPENMP": "ON"},))
+    store = BlobStore(FileBackend(tmp_path / "store"))
+    build_ir_container(build.resolve_app(), list(build.configs), store=store,
+                       cache=ArtifactCache(store))
     faulty = FaultyBackend(FileBackend(tmp_path / "store")).fail_every(
-        2, ops=("put_many",))
+        1, ops=("put_many",))
     with Coordinator() as coordinator:
         host, port = coordinator.address
         client = CoordinatorClient(host, port)
@@ -107,6 +126,27 @@ def test_a_refused_publish_fails_the_job(tmp_path):
         assert (worker.jobs_done.value, worker.jobs_failed.value) == (0, 1)
         assert faulty.injected == {"put_many": 1}
         assert worker.cache.pending_blobs[0] == 5
+        record = client.status(["pp"])["pp"]
+        assert record["state"] != "done"
+        assert "injected fault" in record["error"]
+        [publish] = [span for span in coordinator.queue.recorder.spans()
+                     if span.name == "cluster.publish"]
+        assert publish.attrs["blobs"] == 5 and publish.attrs["bytes"] > 0
+
+
+def test_a_refused_ir_batch_fails_the_job(tmp_path):
+    # The job body's first two batches (the configure and preprocess
+    # stages') go through; the third put_many is the IR stage's batch.
+    faulty = FaultyBackend(FileBackend(tmp_path / "store")).fail_every(
+        3, ops=("put_many",))
+    with Coordinator() as coordinator:
+        host, port = coordinator.address
+        client = CoordinatorClient(host, port)
+        client.submit([_traced_job()])
+        worker = _worker(host, port, faulty)
+        assert worker.run_one() is True
+        assert (worker.jobs_done.value, worker.jobs_failed.value) == (0, 1)
+        assert faulty.injected == {"put_many": 1}
         record = client.status(["pp"])["pp"]
         assert record["state"] != "done"
         assert "injected fault" in record["error"]

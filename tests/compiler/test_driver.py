@@ -93,12 +93,13 @@ class TestIRCacheIdentity:
               "return s; }\n")
     FLAGS = ["-DUNUSED=1", "-fopenmp"]
 
-    def _compile(self, cache, **kwargs):
+    def _compile(self, cache, text_digest=None):
         from repro.compiler import Compiler
         from repro.compiler.driver import compile_to_ir_cached, make_resolver
         compiler = Compiler(make_resolver({"scale.h": "#define SCALE 2.0\n"}))
         return compiler, compile_to_ir_cached(
-            compiler, self.SOURCE, self.FLAGS, "f.c", cache=cache, **kwargs)
+            [(compiler, self.SOURCE, self.FLAGS, "f.c", text_digest)],
+            cache)[0]
 
     def test_same_key_payload_and_module_with_and_without_stored_text(self):
         from repro.containers import ArtifactCache
@@ -128,6 +129,39 @@ class TestIRCacheIdentity:
         assert hit_module is stored.get(
             "ir", {"pp": content_digest(pre), "name": "f.c",
                    "fe": sorted(self.FLAGS)}).obj
+
+    def test_a_batch_compiles_a_repeated_key_once_and_saves_once(
+            self, tmp_path):
+        """A key named twice in one batch is compiled once — the second
+        request reads as a hit and shares the module — and the batch's
+        misses land with one index save."""
+        from repro.compiler import Compiler
+        from repro.compiler.driver import compile_to_ir_cached, make_resolver
+        from repro.containers import ArtifactCache
+        from repro.containers.store import BlobStore
+        from repro.store import FileBackend
+        from repro.store.index import INDEX_REF_PREFIX
+
+        saves = []
+
+        class Counting(FileBackend):
+            def compare_and_set_ref(self, name, expected, data):
+                if name.startswith(INDEX_REF_PREFIX):
+                    saves.append(name)
+                return super().compare_and_set_ref(name, expected, data)
+
+        cache = ArtifactCache(BlobStore(Counting(tmp_path)), flush_every=1)
+        compiler = Compiler(make_resolver({"scale.h": "#define SCALE 2.0\n"}))
+        # -O3 shapes machine code only: the same IR key.
+        results = compile_to_ir_cached(
+            [(compiler, self.SOURCE, self.FLAGS, "f.c", None),
+             (compiler, self.SOURCE, self.FLAGS + ["-O3"], "f.c", None),
+             (compiler, self.SOURCE, ["-fopenmp"], "g.c", None)], cache)
+        assert [fresh for _text, _module, fresh in results] == \
+            [True, False, True]
+        assert results[1][1] is results[0][1]
+        assert saves == [INDEX_REF_PREFIX + "ir"]
+        assert len(cache.entries()) == 2
 
     def test_compile_preprocessed_is_compile_to_ir_minus_preprocessing(self):
         from repro.compiler import Compiler

@@ -4,8 +4,8 @@
 order its first TU appears; ``ir_compile_stage`` compiles one IR per
 class, in the order the class is first seen, and hands every TU its
 class's IR. A failure propagates unchanged from the first failing item,
-the items after it never run, and a failed preprocess batch publishes
-nothing.
+the items after it never run, and a failed stage publishes nothing of
+its batch.
 """
 
 import pytest
@@ -58,14 +58,15 @@ def preprocess_calls(monkeypatch):
 
 @pytest.fixture
 def compile_calls(monkeypatch):
-    """Each ``compile_to_ir_cached`` call of the IR stage's, by name."""
+    """Each IR compile of the IR stage's (``Compiler.compile_preprocessed``,
+    once per missing class), by name."""
     calls = []
-    real = stages.compile_to_ir_cached
+    real = Compiler.compile_preprocessed
 
-    def recorded(compiler, source, flags, name="unit", **kwargs):
+    def recorded(self, text, flags, name="unit"):
         calls.append(name)
-        return real(compiler, source, flags, name, **kwargs)
-    monkeypatch.setattr(stages, "compile_to_ir_cached", recorded)
+        return real(self, text, flags, name)
+    monkeypatch.setattr(Compiler, "compile_preprocessed", recorded)
     return calls
 
 
@@ -76,7 +77,8 @@ def failing_on(monkeypatch, target, attribute, bad):
     real = getattr(target, attribute)
 
     def maybe_fail(*args, **kwargs):
-        # Both stages pass the TU's source file as the fourth argument.
+        # Both stages' compiler calls take the TU's source file as the
+        # fourth argument.
         name = args[3]
         seen.append(name)
         if name in bad:
@@ -205,9 +207,27 @@ class TestIRCompileStage:
         app, cache, configurations, tus, attrs = preprocessed(
             lulesh_configs()[:2])
         bad = tus[1].source
-        seen = failing_on(monkeypatch, stages, "compile_to_ir_cached", {bad})
+        seen = failing_on(monkeypatch, Compiler, "compile_preprocessed",
+                          {bad})
         with pytest.raises(StageError, match=f"failed on {bad}$"):
             ir_compile_stage(app, configurations, tus[:6], attrs[:6],
                              self.KEYS, cache, PipelineStats())
         # Class "c", first seen after the failing class, never compiled.
         assert seen == [tus[0].source, bad]
+
+    def test_a_failed_batch_publishes_nothing(self, monkeypatch):
+        app, cache, configurations, tus, attrs = preprocessed(
+            lulesh_configs()[:2])
+        failing_on(monkeypatch, Compiler, "compile_preprocessed",
+                   {tus[3].source})
+        with pytest.raises(StageError):
+            ir_compile_stage(app, configurations, tus[:6], attrs[:6],
+                             self.KEYS, cache, PipelineStats())
+        monkeypatch.undo()
+        # The classes compiled before the failure were not published
+        # either: a retry on the same cache compiles every class again.
+        stats = PipelineStats()
+        ir_compile_stage(app, configurations, tus[:6], attrs[:6], self.KEYS,
+                         cache, stats)
+        assert stats.ir_compile_ops == 3
+        assert stats.cache_hits.get("ir", 0) == 0

@@ -158,6 +158,45 @@ class TestInterruptedDeploy:
         assert rerun == self._batch(*_handle(MemoryBackend()))
 
 
+class TestInterruptedBuild:
+    """An IR stage that raises publishes none of its IRs: the configure
+    and preprocess stages that finished are on the store whole, the IR
+    stage left no entry, and a rerun in a fresh process builds the image
+    an uninterrupted run does."""
+
+    def _build(self, store, cache):
+        return build_ir_container(lulesh_model(), lulesh_configs(),
+                                  store=store, cache=cache).image.digest
+
+    def test_a_raising_compile_leaves_no_ir_entry_and_a_clean_rerun(
+            self, tmp_path, monkeypatch):
+        from repro.compiler import Compiler
+
+        real, calls = Compiler.compile_preprocessed, []
+
+        def failing(compiler, text, flags, name="unit"):
+            calls.append(name)
+            if len(calls) == 7:  # the seventh IR of the stage
+                raise RuntimeError("compile failed")
+            return real(compiler, text, flags, name)
+
+        store, cache = _handle(FileBackend(tmp_path / "store"))
+        monkeypatch.setattr(Compiler, "compile_preprocessed", failing)
+        with pytest.raises(RuntimeError, match="compile failed"):
+            self._build(store, cache)
+        monkeypatch.undo()
+        assert cache.pending_blobs == (0, 0)
+
+        reader = _handle(FileBackend(tmp_path / "store"))[1]
+        namespaces = {entry.namespace
+                      for entry in reader.entries().values()}
+        # The stages before the IR stage landed; the IR stage nothing.
+        assert namespaces == {"configure", "preprocess"}
+
+        rerun = self._build(*_handle(FileBackend(tmp_path / "store")))
+        assert rerun == self._build(*_handle(MemoryBackend()))
+
+
 def _handle(backend):
     store = BlobStore(backend)
     return store, ArtifactCache(store)

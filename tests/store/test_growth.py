@@ -84,6 +84,38 @@ def test_a_cold_deploy_batchs_index_bytes_grow_linearly(cold_deploys):
     assert large <= MAX_GROWTH * small, (small, large)
 
 
+#: The build front's namespaces: one index shard each.
+FRONT_NAMESPACES = ("configure", "preprocess", "ir")
+
+
+def _cold_build_cas(root, scale):
+    """Index CAS calls and bytes of a cold ``build_ir_container`` at
+    ``flush_every=1``."""
+    backend = CountingFileBackend(root)
+    store = BlobStore(backend)
+    build_ir_container(gromacs_model(scale=scale), CONFIGS, store=store,
+                       cache=ArtifactCache(store, flush_every=1))
+    return len(backend.cas_bytes), sum(backend.cas_bytes)
+
+
+@pytest.fixture(scope="module")
+def cold_builds(tmp_path_factory):
+    return [_cold_build_cas(tmp_path_factory.mktemp(f"build-{scale}"), scale)
+            for scale in (0.01, 0.04)]
+
+
+def test_a_cold_build_saves_its_index_once_per_front_stage(cold_builds):
+    # One put_many per stage — not one whole-shard rewrite per IR — so
+    # the count does not grow with the build.
+    (small, _), (large, _) = cold_builds
+    assert small == large <= len(FRONT_NAMESPACES) + 1, (small, large)
+
+
+def test_a_cold_builds_index_bytes_grow_linearly(cold_builds):
+    (_, small), (_, large) = cold_builds
+    assert large <= MAX_GROWTH * small, (small, large)
+
+
 def test_shards_hold_72_bytes_a_row_and_halve_the_cold_index_writes(
         tmp_path):
     backend = CountingFileBackend(tmp_path)

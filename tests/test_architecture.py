@@ -92,7 +92,8 @@ RULES = {
         r"|FarmTelemetry|render_top|cmd_cluster_top|worker_summary"
         r"|merge_snapshot|merge_histograms|jobs_per_second"
         r"|_WORKER_(LATENCY|COUNTER)_FAMILIES"
-        r'|OUTAGE_BACKOFF|"cmd": "stats"|"stats": stats|queue\.stats\(',
+        r'|OUTAGE_BACKOFF|"cmd": "stats"|"stats": stats|queue\.stats\('
+        r"|configure_one\b",
         ("repro/",),
         "a removed name is back: the farm deploys one ISA group per deploy "
         "job, the cache counts nothing, telemetry is always on, "
@@ -121,7 +122,7 @@ RULES = {
         "alone; a worker leaves when its loop ends — no stop event, no "
         "`release` command — and opens its own cache; the client's retry "
         "is the one outage loop, and `telemetry` the one farm read — no "
-        "`stats` command",
+        "`stats` command; configure_all configures a front's whole batch",
         "            counts = self.queue.restore(journal.load())"),
     "one-outage-loop": Rule(
         r"\.backoff\(|(policy|retry|BACKOFF)\.sleep\(", ("repro/",),
@@ -218,6 +219,12 @@ RULES = {
         "pack_blob and inflated by unpack_blob, both against "
         "BLOB_DICTIONARY",
         "    return min(data, zlib.compress(data), key=len)"),
+    "a-stage-publishes-once": Rule(
+        r"cache\.put\((?![^#]*entry\.payload)", ("repro/",),
+        "a single cache put outside a hit's promotion: a stage looks up "
+        "every item, computes the misses and publishes them with one "
+        "put_many — one blob batch and one index save per stage",
+        '    cache.put("ir", parts, text, obj=module)'),
     "cli-is-one-command-table": Rule(
         r"add_parser", ("repro/cli.py",),
         "the CLI parser is a loop over one command table: one add_parser "
